@@ -2,8 +2,10 @@
 
 Every command validates its arguments, calls the library (no computation
 lives here), writes its declared output files plus a JSON manifest, and
-exits 0 on success, 2 on a validation error, 3 on a numeric failure.
-An optional KEY=VALUE config file supplies defaults; explicit flags win.
+exits 0 on success, 1 when a verify check fails, 2 on a validation error,
+3 on a numeric failure.  An optional KEY=VALUE config file supplies defaults;
+explicit flags win, and a key that names no argument of the command is a
+validation error.
 """
 
 from __future__ import annotations
@@ -148,12 +150,12 @@ def cmd_cone(args) -> int:
 
 
 def _line_from_args(args):
-    if getattr(args, "direction", None) is not None:
-        return density.RawLine(tuple(args.p or (0.0, 0.0, 0.0)), tuple(args.direction))
+    p = tuple(args.p or (0.0, 0.0, 0.0))
+    if args.direction is not None:
+        return density.LineSpec(p=p, d=tuple(args.direction))
     u2 = _resolve(args, "u2", float, 0.37)
     u3 = _resolve(args, "u3", float, 1.3e-4)
-    face = getattr(args, "face", None) or "+x1"
-    return density.LineSpec(density.YPoint(face, u2, u3), tuple(args.p or (0.0, 0.0, 0.0)))
+    return density.LineSpec(density.YPoint(args.face or "+x1", u2, u3), p)
 
 
 def _confinement_notes(line) -> list[str]:
@@ -206,7 +208,7 @@ def cmd_trace(args) -> int:
 
 
 def _line_params(line):
-    if isinstance(line, density.RawLine):
+    if line.alpha is None:
         return {"p": list(line.p), "direction": list(line.d)}
     return {
         "p": list(line.p),
@@ -262,7 +264,6 @@ def cmd_density(args) -> int:
     grid_n = _resolve(args, "grid_n", int, 16)
     budget = _resolve(args, "budget", int, 20_000)
     rungs = _resolve(args, "rungs", int, 4)
-    threads = _resolve(args, "threads", int, 1)
     if args.quick:
         budget = max(1000, budget // 10)
         grid_n = max(4, grid_n // 2)
@@ -272,8 +273,7 @@ def cmd_density(args) -> int:
         ball = density.base_sequence(_resolve(args, "ball_n", int, 1))
     patch = density.PatchSpec(density.YPoint(args.face or "+x1", u2, u3), delta)
     ladder = density.epsilon_density(
-        patch, ball, grid_n, budget, rungs=rungs, p=tuple(args.p or (0.0, 0.0, 0.0)),
-        threads=threads,
+        patch, ball, grid_n, budget, rungs=rungs, p=tuple(args.p or (0.0, 0.0, 0.0))
     )
     path = out / "density.csv"
     write_csv(
@@ -365,22 +365,20 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, out_default=None):
+    def common(p, func, out_default=None):
         p.add_argument("--out", default=out_default, help="output directory")
-        p.add_argument("--threads", type=int, default=None, help="worker threads")
         p.add_argument("--quick", action="store_true", help="reduced sample counts")
         p.add_argument("--config", default=None, help="KEY=VALUE config file (flags win)")
+        p.set_defaults(func=func)
 
     p = sub.add_parser("eval", help="evaluate the map and its second iterate")
     p.add_argument("--x", type=_triple, required=True)
-    common(p)
-    p.set_defaults(func=cmd_eval)
+    common(p, cmd_eval)
 
     p = sub.add_parser("invert", help="inverse branch in a named beam")
     p.add_argument("--y", type=_triple, required=True)
     p.add_argument("--beam", type=_pair, default=(0, 0))
-    common(p)
-    p.set_defaults(func=cmd_invert)
+    common(p, cmd_invert)
 
     p = sub.add_parser("cone", help="export a preimage-cone mesh")
     p.add_argument("--level", type=float, default=None)
@@ -391,8 +389,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--t2", type=float, default=None)
     p.add_argument("--n-height", dest="n_height", type=int, default=None)
     p.add_argument("--n-width", dest="n_width", type=int, default=None)
-    common(p, out_default="out")
-    p.set_defaults(func=cmd_cone)
+    common(p, cmd_cone, out_default="out")
 
     def line_flags(p):
         p.add_argument("--u2", type=float, default=None)
@@ -407,8 +404,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--box-r", dest="box_r", type=float, default=None)
     p.add_argument("--budget", type=int, default=None)
     p.add_argument("--h-max", dest="h_max", type=float, default=None)
-    common(p, out_default="out")
-    p.set_defaults(func=cmd_trace)
+    common(p, cmd_trace, out_default="out")
 
     p = sub.add_parser("coverage", help="voxel coverage of one line image")
     line_flags(p)
@@ -416,8 +412,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--grid-n", dest="grid_n", type=int, default=None)
     p.add_argument("--budget", type=int, default=None)
     p.add_argument("--h-max", dest="h_max", type=float, default=None)
-    common(p, out_default="out")
-    p.set_defaults(func=cmd_coverage)
+    common(p, cmd_coverage, out_default="out")
 
     p = sub.add_parser("density", help="hit-fraction ladder over a patch of lines")
     p.add_argument("--u2", type=float, default=None)
@@ -432,8 +427,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="index into the countable ball base")
     p.add_argument("--q", type=_triple, default=None, help="explicit ball center")
     p.add_argument("--ball-r", dest="ball_r", type=float, default=None)
-    common(p, out_default="out")
-    p.set_defaults(func=cmd_density)
+    common(p, cmd_density, out_default="out")
 
     p = sub.add_parser("distortion", help="slab distortion against the product bound")
     p.add_argument("--t1", type=float, default=None)
@@ -442,13 +436,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--radius", type=float, default=None)
     p.add_argument("--dirs", type=int, default=None)
     p.add_argument("--grid-n", dest="grid_n", type=int, default=None)
-    common(p, out_default="out")
-    p.set_defaults(func=cmd_distortion)
+    common(p, cmd_distortion, out_default="out")
 
     p = sub.add_parser("verify", help="run the aggregated verification suite")
     p.add_argument("--level", choices=("quick", "full"), default=None)
-    common(p, out_default="out")
-    p.set_defaults(func=cmd_verify)
+    common(p, cmd_verify, out_default="out")
 
     return parser
 
@@ -456,8 +448,12 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    known = set(vars(args)) - {"command", "func"}
     try:
         args._config = read_config(args.config) if getattr(args, "config", None) else {}
+        unknown = sorted(set(args._config) - known)
+        if unknown:
+            raise DomainError(f"config: unknown key(s) for {args.command}: {', '.join(unknown)}")
         return args.func(args)
     except (DomainError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -22,13 +22,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateError, DomainError
-from .zorich import EXP_CAP, h_extended, zorich
+from .zorich import OK, OVERFLOW_FIRST, OVERFLOW_SECOND, UNRESOLVABLE, second_iterate
 
 Y_FACES = ("+x1", "-x1", "+x2", "-x2")
-
-# beyond this magnitude of the intermediate coordinates the fold phase loses
-# float resolution, so second-stage images would be numerically meaningless
-PHASE_CAP = 1e13
 
 _CHECKPOINT_BASE = 1000
 
@@ -78,25 +74,22 @@ def y_point_valid(alpha: YPoint) -> bool:
 
 @dataclass(frozen=True)
 class LineSpec:
-    """The unique line through P and the wall crossing alpha."""
+    """The line p + s*d.
 
-    alpha: YPoint
+    A line named by its wall crossing alpha is the unique line through P = p
+    and P + alpha.offset(), so d is derived from alpha; a line given by d
+    alone (for the excluded families) has alpha None.
+    """
+
+    alpha: YPoint | None = None
     p: tuple[float, float, float] = (0.0, 0.0, 0.0)
+    d: tuple[float, float, float] | None = None
 
-    def direction(self) -> np.ndarray:
-        return self.alpha.offset()
-
-    def point_at(self, s) -> np.ndarray:
-        s = np.asarray(s, dtype=float)
-        return np.asarray(self.p, dtype=float) + np.multiply.outer(s, self.direction())
-
-
-@dataclass(frozen=True)
-class RawLine:
-    """Line through p with an arbitrary direction (for excluded families)."""
-
-    p: tuple[float, float, float]
-    d: tuple[float, float, float]
+    def __post_init__(self):
+        if (self.alpha is None) == (self.d is None):
+            raise DomainError("LineSpec: give exactly one of alpha and d")
+        if self.alpha is not None:
+            object.__setattr__(self, "d", tuple(float(v) for v in self.alpha.offset()))
 
     def direction(self) -> np.ndarray:
         return np.asarray(self.d, dtype=float)
@@ -104,6 +97,11 @@ class RawLine:
     def point_at(self, s) -> np.ndarray:
         s = np.asarray(s, dtype=float)
         return np.asarray(self.p, dtype=float) + np.multiply.outer(s, self.direction())
+
+
+def RawLine(p, d) -> LineSpec:
+    """Line through p with an arbitrary direction (for excluded families)."""
+    return LineSpec(p=p, d=d)
 
 
 @dataclass(frozen=True)
@@ -232,31 +230,19 @@ def _second_stage(line: LineSpec, s, box_r: float):
     the intermediate phase is beyond float resolution; zexp is the
     first-stage exponent with +inf on first-stage overflow.
     """
-    s = np.asarray(s, dtype=float)
-    x = line.point_at(s)
-    x3 = x[..., 2]
-    ok1 = x3 <= EXP_CAP
-    z = np.full(x.shape, np.nan)
-    if np.any(ok1):
-        z[ok1] = np.exp(x3[ok1])[..., None] * h_extended(x[ok1][..., :2])
-    zexp = np.where(ok1, z[..., 2], np.inf)
-    phase_ok = np.max(np.abs(z[..., :2]), axis=-1) <= PHASE_CAP
-    ok2 = ok1 & (zexp <= EXP_CAP) & phase_ok
-    f = np.full(x.shape, np.nan)
-    if np.any(ok2):
-        zin = z[ok2]
-        f[ok2] = np.exp(zin[..., 2])[..., None] * h_extended(zin[..., :2])
-    n_overflow = int(np.count_nonzero(~ok1)) + int(np.count_nonzero(ok1 & (zexp > EXP_CAP)))
-    n_unresolvable = int(np.count_nonzero(ok1 & (zexp <= EXP_CAP) & ~phase_ok))
-    in_box = ok2 & np.all(np.abs(f) <= box_r, axis=-1)
-    return f, zexp, in_box, n_overflow, n_unresolvable
+    f, zexp, status = second_iterate(line.point_at(s))
+    f[status == UNRESOLVABLE] = np.nan
+    counts = np.bincount(status.ravel(), minlength=4)
+    in_box = (status == OK) & np.all(np.abs(f) <= box_r, axis=-1)
+    return (f, zexp, in_box, int(counts[OVERFLOW_FIRST] + counts[OVERFLOW_SECOND]),
+            int(counts[UNRESOLVABLE]))
 
 
 def default_s_range(line: LineSpec, x3_window=(-1.0, 27.0)) -> tuple[float, float]:
     """Parameter window mapping onto the given first-coordinate x3 window.
 
     The upper default 27 keeps the intermediate phase within float
-    resolution (exp(27) ~ 5e11 < PHASE_CAP); lines parallel to the
+    resolution (exp(27) ~ 5e11 < zorich.PHASE_CAP); lines parallel to the
     horizontal plane get a fixed wide window instead.
     """
     d3 = float(line.direction()[2])
@@ -519,23 +505,16 @@ def epsilon_density(
     rungs: int = 4,
     p=(0.0, 0.0, 0.0),
     max_skip_fraction: float = 0.05,
-    threads: int = 1,
 ) -> list[DensityRung]:
     """Hit fractions over a shrinking ladder of patch sizes.
 
     For each rung delta, delta/2, ... a grid_n x grid_n grid of crossings in
     E_delta is traced against the ball; invalid crossings (the measure-zero
     exclusions) are skipped and counted, and the patch is rejected as
-    degenerate when they exceed max_skip_fraction of the grid.  Grid lines
-    are independent work units; results are collected by index, so the
-    outcome does not depend on the thread count.
+    degenerate when they exceed max_skip_fraction of the grid.
     """
     if grid_n < 2:
         raise DomainError("epsilon_density: grid_n must be >= 2")
-
-    def probe(alpha):
-        return hits_ball(LineSpec(alpha, tuple(p)), ball, budget_per_line).hit
-
     out = []
     for r in range(rungs):
         delta = patch.delta / 2.0**r
@@ -546,20 +525,15 @@ def epsilon_density(
             raise DegenerateError(
                 f"epsilon_density: {skipped} of {grid_n * grid_n} crossings hit the exclusions"
             )
-        if threads > 1:
-            from concurrent.futures import ThreadPoolExecutor
-
-            with ThreadPoolExecutor(max_workers=threads) as pool:
-                hit_flags = list(pool.map(probe, valid_pts))
-        else:
-            hit_flags = [probe(a) for a in valid_pts]
+        hits = sum(hits_ball(LineSpec(a, tuple(p)), ball, budget_per_line).hit
+                   for a in valid_pts)
         out.append(
             DensityRung(
                 delta=delta,
                 grid_n=grid_n,
                 valid=len(valid_pts),
                 skipped=skipped,
-                hits=int(sum(hit_flags)),
+                hits=hits,
             )
         )
     return out

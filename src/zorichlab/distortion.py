@@ -67,8 +67,7 @@ def sphere_directions(n: int) -> np.ndarray:
 
 
 def circle_directions(n: int) -> np.ndarray:
-    ang = 2.0 * math.pi * (np.arange(n) + 0.5) / n
-    return np.column_stack([np.cos(ang), np.sin(ang)])
+    return plane_directions(n, (1.0, 0.0), (0.0, 1.0))
 
 
 def plane_directions(n: int, e1, e2) -> np.ndarray:
@@ -80,15 +79,13 @@ def plane_directions(n: int, e1, e2) -> np.ndarray:
 
 
 def _directions_for(x, n_dirs, directions):
-    if directions is not None:
-        directions = np.asarray(directions, dtype=float)
-        if len(directions) < 32:
-            raise DomainError("pointwise_lipschitz: need at least 32 directions")
-        return directions
-    if n_dirs < 32:
+    if directions is None:
+        dim = np.asarray(x).shape[-1]
+        directions = sphere_directions(n_dirs) if dim == 3 else circle_directions(n_dirs)
+    directions = np.asarray(directions, dtype=float)
+    if len(directions) < 32:
         raise DomainError("pointwise_lipschitz: need at least 32 directions")
-    dim = np.asarray(x).shape[-1]
-    return sphere_directions(n_dirs) if dim == 3 else circle_directions(n_dirs)
+    return directions
 
 
 def pointwise_lipschitz(f, x, radius: float, n_dirs: int = DEFAULT_DIRECTIONS,
@@ -102,16 +99,8 @@ def pointwise_lipschitz(f, x, radius: float, n_dirs: int = DEFAULT_DIRECTIONS,
     """
     if not radius > 0.0:
         raise DomainError("pointwise_lipschitz: radius must be positive")
-    x = np.asarray(x, dtype=float)
-    dirs = _directions_for(x, n_dirs, directions)
-    fx = f(x)
-    fy = f(x[None, :] + radius * dirs)
-    q = np.linalg.norm(fy - np.asarray(fx)[None, :], axis=-1) / radius
-    lower = float(np.min(q))
-    upper = float(np.max(q))
-    if lower < 1e-14:
-        raise DegenerateError("pointwise_lipschitz: map is locally constant")
-    return LipschitzSample(upper=upper, lower=lower)
+    est = relative_distortion(f, np.asarray(x, dtype=float)[None, :], radius, n_dirs, directions)
+    return LipschitzSample(upper=est.sup_upper, lower=est.inf_lower)
 
 
 def relative_distortion(f, points, radius: float = DEFAULT_RADIUS,

@@ -24,7 +24,7 @@ import numpy as np
 
 from .errors import DegenerateError, DomainError, NoIntersectionError
 from .group import IDENTITY, GroupElement, apply, inverse
-from .zorich import HALF_PI
+from .zorich import EXP_CAP, HALF_PI
 
 FACE_IDS = ("+x1", "-x1", "+x2", "-x2")
 
@@ -263,7 +263,7 @@ def _to_base_frame(cone: ConeSurface, pts):
 def _surface_residual(level_abs: float, y):
     """exp(y3)*cos(M(y)) - |level|; zero exactly on the base cone."""
     m = np.maximum(np.abs(y[..., 0]), np.abs(y[..., 1]))
-    return np.exp(np.minimum(y[..., 2], 700.0)) * np.cos(m) - level_abs
+    return np.exp(np.minimum(y[..., 2], EXP_CAP)) * np.cos(m) - level_abs
 
 
 def _in_quadrant(face: str, y, tol: float = 0.0):
@@ -338,7 +338,7 @@ def ray_cone_intersect(
         lo = max(lo, min(a, b))
         hi = min(hi, max(a, b))
     if abs(e[2]) > 1e-14:
-        cap = (700.0 - q0[2]) / e[2]
+        cap = (EXP_CAP - q0[2]) / e[2]
         if e[2] > 0:
             hi = min(hi, cap)
         else:

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
@@ -212,15 +213,20 @@ def check_boundary_distance(n: int) -> CheckResult:
     )
 
 
-def check_separation_gap(n: int) -> CheckResult:
-    rng = np.random.default_rng(115)
-    violations = 0
+def _radii(rng, n: int):
+    """n ball-centre norms uniform on (0.05, 20), at least 0.05 off 1, drawn lazily."""
     count = 0
     while count < n:
         radius = float(rng.uniform(0.05, 20.0))
-        if abs(radius - 1.0) <= 0.05:
-            continue
-        count += 1
+        if abs(radius - 1.0) > 0.05:
+            count += 1
+            yield radius
+
+
+def check_separation_gap(n: int) -> CheckResult:
+    rng = np.random.default_rng(115)
+    violations = 0
+    for radius in _radii(rng, n):
         a = preimage.separation_constant(radius)
         t1 = math.log(abs(math.log(radius))) + float(rng.uniform(0, 5))
         t2 = t1 + a + float(rng.uniform(0, 5))
@@ -238,6 +244,11 @@ def _gauss_piece(fn, a, b, nodes, weights):
     return half * float(np.sum(weights * fn(mid + half * nodes)))
 
 
+# Gauss-Legendre nodes and weights, computed on first use and shared by
+# every call; callers must not modify them
+_gauss_legendre = lru_cache(maxsize=4)(np.polynomial.legendre.leggauss)
+
+
 def sector_band_area_quadrature(t1: float, t2: float, n: int = 200) -> float:
     """Cartesian slice quadrature of the quadrant annular band area.
 
@@ -246,7 +257,7 @@ def sector_band_area_quadrature(t1: float, t2: float, n: int = 200) -> float:
     closed form.
     """
     r1, r2 = math.exp(t1), math.exp(t2)
-    nodes, weights = np.polynomial.legendre.leggauss(n)
+    nodes, weights = _gauss_legendre(n)
     # x1 in [r1/sqrt2, r1]: width 2(x1 - sqrt(r1^2 - x1^2)), x1 = r1 cos(u)
     p1 = _gauss_piece(
         lambda u: 2.0 * r1 * r1 * (np.cos(u) - np.sin(u)) * np.sin(u),
@@ -294,12 +305,7 @@ def check_sector_ratio(n: int) -> CheckResult:
     crit = abs(preimage.annular_sector_areas(0.0, 0.5 * math.log(3.0)).ratio - PI)
     # ratio < 2 pi whenever the gap clears the separation constant
     violations = 0
-    count = 0
-    while count < n:
-        radius = float(rng.uniform(0.05, 20.0))
-        if abs(radius - 1.0) <= 0.05:
-            continue
-        count += 1
+    for radius in _radii(rng, n):
         gap = preimage.separation_constant(radius) + float(rng.uniform(0, 6))
         if not preimage.annular_sector_areas(0.0, gap).ratio < 2 * PI:
             violations += 1
@@ -314,12 +320,7 @@ def check_sector_ratio(n: int) -> CheckResult:
 def check_width_window(n: int) -> CheckResult:
     rng = np.random.default_rng(119)
     violations = 0
-    count = 0
-    while count < n:
-        radius = float(rng.uniform(0.05, 20.0))
-        if abs(radius - 1.0) <= 0.05:
-            continue
-        count += 1
+    for radius in _radii(rng, n):
         big_l = abs(math.log(radius))
         t1 = math.log(big_l) + float(rng.uniform(1e-3, 4.0))
         u = float(rng.uniform(1e-6, 1.0))
@@ -482,8 +483,6 @@ def face_projection_map(cone, face, p):
 
     def project(pts):
         pts = np.asarray(pts, dtype=float)
-        if pts.ndim == 1:
-            return preimage.ray_cone_intersect(p, pts, cone, face)
         flat = pts.reshape(-1, 3)
         out = np.array([preimage.ray_cone_intersect(p, row, cone, face) for row in flat])
         return out.reshape(pts.shape)
@@ -705,7 +704,7 @@ def check_coverage_trend(n_lines: int, budget: int, floor: float) -> CheckResult
         all(b >= a for (_, a), (_, b) in zip(run.series, run.series[1:])) for run in runs
     )
     # an excluded line must fail the same threshold under the same budget
-    excluded = density.RawLine((0.0, 0.0, 0.0), (1.0, 0.4, 0.0))
+    excluded = density.LineSpec(d=(1.0, 0.4, 0.0))
     excl_cov = density.coverage_experiment([excluded], budget=budget)[0].coverage
     passed = monotone and worst >= floor and excl_cov < floor
     return CheckResult(

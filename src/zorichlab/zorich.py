@@ -27,9 +27,19 @@ from .errors import DomainError, ExponentOverflowError, ParityMismatchError
 HALF_PI = math.pi / 2.0
 TWO_PI = 2.0 * math.pi
 
-# exp(x3) must stay finite in float64; callers composing the map twice have to
-# pre-check the intermediate third coordinate against the same cap.
+# exp(x3) must stay finite in float64; the second iterate checks the
+# intermediate third coordinate against the same cap.
 EXP_CAP = 700.0
+
+# beyond this magnitude of the intermediate coordinates the fold phase loses
+# float resolution, so second-stage images would be numerically meaningless
+PHASE_CAP = 1e13
+
+# per-point status of `second_iterate`
+OK = 0
+OVERFLOW_FIRST = 1
+OVERFLOW_SECOND = 2
+UNRESOLVABLE = 3
 
 _SQUARE_TOL = 1e-12
 _UNIT_TOL = 1e-9
@@ -56,10 +66,10 @@ class Beam(NamedTuple):
 
 
 def _fold_arrays(t):
-    """Vectorized fold: returns (folded, strip) as float arrays."""
+    """Vectorized fold: returns (folded, strip, (-1)**strip) as float arrays."""
     q = np.floor((t + HALF_PI) / math.pi)
-    folded = (t - q * math.pi) * np.where(np.mod(q, 2.0) == 0.0, 1.0, -1.0)
-    return folded, q
+    sign = 1.0 - 2.0 * np.mod(q, 2.0)
+    return (t - q * math.pi) * sign, q, sign
 
 
 def fold(t):
@@ -71,7 +81,7 @@ def fold(t):
     t = np.asarray(t, dtype=float)
     if not np.all(np.isfinite(t)):
         raise DomainError("fold: input must be finite")
-    folded, q = _fold_arrays(t)
+    folded, q, _ = _fold_arrays(t)
     if t.ndim == 0:
         qi = int(q)
         return FoldResult(float(folded), qi, qi % 2)
@@ -83,8 +93,15 @@ def unfold(folded, strip):
     """Inverse of fold: strip*pi + (-1)**strip * folded."""
     folded = np.asarray(folded, dtype=float)
     strip = np.asarray(strip)
-    sign = np.where(np.mod(strip, 2) == 0, 1.0, -1.0)
-    return strip * math.pi + sign * folded
+    return strip * math.pi + (1 - 2 * np.mod(strip, 2)) * folded
+
+
+def _chart(x1, x2, m):
+    """Coordinates of h_square at points of the base square, m = max(|x1|, |x2|)."""
+    r = np.hypot(x1, x2)
+    safe_r = np.where(r > 0.0, r, 1.0)
+    scale = np.where(r > 0.0, np.sin(m) / safe_r, 0.0)
+    return x1 * scale, x2 * scale, np.cos(m)
 
 
 def h_square(p):
@@ -99,10 +116,7 @@ def h_square(p):
     m = np.maximum(np.abs(x1), np.abs(x2))
     if np.any(m > HALF_PI + _SQUARE_TOL):
         raise DomainError("h_square: point outside the base square")
-    r = np.hypot(x1, x2)
-    safe_r = np.where(r > 0.0, r, 1.0)
-    scale = np.where(r > 0.0, np.sin(m) / safe_r, 0.0)
-    return np.stack([x1 * scale, x2 * scale, np.cos(m)], axis=-1)
+    return np.stack(_chart(x1, x2, m), axis=-1)
 
 
 def h_extended(p):
@@ -115,22 +129,17 @@ def h_extended(p):
     phase uncertainty at such magnitudes is the caller's concern.
     """
     p = np.asarray(p, dtype=float)
-    a, qa = _fold_arrays(p[..., 0])
-    b, qb = _fold_arrays(p[..., 1])
+    a, _, sign_a = _fold_arrays(p[..., 0])
+    b, _, sign_b = _fold_arrays(p[..., 1])
     a = np.clip(a, -HALF_PI, HALF_PI)
     b = np.clip(b, -HALF_PI, HALF_PI)
-    v = h_square(np.stack([a, b], axis=-1))
-    sign = np.where(np.mod(qa + qb, 2.0) == 0.0, 1.0, -1.0)
-    v[..., 2] = v[..., 2] * sign
-    return v
+    v1, v2, v3 = _chart(a, b, np.maximum(np.abs(a), np.abs(b)))
+    return np.stack([v1, v2, v3 * (sign_a * sign_b)], axis=-1)
 
 
-def _exp_stage(x, stage):
-    x3 = x[..., 2]
-    if np.any(x3 > EXP_CAP):
-        bad = float(np.max(x3))
-        raise ExponentOverflowError(stage, bad)
-    return np.exp(x3)[..., None] * h_extended(x[..., :2])
+def _lift(x):
+    """exp(x3) * h_extended(x1, x2), for x3 already checked against EXP_CAP."""
+    return np.exp(x[..., 2])[..., None] * h_extended(x[..., :2])
 
 
 def zorich(x):
@@ -142,7 +151,34 @@ def zorich(x):
     x = np.asarray(x, dtype=float)
     if not np.all(np.isfinite(x)):
         raise DomainError("zorich: input must be finite")
-    return _exp_stage(x, "first")
+    if np.any(x[..., 2] > EXP_CAP):
+        raise ExponentOverflowError("first", float(np.max(x[..., 2])))
+    return _lift(x)
+
+
+def second_iterate(x):
+    """Second iterate with a per-point status instead of exceptions.
+
+    Returns (f, z3, status): z3 is the second exponent (+inf after a
+    first-stage overflow), status one of OK, OVERFLOW_FIRST, OVERFLOW_SECOND
+    (x3 or z3 above EXP_CAP; f is NaN there) and UNRESOLVABLE (a first-stage
+    coordinate above PHASE_CAP; f is computed but its phase is meaningless).
+    """
+    x = np.asarray(x, dtype=float)
+    ok1 = x[..., 2] <= EXP_CAP
+    z = np.full(x.shape, np.nan)
+    if np.any(ok1):
+        z[ok1] = _lift(x[ok1])
+    z3 = np.where(ok1, z[..., 2], np.inf)
+    ok2 = z3 <= EXP_CAP
+    f = np.full(x.shape, np.nan)
+    if np.any(ok2):
+        f[ok2] = _lift(z[ok2])
+    phase_ok = np.max(np.abs(z[..., :2]), axis=-1) <= PHASE_CAP
+    status = np.select(
+        [~ok1, ~ok2, ~phase_ok], [OVERFLOW_FIRST, OVERFLOW_SECOND, UNRESOLVABLE], OK
+    )
+    return f, z3, status
 
 
 def zorich_second(x):
@@ -154,8 +190,12 @@ def zorich_second(x):
     x = np.asarray(x, dtype=float)
     if not np.all(np.isfinite(x)):
         raise DomainError("zorich_second: input must be finite")
-    mid = _exp_stage(x, "first")
-    return _exp_stage(mid, "second")
+    f, z3, status = second_iterate(x)
+    if np.any(status == OVERFLOW_FIRST):
+        raise ExponentOverflowError("first", float(np.max(x[..., 2])))
+    if np.any(status == OVERFLOW_SECOND):
+        raise ExponentOverflowError("second", float(np.max(z3)))
+    return f
 
 
 def h_inverse(u):
