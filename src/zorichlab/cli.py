@@ -3,9 +3,18 @@
 Every command validates its arguments, calls the library (no computation
 lives here), writes its declared output files plus a JSON manifest, and
 exits 0 on success, 1 when a verify check fails, 2 on a validation error,
-3 on a numeric failure.  An optional KEY=VALUE config file supplies defaults;
-explicit flags win, and a key that names no argument of the command is a
-validation error.
+3 on a numeric failure.
+
+Every default is written once, in the parser.  An optional KEY=VALUE config
+file replaces the defaults of its command: a key names any argument of the
+command (``budget=5000``, ``face=-x1``), its value is cast and checked like
+the flag's own, the switches (``flip``, ``quick``) take ``true`` or ``false``,
+and a flag on the command line still wins.  A key that names no argument of
+the command is a validation error.
+
+A value that starts with ``-`` must be joined to its flag with ``=``
+(``--x=-1,0,0``, ``--face=-x1``); as a separate word argparse reads it as an
+option and the command exits 2.
 """
 
 from __future__ import annotations
@@ -52,20 +61,34 @@ def read_config(path) -> dict:
     return out
 
 
-def _resolve(args, key, cast, default):
-    """Flag wins, then config file, then the built-in default."""
-    flag = getattr(args, key, None)
-    if flag is not None:
-        return flag
-    config = getattr(args, "_config", {})
-    if key in config:
-        return cast(config[key])
-    return default
+class _Parser(argparse.ArgumentParser):
+    """Reports a bad flag or config value as a DomainError, so main exits 2 for both."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        raise DomainError(f"{self.prog}: {message}")
+
+
+def _apply_config(parser, command, config: dict) -> None:
+    """Make the config values the defaults of the command's parser."""
+    actions = {a.dest: a for a in parser._actions if a.dest not in ("help", "config")}
+    unknown = sorted(set(config) - set(actions))
+    if unknown:
+        raise DomainError(f"config: unknown key(s) for {command}: {', '.join(unknown)}")
+    for key, value in config.items():
+        action = actions[key]
+        if isinstance(action.default, bool):
+            if value not in ("true", "false"):
+                raise DomainError(f"config: {key} takes true or false, not {value!r}")
+            value = value == "true"
+        elif action.choices is not None and value not in action.choices:
+            raise DomainError(f"config: {key} must be one of {', '.join(action.choices)}")
+        parser.set_defaults(**{key: value})
 
 
 def _manifest(args, name, params, outputs):
     man = RunManifest(command=name, parameters=params)
-    if getattr(args, "config", None):
+    if args.config:
         man.add_input(args.config)
     for path in outputs:
         man.add_output(path)
@@ -81,6 +104,8 @@ def _ensure_out(args):
 
 
 def cmd_eval(args) -> int:
+    if args.x is None:
+        raise DomainError("eval: --x is required")
     x = np.asarray(args.x, dtype=float)
     z = zorich(x)
     f = zorich_second(x)
@@ -100,6 +125,8 @@ def cmd_eval(args) -> int:
 
 
 def cmd_invert(args) -> int:
+    if args.y is None:
+        raise DomainError("invert: --y is required")
     y = np.asarray(args.y, dtype=float)
     beam = args.beam
     x = zorich_inverse(y, beam)
@@ -120,16 +147,11 @@ def cmd_invert(args) -> int:
 
 def cmd_cone(args) -> int:
     out = _ensure_out(args)
-    level = _resolve(args, "level", float, 1.0)
-    element = GroupElement(
-        _resolve(args, "m", int, 0), _resolve(args, "n", int, 0), bool(args.flip)
-    )
-    cone = preimage.ConeSurface(level, element)
-    t1 = _resolve(args, "t1", float, cone.vertex_height + 0.25)
-    t2 = _resolve(args, "t2", float, cone.vertex_height + 2.5)
-    n_height = _resolve(args, "n_height", int, 48)
-    n_width = _resolve(args, "n_width", int, 16)
-    tris = preimage.cone_mesh(cone, t1, t2, n_height, n_width)
+    element = GroupElement(args.m, args.n, args.flip)
+    cone = preimage.ConeSurface(args.level, element)
+    t1 = cone.vertex_height + 0.25 if args.t1 is None else args.t1
+    t2 = cone.vertex_height + 2.5 if args.t2 is None else args.t2
+    tris = preimage.cone_mesh(cone, t1, t2, args.n_height, args.n_width)
     path = out / "cone.txt"
     write_triangle_soup(path, tris)
     print(f"wrote {len(tris)} triangles to {path}")
@@ -137,12 +159,12 @@ def cmd_cone(args) -> int:
         args,
         "cone",
         {
-            "level": level,
+            "level": args.level,
             "element": [element.m, element.n, element.flip],
             "t1": t1,
             "t2": t2,
-            "n_height": n_height,
-            "n_width": n_width,
+            "n_height": args.n_height,
+            "n_width": args.n_width,
         },
         [path],
     )
@@ -150,12 +172,9 @@ def cmd_cone(args) -> int:
 
 
 def _line_from_args(args):
-    p = tuple(args.p or (0.0, 0.0, 0.0))
     if args.direction is not None:
-        return density.LineSpec(p=p, d=tuple(args.direction))
-    u2 = _resolve(args, "u2", float, 0.37)
-    u3 = _resolve(args, "u3", float, 1.3e-4)
-    return density.LineSpec(density.YPoint(args.face or "+x1", u2, u3), p)
+        return density.LineSpec(p=args.p, d=args.direction)
+    return density.LineSpec(density.YPoint(args.face, args.u2, args.u3), args.p)
 
 
 def _confinement_notes(line) -> list[str]:
@@ -173,12 +192,9 @@ def _confinement_notes(line) -> list[str]:
 def cmd_trace(args) -> int:
     out = _ensure_out(args)
     line = _line_from_args(args)
-    box_r = _resolve(args, "box_r", float, density.COVERAGE_BOX)
-    budget = _resolve(args, "budget", int, 100_000)
-    h_max = _resolve(args, "h_max", float, 2.0 * box_r / density.COVERAGE_GRID_N)
-    if args.quick:
-        budget = max(1000, budget // 10)
-    trace = density.adaptive_trace(line, box_r, budget, h_max)
+    budget = max(1000, args.budget // 10) if args.quick else args.budget
+    h_max = 2.0 * args.box_r / density.COVERAGE_GRID_N if args.h_max is None else args.h_max
+    trace = density.adaptive_trace(line, args.box_r, budget, h_max)
     for note in _confinement_notes(line):
         print(f"note: {note}")
     path = out / "trace_points.txt"
@@ -193,7 +209,7 @@ def cmd_trace(args) -> int:
         "trace",
         {
             "line": _line_params(line),
-            "box_r": box_r,
+            "box_r": args.box_r,
             "budget": budget,
             "h_max": h_max,
             "evals": a.evals,
@@ -221,16 +237,12 @@ def _line_params(line):
 def cmd_coverage(args) -> int:
     out = _ensure_out(args)
     line = _line_from_args(args)
-    box_r = _resolve(args, "box_r", float, density.COVERAGE_BOX)
-    grid_n = _resolve(args, "grid_n", int, density.COVERAGE_GRID_N)
-    budget = _resolve(args, "budget", int, density.COVERAGE_BUDGET)
-    if args.quick:
-        budget = max(1000, budget // 10)
-    h_max = _resolve(args, "h_max", float, 2.0 * box_r / grid_n)
+    budget = max(1000, args.budget // 10) if args.quick else args.budget
+    h_max = 2.0 * args.box_r / args.grid_n if args.h_max is None else args.h_max
     for note in _confinement_notes(line):
         print(f"note: {note}")
     runs = density.coverage_experiment(
-        [line], box_r=box_r, grid_n=grid_n, budget=budget, h_max=h_max
+        [line], box_r=args.box_r, grid_n=args.grid_n, budget=budget, h_max=h_max
     )
     run = runs[0]
     path = out / "coverage.csv"
@@ -245,8 +257,8 @@ def cmd_coverage(args) -> int:
         "coverage",
         {
             "line": _line_params(line),
-            "box_r": box_r,
-            "grid_n": grid_n,
+            "box_r": args.box_r,
+            "grid_n": args.grid_n,
             "budget": budget,
             "h_max": h_max,
             "coverage": run.coverage,
@@ -258,23 +270,16 @@ def cmd_coverage(args) -> int:
 
 def cmd_density(args) -> int:
     out = _ensure_out(args)
-    u2 = _resolve(args, "u2", float, 0.4)
-    u3 = _resolve(args, "u3", float, 0.35)
-    delta = _resolve(args, "delta", float, 0.08)
-    grid_n = _resolve(args, "grid_n", int, 16)
-    budget = _resolve(args, "budget", int, 20_000)
-    rungs = _resolve(args, "rungs", int, 4)
+    grid_n, budget = args.grid_n, args.budget
     if args.quick:
         budget = max(1000, budget // 10)
         grid_n = max(4, grid_n // 2)
     if args.q is not None:
-        ball = density.BallSpec(tuple(args.q), _resolve(args, "ball_r", float, 0.25))
+        ball = density.BallSpec(args.q, args.ball_r)
     else:
-        ball = density.base_sequence(_resolve(args, "ball_n", int, 1))
-    patch = density.PatchSpec(density.YPoint(args.face or "+x1", u2, u3), delta)
-    ladder = density.epsilon_density(
-        patch, ball, grid_n, budget, rungs=rungs, p=tuple(args.p or (0.0, 0.0, 0.0))
-    )
+        ball = density.base_sequence(args.ball_n)
+    patch = density.PatchSpec(density.YPoint(args.face, args.u2, args.u3), args.delta)
+    ladder = density.epsilon_density(patch, ball, grid_n, budget, rungs=args.rungs, p=args.p)
     path = out / "density.csv"
     write_csv(
         path,
@@ -287,11 +292,11 @@ def cmd_density(args) -> int:
         args,
         "density",
         {
-            "patch": {"face": patch.center.face, "u2": u2, "u3": u3, "delta": delta},
+            "patch": {"face": args.face, "u2": args.u2, "u3": args.u3, "delta": args.delta},
             "ball": {"center": list(ball.center), "radius": ball.radius},
             "grid_n": grid_n,
             "budget_per_line": budget,
-            "rungs": rungs,
+            "rungs": args.rungs,
         },
         [path],
     )
@@ -300,18 +305,13 @@ def cmd_density(args) -> int:
 
 def cmd_distortion(args) -> int:
     out = _ensure_out(args)
-    t1 = _resolve(args, "t1", float, 0.0)
-    t2 = _resolve(args, "t2", float, 1.0)
-    samples = _resolve(args, "samples", int, 1000)
-    radius = _resolve(args, "radius", float, distortion.DEFAULT_RADIUS)
-    n_dirs = _resolve(args, "dirs", int, distortion.DEFAULT_DIRECTIONS)
-    grid_n = _resolve(args, "grid_n", int, 128)
+    samples, grid_n = args.samples, args.grid_n
     if args.quick:
         samples = max(50, samples // 10)
         grid_n = max(64, grid_n // 2)
     lam = distortion.lambda_h_estimate(grid_n)
     rep = distortion.verify_slab_bound(
-        distortion.Slab(t1, t2), samples, lam=lam, radius=radius, n_dirs=n_dirs
+        distortion.Slab(args.t1, args.t2), samples, lam=lam, radius=args.radius, n_dirs=args.dirs
     )
     result = verify.CheckResult(
         name="slab_distortion",
@@ -331,11 +331,11 @@ def cmd_distortion(args) -> int:
         args,
         "distortion",
         {
-            "t1": t1,
-            "t2": t2,
+            "t1": args.t1,
+            "t2": args.t2,
             "samples": samples,
-            "radius": radius,
-            "dirs": n_dirs,
+            "radius": args.radius,
+            "dirs": args.dirs,
             "grid_n": grid_n,
             "lambda_hat": lam,
         },
@@ -346,114 +346,110 @@ def cmd_distortion(args) -> int:
 
 def cmd_verify(args) -> int:
     out = _ensure_out(args)
-    level = "quick" if args.quick else (args.level or "full")
-    report = verify.run_checks(level)
+    report = verify.run_checks(args.level)
     path = out / "verify_report.txt"
     write_report(path, report.results, report.overall)
     for r in report.results:
         print(f"{'PASS' if r.passed else 'FAIL'}  {r.name}: value={r.value:.6g} bound={r.bound:.6g}")
     print(f"overall: {'PASS' if report.overall else 'FAIL'} ({len(report.results)} checks)")
-    _manifest(args, "verify", {"level": level}, [path])
+    _manifest(args, "verify", {"level": args.level}, [path])
     return 0 if report.overall else 1
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="zorichlab",
         description="Experiments on a piecewise-exponential map of R^3",
     )
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, func, out_default=None):
+    def common(p, func, out_default="out", quick=False):
         p.add_argument("--out", default=out_default, help="output directory")
-        p.add_argument("--quick", action="store_true", help="reduced sample counts")
+        if quick:
+            p.add_argument("--quick", action="store_true", help="reduced sample counts")
         p.add_argument("--config", default=None, help="KEY=VALUE config file (flags win)")
-        p.set_defaults(func=func)
+        p.set_defaults(func=func, parser=p)
 
     p = sub.add_parser("eval", help="evaluate the map and its second iterate")
-    p.add_argument("--x", type=_triple, required=True)
-    common(p, cmd_eval)
+    p.add_argument("--x", type=_triple, help="the point (required)")
+    common(p, cmd_eval, out_default=None)
 
     p = sub.add_parser("invert", help="inverse branch in a named beam")
-    p.add_argument("--y", type=_triple, required=True)
+    p.add_argument("--y", type=_triple, help="the image point (required)")
     p.add_argument("--beam", type=_pair, default=(0, 0))
-    common(p, cmd_invert)
+    common(p, cmd_invert, out_default=None)
 
     p = sub.add_parser("cone", help="export a preimage-cone mesh")
-    p.add_argument("--level", type=float, default=None)
-    p.add_argument("--m", type=int, default=None)
-    p.add_argument("--n", type=int, default=None)
+    p.add_argument("--level", type=float, default=1.0)
+    p.add_argument("--m", type=int, default=0)
+    p.add_argument("--n", type=int, default=0)
     p.add_argument("--flip", action="store_true")
-    p.add_argument("--t1", type=float, default=None)
-    p.add_argument("--t2", type=float, default=None)
-    p.add_argument("--n-height", dest="n_height", type=int, default=None)
-    p.add_argument("--n-width", dest="n_width", type=int, default=None)
-    common(p, cmd_cone, out_default="out")
+    p.add_argument("--t1", type=float, default=None, help="default: vertex height + 0.25")
+    p.add_argument("--t2", type=float, default=None, help="default: vertex height + 2.5")
+    p.add_argument("--n-height", dest="n_height", type=int, default=48)
+    p.add_argument("--n-width", dest="n_width", type=int, default=16)
+    common(p, cmd_cone)
 
-    def line_flags(p):
-        p.add_argument("--u2", type=float, default=None)
-        p.add_argument("--u3", type=float, default=None)
-        p.add_argument("--face", default=None, choices=density.Y_FACES)
+    def line_flags(p, u2, u3):
+        p.add_argument("--u2", type=float, default=u2)
+        p.add_argument("--u3", type=float, default=u3)
+        p.add_argument("--face", default="+x1", choices=density.Y_FACES)
+        p.add_argument("--p", type=_triple, default=(0.0, 0.0, 0.0), help="base point")
+
+    def trace_flags(p, budget):
+        line_flags(p, 0.37, 1.3e-4)
         p.add_argument("--direction", type=_triple, default=None,
-                       help="raw line direction (for excluded families)")
-        p.add_argument("--p", type=_triple, default=None, help="base point")
+                       help="raw line direction (for excluded families); replaces --face/--u2/--u3")
+        p.add_argument("--box-r", dest="box_r", type=float, default=density.COVERAGE_BOX)
+        p.add_argument("--budget", type=int, default=budget)
+        p.add_argument("--h-max", dest="h_max", type=float, default=None)
 
     p = sub.add_parser("trace", help="adaptive second-iterate trace of one line")
-    line_flags(p)
-    p.add_argument("--box-r", dest="box_r", type=float, default=None)
-    p.add_argument("--budget", type=int, default=None)
-    p.add_argument("--h-max", dest="h_max", type=float, default=None)
-    common(p, cmd_trace, out_default="out")
+    trace_flags(p, 100_000)
+    common(p, cmd_trace, quick=True)
 
     p = sub.add_parser("coverage", help="voxel coverage of one line image")
-    line_flags(p)
-    p.add_argument("--box-r", dest="box_r", type=float, default=None)
-    p.add_argument("--grid-n", dest="grid_n", type=int, default=None)
-    p.add_argument("--budget", type=int, default=None)
-    p.add_argument("--h-max", dest="h_max", type=float, default=None)
-    common(p, cmd_coverage, out_default="out")
+    trace_flags(p, density.COVERAGE_BUDGET)
+    p.add_argument("--grid-n", dest="grid_n", type=int, default=density.COVERAGE_GRID_N)
+    common(p, cmd_coverage, quick=True)
 
     p = sub.add_parser("density", help="hit-fraction ladder over a patch of lines")
-    p.add_argument("--u2", type=float, default=None)
-    p.add_argument("--u3", type=float, default=None)
-    p.add_argument("--face", default=None, choices=density.Y_FACES)
-    p.add_argument("--p", type=_triple, default=None)
-    p.add_argument("--delta", type=float, default=None)
-    p.add_argument("--grid-n", dest="grid_n", type=int, default=None)
-    p.add_argument("--budget", type=int, default=None)
-    p.add_argument("--rungs", type=int, default=None)
-    p.add_argument("--ball-n", dest="ball_n", type=int, default=None,
+    line_flags(p, 0.4, 0.35)
+    p.add_argument("--delta", type=float, default=0.08)
+    p.add_argument("--grid-n", dest="grid_n", type=int, default=16)
+    p.add_argument("--budget", type=int, default=20_000)
+    p.add_argument("--rungs", type=int, default=4)
+    p.add_argument("--ball-n", dest="ball_n", type=int, default=1,
                    help="index into the countable ball base")
-    p.add_argument("--q", type=_triple, default=None, help="explicit ball center")
-    p.add_argument("--ball-r", dest="ball_r", type=float, default=None)
-    common(p, cmd_density, out_default="out")
+    p.add_argument("--q", type=_triple, default=None,
+                   help="explicit ball center; replaces --ball-n")
+    p.add_argument("--ball-r", dest="ball_r", type=float, default=0.25)
+    common(p, cmd_density, quick=True)
 
     p = sub.add_parser("distortion", help="slab distortion against the product bound")
-    p.add_argument("--t1", type=float, default=None)
-    p.add_argument("--t2", type=float, default=None)
-    p.add_argument("--samples", type=int, default=None)
-    p.add_argument("--radius", type=float, default=None)
-    p.add_argument("--dirs", type=int, default=None)
-    p.add_argument("--grid-n", dest="grid_n", type=int, default=None)
-    common(p, cmd_distortion, out_default="out")
+    p.add_argument("--t1", type=float, default=0.0)
+    p.add_argument("--t2", type=float, default=1.0)
+    p.add_argument("--samples", type=int, default=1000)
+    p.add_argument("--radius", type=float, default=distortion.DEFAULT_RADIUS)
+    p.add_argument("--dirs", type=int, default=distortion.DEFAULT_DIRECTIONS)
+    p.add_argument("--grid-n", dest="grid_n", type=int, default=128)
+    common(p, cmd_distortion, quick=True)
 
     p = sub.add_parser("verify", help="run the aggregated verification suite")
-    p.add_argument("--level", choices=("quick", "full"), default=None)
-    common(p, cmd_verify, out_default="out")
+    p.add_argument("--level", choices=("quick", "full"), default="full")
+    common(p, cmd_verify)
 
     return parser
 
 
 def main(argv=None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
-    known = set(vars(args)) - {"command", "func"}
     try:
-        args._config = read_config(args.config) if getattr(args, "config", None) else {}
-        unknown = sorted(set(args._config) - known)
-        if unknown:
-            raise DomainError(f"config: unknown key(s) for {args.command}: {', '.join(unknown)}")
+        args = parser.parse_args(argv)
+        if args.config:
+            _apply_config(args.parser, args.command, read_config(args.config))
+            args = parser.parse_args(argv)
         return args.func(args)
     except (DomainError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)

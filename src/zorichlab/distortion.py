@@ -142,13 +142,8 @@ def lambda_h_estimate(grid_n: int = 128, radius: float = 1e-6,
 
     g = -HALF_PI + (np.arange(grid_n) + 0.5) * math.pi / grid_n
     pts = np.stack(np.meshgrid(g, g, indexing="ij"), axis=-1).reshape(-1, 2)
-    dirs = circle_directions(n_dirs)
-    fx = h_square(pts)
-    fy = h_square(pts[:, None, :] + radius * dirs[None, :, :])
-    q = np.linalg.norm(fy - fx[:, None, :], axis=-1) / radius
-    upper = q.max(axis=1)
-    lower = q.min(axis=1)
-    return float(max(upper.max(), (1.0 / lower).max()))
+    est = relative_distortion(h_square, pts, radius, n_dirs)
+    return max(est.sup_upper, 1.0 / est.inf_lower)
 
 
 def sample_slab(slab: Slab, n: int, seed: int, radius: float = DEFAULT_RADIUS,

@@ -163,6 +163,15 @@ def check_inverse_roundtrip(n: int) -> CheckResult:
     )
 
 
+def _square_points(rng, n: int) -> np.ndarray:
+    """n points of the open parameter square, max-norm uniform on (1e-4, pi/2 - 1e-4)."""
+    m = rng.uniform(1e-4, PI / 2 - 1e-4, n)
+    ang = rng.uniform(0, 2 * PI, n)
+    xv, yv = np.cos(ang), np.sin(ang)
+    scale = m / np.maximum(np.abs(xv), np.abs(yv))
+    return np.column_stack([xv * scale, yv * scale])
+
+
 def check_cone_level(n: int) -> CheckResult:
     rng = np.random.default_rng(109)
     worst = 0.0
@@ -172,11 +181,7 @@ def check_cone_level(n: int) -> CheckResult:
             continue
         g = GroupElement(int(rng.integers(-3, 4)), int(rng.integers(-3, 4)), bool(rng.integers(0, 2)))
         cone = preimage.ConeSurface(level, g)
-        m = rng.uniform(1e-4, PI / 2 - 1e-4, n // 20)
-        ang = rng.uniform(0, 2 * PI, n // 20)
-        xv, yv = np.cos(ang), np.sin(ang)
-        scale = m / np.maximum(np.abs(xv), np.abs(yv))
-        p = np.column_stack([xv * scale, yv * scale])
+        p = _square_points(rng, n // 20)
         z3 = zorich(preimage.cone_point(cone, p))[:, 2]
         err = float(np.max(np.abs(z3 - level))) / max(1.0, abs(level))
         worst = max(worst, err)
@@ -199,11 +204,7 @@ def check_face_flatness(n: int) -> CheckResult:
 def check_boundary_distance(n: int) -> CheckResult:
     rng = np.random.default_rng(113)
     level = float(rng.uniform(0.2, 5.0))
-    m = rng.uniform(1e-4, PI / 2 - 1e-4, n)
-    ang = rng.uniform(0, 2 * PI, n)
-    xv, yv = np.cos(ang), np.sin(ang)
-    scale = m / np.maximum(np.abs(xv), np.abs(yv))
-    p = np.column_stack([xv * scale, yv * scale])
+    p = _square_points(rng, n)
     x3 = preimage.cone_height(level, p)
     formula = preimage.beam_boundary_distance(level, x3)
     geometric = PI / 2 - np.maximum(np.abs(p[:, 0]), np.abs(p[:, 1]))

@@ -1,6 +1,10 @@
 """The CLI exit-code contract: 0 success, 1 a verify check failed,
 2 validation error, 3 numeric failure."""
 
+import json
+
+import pytest
+
 from zorichlab import verify
 from zorichlab.cli import main
 from zorichlab.verify import CheckResult, VerificationReport
@@ -29,3 +33,93 @@ def test_failed_verify_check_exits_1(tmp_path, monkeypatch):
     assert main(["verify", "--level", "quick", "--out", str(tmp_path)]) == 1
     report = (tmp_path / "verify_report.txt").read_text()
     assert "overall pass=false" in report
+
+
+# Config keys may name any argument of the command; flags still win.
+
+
+def _config(tmp_path, text):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(text)
+    return str(cfg)
+
+
+def _parameters(out, command):
+    return json.loads((out / f"{command}_manifest.json").read_text())["parameters"]
+
+
+def test_config_face_takes_effect_and_flag_wins(tmp_path):
+    cfg = _config(tmp_path, "face=-x1\nbudget=1000\n")
+    assert main(["trace", "--config", cfg, "--out", str(tmp_path / "a")]) == 0
+    params = _parameters(tmp_path / "a", "trace")
+    assert params["line"]["face"] == "-x1"
+    assert params["budget"] == 1000
+    assert main(["trace", "--config", cfg, "--face", "+x2", "--out", str(tmp_path / "b")]) == 0
+    assert _parameters(tmp_path / "b", "trace")["line"]["face"] == "+x2"
+
+
+def test_config_flip_takes_effect(tmp_path):
+    cfg = _config(tmp_path, "flip=true\n")
+    argv = ["cone", "--config", cfg, "--n-height", "4", "--n-width", "4", "--out", str(tmp_path)]
+    assert main(argv) == 0
+    assert _parameters(tmp_path, "cone")["element"][2] is True
+
+
+def test_config_direction_reaches_manifest(tmp_path):
+    cfg = _config(tmp_path, "direction=1,0.4,0\nbudget=2000\n")
+    assert main(["coverage", "--config", cfg, "--out", str(tmp_path)]) == 0
+    assert _parameters(tmp_path, "coverage")["line"]["direction"] == [1.0, 0.4, 0.0]
+
+
+def test_config_out_and_required_flag(tmp_path):
+    out = tmp_path / "from_config"
+    cfg = _config(tmp_path, f"out={out}\nx=0.1,0.2,0.3\n")
+    assert main(["eval", "--config", cfg]) == 0
+    assert _parameters(out, "eval")["x"] == [0.1, 0.2, 0.3]
+
+
+def test_config_verify_level(tmp_path, monkeypatch):
+    passing = CheckResult("norm_law", "norm-law", 0.0, 1.0, 0.0, True)
+    monkeypatch.setattr(
+        verify, "run_checks", lambda level: VerificationReport(level, [passing])
+    )
+    cfg = _config(tmp_path, "level=quick\n")
+    assert main(["verify", "--config", cfg, "--out", str(tmp_path)]) == 0
+    assert _parameters(tmp_path, "verify") == {"level": "quick"}
+
+
+@pytest.mark.parametrize(
+    "command, text",
+    [("trace", "quick=maybe\n"), ("trace", "face=+x3\n"), ("verify", "level=medium\n"),
+     ("trace", "config=other.cfg\n")],
+)
+def test_bad_config_value_exits_2(tmp_path, command, text):
+    cfg = _config(tmp_path, text)
+    assert main([command, "--config", cfg, "--out", str(tmp_path)]) == 2
+    assert not list(tmp_path.glob("*_manifest.json"))
+
+
+@pytest.mark.parametrize(
+    "argv", [["eval", "--x", "0,0,0", "--quick"], ["verify", "--quick"]]
+)
+def test_quick_only_where_it_acts(argv, capsys):
+    assert main(argv) == 2
+    assert "--quick" in capsys.readouterr().err
+
+
+# A value starting with '-' must be joined to its flag with '='.
+
+
+def test_negative_value_joined_with_equals(capsys):
+    assert main(["eval", "--x=-1,0,0"]) == 0
+    assert "x = (-1.0, 0.0, 0.0)" in capsys.readouterr().out
+
+
+def test_negative_face_joined_with_equals(tmp_path):
+    assert main(["trace", "--face=-x1", "--budget", "1000", "--out", str(tmp_path)]) == 0
+    assert _parameters(tmp_path, "trace")["line"]["face"] == "-x1"
+
+
+def test_missing_required_value_exits_2(capsys):
+    assert main(["eval"]) == 2
+    assert "--x is required" in capsys.readouterr().err
