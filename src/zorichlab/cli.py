@@ -10,7 +10,9 @@ file replaces the defaults of its command: a key names any argument of the
 command (``budget=5000``, ``face=-x1``), its value is cast and checked like
 the flag's own, the switches (``flip``, ``quick``) take ``true`` or ``false``,
 and a flag on the command line still wins.  A key that names no argument of
-the command is a validation error.
+the command is a validation error, and so is a value given (as a flag or a
+key) for an argument that another given argument replaces: ``direction``
+replaces ``face``, ``u2`` and ``u3``; ``q`` replaces ``ball_n``.
 
 A value that starts with ``-`` must be joined to its flag with ``=``
 (``--x=-1,0,0``, ``--face=-x1``); as a separate word argparse reads it as an
@@ -59,6 +61,26 @@ def read_config(path) -> dict:
         key, value = line.split("=", 1)
         out[key.strip()] = value.strip()
     return out
+
+
+# an argument that replaces others, and the arguments it replaces
+_REPLACES = {"direction": ("face", "u2", "u3"), "q": ("ball_n",)}
+
+
+class _Given(argparse.Action):
+    """Stores the value and notes that it came from the command line."""
+
+    def __call__(self, parser, namespace, values, option_string=None):
+        setattr(namespace, self.dest, values)
+        namespace.given = getattr(namespace, "given", frozenset()) | {self.dest}
+
+
+def _check_replaced(given) -> None:
+    for key, replaced in _REPLACES.items():
+        clash = [name for name in replaced if name in given]
+        if key in given and clash:
+            flags = ", ".join("--" + name.replace("_", "-") for name in clash)
+            raise DomainError(f"--{key} replaces {flags}; give one or the other")
 
 
 class _Parser(argparse.ArgumentParser):
@@ -350,7 +372,10 @@ def cmd_verify(args) -> int:
     path = out / "verify_report.txt"
     write_report(path, report.results, report.overall)
     for r in report.results:
-        print(f"{'PASS' if r.passed else 'FAIL'}  {r.name}: value={r.value:.6g} bound={r.bound:.6g}")
+        print(
+            f"{'PASS' if r.passed else 'FAIL'}  {r.name}: value={r.value:.6g} "
+            f"bound={r.bound:.6g} ({report.seconds.get(r.name, 0.0):.2f} s)"
+        )
     print(f"overall: {'PASS' if report.overall else 'FAIL'} ({len(report.results)} checks)")
     _manifest(args, "verify", {"level": args.level}, [path])
     return 0 if report.overall else 1
@@ -392,14 +417,14 @@ def build_parser() -> argparse.ArgumentParser:
     common(p, cmd_cone)
 
     def line_flags(p, u2, u3):
-        p.add_argument("--u2", type=float, default=u2)
-        p.add_argument("--u3", type=float, default=u3)
-        p.add_argument("--face", default="+x1", choices=density.Y_FACES)
+        p.add_argument("--u2", type=float, default=u2, action=_Given)
+        p.add_argument("--u3", type=float, default=u3, action=_Given)
+        p.add_argument("--face", default="+x1", choices=density.Y_FACES, action=_Given)
         p.add_argument("--p", type=_triple, default=(0.0, 0.0, 0.0), help="base point")
 
     def trace_flags(p, budget):
         line_flags(p, 0.37, 1.3e-4)
-        p.add_argument("--direction", type=_triple, default=None,
+        p.add_argument("--direction", type=_triple, default=None, action=_Given,
                        help="raw line direction (for excluded families); replaces --face/--u2/--u3")
         p.add_argument("--box-r", dest="box_r", type=float, default=density.COVERAGE_BOX)
         p.add_argument("--budget", type=int, default=budget)
@@ -420,9 +445,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--grid-n", dest="grid_n", type=int, default=16)
     p.add_argument("--budget", type=int, default=20_000)
     p.add_argument("--rungs", type=int, default=4)
-    p.add_argument("--ball-n", dest="ball_n", type=int, default=1,
+    p.add_argument("--ball-n", dest="ball_n", type=int, default=1, action=_Given,
                    help="index into the countable ball base")
-    p.add_argument("--q", type=_triple, default=None,
+    p.add_argument("--q", type=_triple, default=None, action=_Given,
                    help="explicit ball center; replaces --ball-n")
     p.add_argument("--ball-r", dest="ball_r", type=float, default=0.25)
     common(p, cmd_density, quick=True)
@@ -447,9 +472,11 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        if args.config:
-            _apply_config(args.parser, args.command, read_config(args.config))
+        config = read_config(args.config) if args.config else {}
+        if config:
+            _apply_config(args.parser, args.command, config)
             args = parser.parse_args(argv)
+        _check_replaced(set(config) | getattr(args, "given", frozenset()))
         return args.func(args)
     except (DomainError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -27,6 +27,11 @@ from .zorich import OK, OVERFLOW_FIRST, OVERFLOW_SECOND, UNRESOLVABLE, second_it
 Y_FACES = ("+x1", "-x1", "+x2", "-x2")
 
 _CHECKPOINT_BASE = 1000
+_BALL_CHUNK = 1 << 21  # ball centres generated per chunk of a dyadic stage
+# first-stage x3 window of a traced line: exp(27) ~ 5e11 < zorich.PHASE_CAP
+X3_WINDOW = (-1.0, 27.0)
+MAX_DEPTH = 48  # bisection depths of adaptive_trace
+MAX_SKIP_FRACTION = 0.05  # excluded crossings a density patch may contain
 
 # thresholds enshrined by the pilot runs documented in the README; the
 # experiment configurations that produced them are the defaults of
@@ -34,7 +39,6 @@ _CHECKPOINT_BASE = 1000
 COVERAGE_BOX = 10.0
 COVERAGE_GRID_N = 64
 COVERAGE_BUDGET = 10_000_000
-COVERAGE_LINES = 5
 COVERAGE_THRESHOLD = 0.95
 COVERAGE_THRESHOLD_QUICK = 0.25
 COVERAGE_BUDGET_QUICK = 1_000_000
@@ -139,7 +143,7 @@ class PatchSpec:
 # countable ball base of R^3 minus the unit sphere and the origin
 
 
-def _stage_balls(k: int, chunk: int = 1 << 21):
+def _stage_balls(k: int):
     """Dyadic stage k: grid step 2^-k over [-2^k, 2^k]^3, filtered.
 
     Yields (q, norm) array chunks in deterministic lexicographic order.
@@ -148,7 +152,7 @@ def _stage_balls(k: int, chunk: int = 1 << 21):
     imax = 4**k
     coords = np.arange(-imax, imax + 1, dtype=float) * step
     n = len(coords)
-    rows_per_chunk = max(1, chunk // (n * n))
+    rows_per_chunk = max(1, _BALL_CHUNK // (n * n))
     for start in range(0, n, rows_per_chunk):
         c0 = coords[start : start + rows_per_chunk]
         q = np.stack(np.meshgrid(c0, coords, coords, indexing="ij"), axis=-1).reshape(-1, 3)
@@ -238,19 +242,18 @@ def _second_stage(line: LineSpec, s, box_r: float):
             int(counts[UNRESOLVABLE]))
 
 
-def default_s_range(line: LineSpec, x3_window=(-1.0, 27.0)) -> tuple[float, float]:
-    """Parameter window mapping onto the given first-coordinate x3 window.
+def default_s_range(line: LineSpec) -> tuple[float, float]:
+    """Parameter window mapping onto the first-coordinate window X3_WINDOW.
 
-    The upper default 27 keeps the intermediate phase within float
-    resolution (exp(27) ~ 5e11 < zorich.PHASE_CAP); lines parallel to the
-    horizontal plane get a fixed wide window instead.
+    Its upper end keeps the intermediate phase within float resolution;
+    lines parallel to the horizontal plane get a fixed wide window instead.
     """
     d3 = float(line.direction()[2])
     p3 = float(line.p[2])
     if abs(d3) < 1e-12:
         return (-1e4, 1e4)
-    a = (x3_window[0] - p3) / d3
-    b = (x3_window[1] - p3) / d3
+    a = (X3_WINDOW[0] - p3) / d3
+    b = (X3_WINDOW[1] - p3) / d3
     return (a, b) if a < b else (b, a)
 
 
@@ -261,16 +264,15 @@ def adaptive_trace(
     h_max: float,
     *,
     s_range: tuple[float, float] | None = None,
-    n0: int | None = None,
-    max_depth: int = 48,
 ) -> TraceResult:
     """Trace the second-iterate image of the line over the target box.
 
-    Seeds a uniform parameter grid, then repeatedly bisects intervals whose
-    image endpoints are more than h_max apart and touch the box, skipping
-    intervals whose first-stage exponents both exceed ln(2*box_r) + 1.
-    Stops at the evaluation budget or depth cap; overflow samples are
-    dropped and counted, never fatal.
+    Seeds a uniform parameter grid of budget // 3 points, then repeatedly
+    bisects intervals whose image endpoints are more than h_max apart and
+    touch the box, skipping intervals whose first-stage exponents both
+    exceed ln(2*box_r) + 1.  Stops at the evaluation budget or after
+    MAX_DEPTH bisections; overflow samples are dropped and counted, never
+    fatal.
     """
     if budget < 1000:
         raise DomainError("adaptive_trace: budget must be >= 1000")
@@ -281,9 +283,7 @@ def adaptive_trace(
     s_lo, s_hi = float(s_range[0]), float(s_range[1])
     if not s_lo < s_hi:
         raise DomainError("adaptive_trace: empty parameter range")
-    if n0 is None:
-        n0 = max(2, budget // 3)
-    n0 = min(n0, budget)
+    n0 = budget // 3
 
     skip_exp = math.log(2.0 * box_r) + 1.0
     s = np.linspace(s_lo, s_hi, n0)
@@ -299,7 +299,7 @@ def adaptive_trace(
     left_e, right_e = zexp[:-1], zexp[1:]
     left_b, right_b = in_box[:-1], in_box[1:]
 
-    for _depth in range(max_depth):
+    for _depth in range(MAX_DEPTH):
         if evals >= budget or len(left_s) == 0:
             break
         with np.errstate(over="ignore"):
@@ -367,21 +367,17 @@ def adaptive_trace(
 class VoxelGrid:
     """Occupancy grid over [-half_extent, half_extent]^3 with exclusions.
 
-    Voxels meeting the ball B(0, r_exclude) or the spherical shell
-    | |x| - 1 | < shell_width do not count toward coverage; both default to
-    one voxel diagonal, the grid-resolution stand-in for a measure-zero set.
+    Voxels within one voxel diagonal of the origin or of the unit sphere
+    do not count toward coverage: the diagonal is the grid-resolution
+    stand-in for a measure-zero set.
     """
 
-    def __init__(self, half_extent: float = COVERAGE_BOX, n: int = COVERAGE_GRID_N,
-                 r_exclude: float | None = None, shell_width: float | None = None):
+    def __init__(self, half_extent: float = COVERAGE_BOX, n: int = COVERAGE_GRID_N):
         if n < 2 or half_extent <= 0:
             raise DomainError("VoxelGrid: need n >= 2 and a positive extent")
         self.half_extent = float(half_extent)
         self.n = int(n)
         self.voxel = 2.0 * self.half_extent / self.n
-        diag = self.voxel * math.sqrt(3.0)
-        self.r_exclude = diag if r_exclude is None else float(r_exclude)
-        self.shell_width = diag if shell_width is None else float(shell_width)
         self.occupancy = np.zeros((self.n,) * 3, dtype=bool)
         self.excluded = self._exclusion_mask()
 
@@ -392,8 +388,9 @@ class VoxelGrid:
         nearest = np.clip(0.0, lo, hi)
         dmin = np.linalg.norm(nearest, axis=-1)
         dmax = np.linalg.norm(np.maximum(np.abs(lo), np.abs(hi)), axis=-1)
-        ball = dmin <= self.r_exclude
-        shell = (dmin < 1.0 + self.shell_width) & (dmax > 1.0 - self.shell_width)
+        diag = self.voxel * math.sqrt(3.0)
+        ball = dmin <= diag
+        shell = (dmin < 1.0 + diag) & (dmax > 1.0 - diag)
         return ball | shell
 
     def mark(self, points) -> int:
@@ -455,13 +452,13 @@ class HitResult:
 
 
 def hits_ball(line: LineSpec, ball: BallSpec, budget: int, *,
-              h_max: float | None = None,
               s_range: tuple[float, float] | None = None) -> HitResult:
-    """Trace the line against the box around the ball and look for a hit."""
+    """Trace the line against the box around the ball and look for a hit.
+
+    The trace step bound is the ball radius.
+    """
     box_r = ball.center_norm + ball.radius
-    if h_max is None:
-        h_max = ball.radius
-    trace = adaptive_trace(line, box_r, budget, h_max, s_range=s_range)
+    trace = adaptive_trace(line, box_r, budget, ball.radius, s_range=s_range)
     if len(trace.points) == 0:
         return HitResult(False, None, math.inf, trace.audit.evals)
     with np.errstate(over="ignore"):
@@ -504,14 +501,13 @@ def epsilon_density(
     *,
     rungs: int = 4,
     p=(0.0, 0.0, 0.0),
-    max_skip_fraction: float = 0.05,
 ) -> list[DensityRung]:
     """Hit fractions over a shrinking ladder of patch sizes.
 
     For each rung delta, delta/2, ... a grid_n x grid_n grid of crossings in
     E_delta is traced against the ball; invalid crossings (the measure-zero
     exclusions) are skipped and counted, and the patch is rejected as
-    degenerate when they exceed max_skip_fraction of the grid.
+    degenerate when they exceed MAX_SKIP_FRACTION of the grid.
     """
     if grid_n < 2:
         raise DomainError("epsilon_density: grid_n must be >= 2")
@@ -521,7 +517,7 @@ def epsilon_density(
         crossings = patch_grid(patch, delta, grid_n)
         valid_pts = [a for a in crossings if y_point_valid(a)]
         skipped = len(crossings) - len(valid_pts)
-        if skipped > max_skip_fraction * grid_n * grid_n:
+        if skipped > MAX_SKIP_FRACTION * grid_n * grid_n:
             raise DegenerateError(
                 f"epsilon_density: {skipped} of {grid_n * grid_n} crossings hit the exclusions"
             )
@@ -543,8 +539,8 @@ def epsilon_density(
 # line sampling and the coverage experiment
 
 
-def random_valid_line(rng: np.random.Generator, p=(0.0, 0.0, 0.0)) -> LineSpec:
-    """Pseudorandom valid wall crossing, away from the excluded planes.
+def random_valid_line(rng: np.random.Generator) -> LineSpec:
+    """Pseudorandom valid line through the origin, away from the excluded planes.
 
     u2 is uniform over +-(0.05, 0.95) and u3 over (0.8e-4, 1.8e-4).  Shallow
     slopes pack many wall crossings of the first-stage image into the
@@ -553,7 +549,7 @@ def random_valid_line(rng: np.random.Generator, p=(0.0, 0.0, 0.0)) -> LineSpec:
     """
     u2 = float(rng.uniform(0.05, 0.95)) * (1.0 if rng.random() < 0.5 else -1.0)
     u3 = float(rng.uniform(0.8e-4, 1.8e-4))
-    return LineSpec(YPoint("+x1", u2, u3), tuple(p))
+    return LineSpec(YPoint("+x1", u2, u3))
 
 
 @dataclass(frozen=True)

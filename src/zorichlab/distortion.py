@@ -25,6 +25,10 @@ GOLDEN_ANGLE = math.pi * (3.0 - math.sqrt(5.0))
 DEFAULT_RADIUS = 1e-5
 DEFAULT_DIRECTIONS = 64
 BRANCH_MARGIN_FACTOR = 10.0
+# finite-difference radius of the chart constant lambda_h_estimate
+CHART_RADIUS = 1e-6
+# grid-counting slack: lam is inflated by this fraction in the transport check
+AREA_INFLATE = 0.02
 
 
 class LipschitzSample(NamedTuple):
@@ -128,8 +132,7 @@ def relative_distortion(f, points, radius: float = DEFAULT_RADIUS,
 
 
 @lru_cache(maxsize=8)
-def lambda_h_estimate(grid_n: int = 128, radius: float = 1e-6,
-                      n_dirs: int = DEFAULT_DIRECTIONS) -> float:
+def lambda_h_estimate(grid_n: int = 128) -> float:
     """Bi-Lipschitz constant of the square-to-hemisphere chart, from below.
 
     Scans an interior grid of the base square and returns the largest of
@@ -142,14 +145,14 @@ def lambda_h_estimate(grid_n: int = 128, radius: float = 1e-6,
 
     g = -HALF_PI + (np.arange(grid_n) + 0.5) * math.pi / grid_n
     pts = np.stack(np.meshgrid(g, g, indexing="ij"), axis=-1).reshape(-1, 2)
-    est = relative_distortion(h_square, pts, radius, n_dirs)
+    est = relative_distortion(h_square, pts, CHART_RADIUS, DEFAULT_DIRECTIONS)
     return max(est.sup_upper, 1.0 / est.inf_lower)
 
 
-def sample_slab(slab: Slab, n: int, seed: int, radius: float = DEFAULT_RADIUS,
-                span: float = 2.0 * math.pi) -> np.ndarray:
-    """Deterministic slab sample respecting the branch margin."""
+def sample_slab(slab: Slab, n: int, seed: int, radius: float = DEFAULT_RADIUS) -> np.ndarray:
+    """Deterministic slab sample over |x1|, |x2| < 2*pi respecting the branch margin."""
     rng = np.random.default_rng(seed)
+    span = 2.0 * math.pi
     margin = BRANCH_MARGIN_FACTOR * radius
     out = np.empty((0, 3))
     while len(out) < n:
@@ -215,17 +218,16 @@ class AreaTransportReport:
     passed: bool
 
 
-def verify_area_transport(measures, lam: float, n_dim: int,
-                          inflate: float = 0.02) -> AreaTransportReport:
+def verify_area_transport(measures, lam: float, n_dim: int) -> AreaTransportReport:
     """Check (1/lam^n) m(U)/m(E) <= m(fU)/m(fE) <= lam^n m(U)/m(E).
 
-    `measures` is (m_e, m_u, m_fe, m_fu); lam is inflated by `inflate`
+    `measures` is (m_e, m_u, m_fe, m_fu); lam is inflated by AREA_INFLATE
     before exponentiation to absorb grid-counting noise.
     """
     m_e, m_u, m_fe, m_fu = (float(v) for v in measures)
     if min(m_e, m_fe) <= 0.0:
         raise DegenerateError("verify_area_transport: ambient measures must be positive")
-    lam_n = (lam * (1.0 + inflate)) ** n_dim
+    lam_n = (lam * (1.0 + AREA_INFLATE)) ** n_dim
     ratio = m_u / m_e
     image_ratio = m_fu / m_fe
     lower = ratio / lam_n

@@ -73,11 +73,12 @@ def from_word(word) -> GroupElement:
     return reduce(compose, elems, IDENTITY)
 
 
-def find_g(x, y, tol: float = 1e-9) -> GroupElement:
+def find_g(x, y) -> GroupElement:
     """Solve apply(g, x) == y for g, assuming x and y are on one orbit.
 
     Two linear integer systems (one per flip value); raises DomainError when
-    neither rounds to an exact solution within tol.
+    neither rounds to an exact solution within 1e-9 (relative to the
+    largest coordinate, at least 1).
     """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
@@ -90,7 +91,7 @@ def find_g(x, y, tol: float = 1e-9) -> GroupElement:
             m = round((y[0] - x[0]) / TWO_PI)
             n = round((y[1] - x[1]) / TWO_PI)
         g = GroupElement(int(m), int(n), flip)
-        if float(np.max(np.abs(apply(g, x) - y))) <= tol * scale:
+        if float(np.max(np.abs(apply(g, x) - y))) <= 1e-9 * scale:
             return g
     raise DomainError("find_g: points are not on one group orbit")
 

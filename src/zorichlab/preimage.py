@@ -32,6 +32,11 @@ FACE_IDS = ("+x1", "-x1", "+x2", "-x2")
 # sign*p[axis] >= |p[other]|
 _FACE_AXIS = {"+x1": (1.0, 0), "-x1": (-1.0, 0), "+x2": (1.0, 1), "-x2": (-1.0, 1)}
 
+# ray_cone_intersect: points of the bracketing scan, and the most bisection
+# steps per bracket
+RAY_SCAN_SAMPLES = 1024
+RAY_BISECT_STEPS = 200
+
 
 @dataclass(frozen=True)
 class ConeSurface:
@@ -240,12 +245,12 @@ def project_to_plane(p, u, plane_index: int) -> np.ndarray:
     return p + c * np.array([1.0, u2, u3])
 
 
-def strip_contains(spec: StripSpec, x, tol: float = 1e-9) -> bool:
-    """Membership test for the open strip (wall within tol, open x2/x3 bounds)."""
+def strip_contains(spec: StripSpec, x) -> bool:
+    """Membership test for the open strip (wall within 1e-9, open x2/x3 bounds)."""
     x = np.asarray(x, dtype=float)
     lo, hi = spec.x2_interval
     return bool(
-        abs(float(x[0]) - spec.wall_x1) <= tol
+        abs(float(x[0]) - spec.wall_x1) <= 1e-9
         and lo < float(x[1]) < hi
         and float(x[2]) > spec.s
     )
@@ -278,15 +283,12 @@ def ray_cone_intersect(
     through,
     cone: ConeSurface,
     face: str,
-    *,
-    samples: int = 1024,
-    max_iter: int = 200,
-    s_tol: float = 1e-12,
 ) -> np.ndarray:
     """First intersection of the ray from p through `through` with a cone face.
 
     The ray is mapped into the base parameter frame, the crossing of the
-    central beam is bracketed with a coarse scan and polished by bisection.
+    central beam is bracketed with a coarse scan of RAY_SCAN_SAMPLES points
+    and polished by bisection.
     Bisection is used deliberately: the surface residual need not be monotone
     along the ray, and bracketing plus bisection is robust and deterministic.
     Raises NoIntersectionError (reporting the scanned range) when no sign
@@ -349,7 +351,7 @@ def ray_cone_intersect(
             scanned=(lo, hi),
         )
 
-    s_grid = np.linspace(lo, hi, samples)
+    s_grid = np.linspace(lo, hi, RAY_SCAN_SAMPLES)
     y = base_point(s_grid)
     phi = _surface_residual(level_abs, y)
     quad = _in_quadrant(face, y, tol=1e-12)
@@ -360,7 +362,7 @@ def ray_cone_intersect(
         fa = float(_surface_residual(level_abs, base_point(sa)))
         fb = float(_surface_residual(level_abs, base_point(sb)))
         best_s, best_f = (sa, abs(fa)) if abs(fa) <= abs(fb) else (sb, abs(fb))
-        for _ in range(max_iter):
+        for _ in range(RAY_BISECT_STEPS):
             sm = 0.5 * (sa + sb)
             if sm == sa or sm == sb:
                 break
@@ -369,7 +371,7 @@ def ray_cone_intersect(
                 best_s, best_f = sm, abs(fm)
             if fm == 0.0:
                 break
-            if (sb - sa) < s_tol * max(1.0, abs(sm)) and best_f <= 0.01 * residual_tol:
+            if (sb - sa) < 1e-12 * max(1.0, abs(sm)) and best_f <= 0.01 * residual_tol:
                 break
             if (fa < 0.0) != (fm < 0.0):
                 sb, fb = sm, fm
@@ -387,7 +389,7 @@ def ray_cone_intersect(
         # well conditioned there
         return res <= residual_tol or res * math.exp(-float(y_star[2])) <= 1e-12
 
-    for i in range(samples - 1):
+    for i in range(RAY_SCAN_SAMPLES - 1):
         if not (quad[i] or quad[i + 1]):
             continue
         if phi[i] == 0.0 and quad[i]:
@@ -400,7 +402,7 @@ def ray_cone_intersect(
             return p + s_star * d
     raise NoIntersectionError(
         f"ray_cone_intersect: no crossing on face {face} for s in "
-        f"[{lo:.6g}, {hi:.6g}] ({samples} samples)",
+        f"[{lo:.6g}, {hi:.6g}] ({RAY_SCAN_SAMPLES} samples)",
         scanned=(lo, hi),
     )
 
@@ -443,7 +445,7 @@ def face_toward_wall(cone: ConeSurface, plane_index: int) -> str:
     return best
 
 
-def face_mesh(region: FaceRegion, n_height: int = 32, n_width: int = 16) -> np.ndarray:
+def face_mesh(region: FaceRegion, n_height: int, n_width: int) -> np.ndarray:
     """Triangulate a face band; returns an array of shape (n_tri, 3, 3).
 
     The face is parametrized by height x3 and transverse fraction v in
@@ -472,9 +474,7 @@ def face_mesh(region: FaceRegion, n_height: int = 32, n_width: int = 16) -> np.n
     return np.asarray(tris)
 
 
-def cone_mesh(
-    cone: ConeSurface, t1: float, t2: float, n_height: int = 32, n_width: int = 16
-) -> np.ndarray:
+def cone_mesh(cone: ConeSurface, t1: float, t2: float, n_height: int, n_width: int) -> np.ndarray:
     """Triangle soup for all four faces of a cone band."""
     parts = [
         face_mesh(FaceRegion(cone, fid, t1, t2), n_height, n_width) for fid in FACE_IDS

@@ -3,13 +3,14 @@
 Each check measures one quantitative claim about the map (norm law, group
 invariance, cone geometry, distortion bounds, coverage and density trends)
 and reports value / bound / tolerance / pass.  Sample counts come in a
-"full" and a "quick" profile (roughly one tenth); every check is seeded and
-deterministic.
+"full" and a "quick" profile (roughly one tenth), listed in `CHECKS`; every
+check is seeded and deterministic.
 """
 
 from __future__ import annotations
 
 import math
+import time
 from dataclasses import dataclass, field
 from functools import lru_cache
 
@@ -38,59 +39,11 @@ class CheckResult:
 class VerificationReport:
     level: str
     results: list[CheckResult] = field(default_factory=list)
+    seconds: dict[str, float] = field(default_factory=dict)  # wall time per check name
 
     @property
     def overall(self) -> bool:
         return all(r.passed for r in self.results)
-
-
-def _counts(level: str) -> dict:
-    full = {
-        "norm": 100_000,
-        "words": 10_000,
-        "fibers": 500,
-        "roundtrip": 10_000,
-        "cone": 10_000,
-        "faces": 10_000,
-        "boundary": 10_000,
-        "gap": 1_000,
-        "sector": 1_000,
-        "window": 1_000,
-        "disks": 5,
-        "wall": 10_000,
-        "slabs": 50,
-        "slab_pts": 300,
-        "face_cfgs": 10,
-        "strips": 1_000,
-        "transport": 20,
-        "coverage_lines": density.COVERAGE_LINES,
-        "coverage_budget": density.COVERAGE_BUDGET,
-        "coverage_floor": density.COVERAGE_THRESHOLD,
-        "density_grid": 16,
-        "density_budget": 20_000,
-        "density_rungs": 4,
-    }
-    if level == "full":
-        return full
-    quick = dict(full)
-    for key in ("norm", "words", "roundtrip", "cone", "faces", "boundary",
-                "gap", "sector", "window", "wall", "strips"):
-        quick[key] = max(50, full[key] // 10)
-    quick.update(
-        fibers=50,
-        disks=2,
-        slabs=5,
-        slab_pts=100,
-        face_cfgs=2,
-        transport=4,
-        coverage_lines=2,
-        coverage_budget=density.COVERAGE_BUDGET_QUICK,
-        coverage_floor=density.COVERAGE_THRESHOLD_QUICK,
-        density_grid=8,
-        density_budget=6_000,
-        density_rungs=2,
-    )
-    return quick
 
 
 # ---------------------------------------------------------------------------
@@ -250,15 +203,15 @@ def _gauss_piece(fn, a, b, nodes, weights):
 _gauss_legendre = lru_cache(maxsize=4)(np.polynomial.legendre.leggauss)
 
 
-def sector_band_area_quadrature(t1: float, t2: float, n: int = 200) -> float:
+def sector_band_area_quadrature(t1: float, t2: float) -> float:
     """Cartesian slice quadrature of the quadrant annular band area.
 
     Integrates the width function of {x1 >= |x2|, e^t1 <= |x| <= e^t2} over
     x1 with trig substitutions on the two arc pieces, independent of the
-    closed form.
+    closed form, with 200 Gauss-Legendre nodes per piece.
     """
     r1, r2 = math.exp(t1), math.exp(t2)
-    nodes, weights = _gauss_legendre(n)
+    nodes, weights = _gauss_legendre(200)
     # x1 in [r1/sqrt2, r1]: width 2(x1 - sqrt(r1^2 - x1^2)), x1 = r1 cos(u)
     p1 = _gauss_piece(
         lambda u: 2.0 * r1 * r1 * (np.cos(u) - np.sin(u)) * np.sin(u),
@@ -417,15 +370,20 @@ def check_slab_distortion(n_slabs: int, n_pts: int) -> CheckResult:
 # face projection configurations
 
 
+ORIGIN = (0.0, 0.0, 0.0)
+
+
 @dataclass(frozen=True)
 class FaceProjectionConfig:
-    """One wall/strip/cone configuration meeting the threshold hypotheses."""
+    """One wall/strip/cone configuration meeting the threshold hypotheses.
+
+    Lines start at the origin; every configuration uses the strip margin eta.
+    """
 
     radius: float           # |ball center|, the level is ln(radius)
     wall_index: int
     u2_center: float
-    eta: float = 0.70
-    p: tuple[float, float, float] = (0.0, 0.0, 0.0)
+    eta = 0.70              # strip margin; unannotated, so a constant and not a field
 
     @property
     def level(self) -> float:
@@ -433,7 +391,7 @@ class FaceProjectionConfig:
 
     @property
     def c(self) -> float:
-        return PI / 2 + self.wall_index * PI - self.p[0]
+        return PI / 2 + self.wall_index * PI
 
     def build(self):
         big_l = abs(self.level)
@@ -449,13 +407,13 @@ class FaceProjectionConfig:
             raise ValueError("face config: image square reaches unresolvable heights")
         if not max(4 * PI, a) <= w <= 10 * max(4 * PI, a):
             raise ValueError("face config: width window violated")
-        x2c = self.c * self.u2_center + self.p[1]
+        x2c = self.c * self.u2_center
         l = math.floor((x2c - PI / 2) / PI) + 1
         cone = preimage.cone_for_strip(self.level, self.wall_index, l)
         face = preimage.face_toward_wall(cone, self.wall_index)
         strip = preimage.StripSpec(self.wall_index, l, self.eta, s_floor)
         lo, hi = strip.x2_interval
-        u2_rect = ((lo - self.p[1]) / self.c, (hi - self.p[1]) / self.c)
+        u2_rect = (lo / self.c, hi / self.c)
         u3_rect = (u3_center - delta, u3_center + delta)
         # the strip heights must satisfy the closeness threshold xi < eta/3
         xi = preimage.beam_boundary_distance(abs(self.level), s_floor)
@@ -491,23 +449,21 @@ def face_projection_map(cone, face, p):
     return project
 
 
-def _config_grid(cfg, u2_rect, u3_rect, n_side=4, margin=0.12):
+def _config_grid(u2_rect, u3_rect):
+    """4 x 4 unit-wall points, 12% of the rectangle away from its edges."""
     w2 = u2_rect[1] - u2_rect[0]
     w3 = u3_rect[1] - u3_rect[0]
-    g2 = np.linspace(u2_rect[0] + margin * w2, u2_rect[1] - margin * w2, n_side)
-    g3 = np.linspace(u3_rect[0] + margin * w3, u3_rect[1] - margin * w3, n_side)
-    pts = [
-        np.asarray(cfg.p, dtype=float) + np.array([1.0, a, b])
-        for a in g2
-        for b in g3
-    ]
-    return np.array(pts)
+    g2 = np.linspace(u2_rect[0] + 0.12 * w2, u2_rect[1] - 0.12 * w2, 4)
+    g3 = np.linspace(u3_rect[0] + 0.12 * w3, u3_rect[1] - 0.12 * w3, 4)
+    return np.array([[1.0, a, b] for a in g2 for b in g3])
 
 
-def measure_face_projection_distortion(cfg: FaceProjectionConfig, n_side: int = 4):
+@lru_cache(maxsize=16)
+def measure_face_projection_distortion(cfg: FaceProjectionConfig) -> float:
+    """Relative distortion of the face projection; computed once per config."""
     cone, face, strip, u2_rect, u3_rect = cfg.build()
-    proj = face_projection_map(cone, face, cfg.p)
-    pts = _config_grid(cfg, u2_rect, u3_rect, n_side)
+    proj = face_projection_map(cone, face, ORIGIN)
+    pts = _config_grid(u2_rect, u3_rect)
     dirs = distortion.plane_directions(32, (0.0, 1.0, 0.0), (0.0, 0.0, 1.0))
     est = distortion.relative_distortion(proj, pts, 1e-6, directions=dirs)
     return est.ratio
@@ -629,14 +585,13 @@ def _map_cube_transport(seed: int) -> distortion.AreaTransportReport:
 
 def _face_transport(cfg: FaceProjectionConfig) -> distortion.AreaTransportReport:
     cone, face, strip, u2_rect, u3_rect = cfg.build()
-    p = np.asarray(cfg.p, dtype=float)
     wall = strip.wall_x1
     level = cfg.level
 
     # which side of the wall the face is on, from a mid-height probe
     mid_h = 0.5 * (u3_rect[0] + u3_rect[1]) * cfg.c
     probe = preimage.ray_cone_intersect(
-        p, p + np.array([1.0, 0.5 * (u2_rect[0] + u2_rect[1]), mid_h / cfg.c]), cone, face
+        ORIGIN, (1.0, 0.5 * (u2_rect[0] + u2_rect[1]), mid_h / cfg.c), cone, face
     )
     side = 1.0 if probe[0] >= wall else -1.0
 
@@ -650,8 +605,8 @@ def _face_transport(cfg: FaceProjectionConfig) -> distortion.AreaTransportReport
     cells = 1024
     lo2, hi2 = strip.x2_interval
     pad3 = 0.05 * (e_u3[1] - e_u3[0]) * cfg.c
-    lo3 = e_u3[0] * cfg.c + p[2] - pad3
-    hi3 = e_u3[1] * cfg.c + p[2] + pad3
+    lo3 = e_u3[0] * cfg.c - pad3
+    hi3 = e_u3[1] * cfg.c + pad3
     x2 = lo2 + (np.arange(cells) + 0.5) * (hi2 - lo2) / cells
     x3 = lo3 + (np.arange(cells) + 0.5) * (hi3 - lo3) / cells
     cell_area = (hi2 - lo2) / cells * (hi3 - lo3) / cells
@@ -660,8 +615,8 @@ def _face_transport(cfg: FaceProjectionConfig) -> distortion.AreaTransportReport
     weight = np.sqrt(1.0 + dxi**2)
     x1 = wall + side * xi
     # pull each face point back through the wall chart
-    u2g = (x2[None, :] - p[1]) / (x1[:, None] - p[0])
-    u3g = (x3[:, None] - p[2]) / (x1[:, None] - p[0])
+    u2g = x2[None, :] / x1[:, None]
+    u3g = x3[:, None] / x1[:, None]
     in_e = (
         (u2g > e_u2[0]) & (u2g < e_u2[1]) & (u3g > e_u3[0]) & (u3g < e_u3[1])
     )
@@ -733,31 +688,40 @@ def check_density_trend(grid_n: int, budget: int, rungs: int) -> CheckResult:
 # ---------------------------------------------------------------------------
 
 
+# (check, full-level arguments, quick-level arguments), in report order.
+# run_checks looks up the module attribute check_<name> at call time, so a
+# function installed in its place (a tracer, a test double) is the one called.
+CHECKS = (
+    ("norm_law", (100_000,), (10_000,)),
+    ("group_invariance", (10_000,), (1_000,)),
+    ("fiber_transitivity", (500,), (50,)),
+    ("inverse_roundtrip", (10_000,), (1_000,)),
+    ("cone_level", (10_000,), (1_000,)),
+    ("face_flatness", (10_000,), (1_000,)),
+    ("boundary_distance", (10_000,), (1_000,)),
+    ("separation_gap", (1_000,), (100,)),
+    ("sector_ratio", (1_000,), (100,)),
+    ("width_window", (1_000,), (100,)),
+    ("preimage_disk", (5,), (2,)),
+    ("wall_projection", (10_000,), (1_000,)),
+    ("slab_distortion", (50, 300), (5, 100)),
+    ("face_projection_distortion", (10,), (2,)),
+    ("strip_intersection", (1_000,), (100,)),
+    ("area_transport", (20,), (4,)),
+    ("coverage_trend",
+     (5, density.COVERAGE_BUDGET, density.COVERAGE_THRESHOLD),
+     (2, density.COVERAGE_BUDGET_QUICK, density.COVERAGE_THRESHOLD_QUICK)),
+    ("density_trend", (16, 20_000, 4), (8, 6_000, 2)),
+)
+
+
 def run_checks(level: str = "full") -> VerificationReport:
     if level not in ("quick", "full"):
         raise ValueError("run_checks: level must be 'quick' or 'full'")
-    c = _counts(level)
     report = VerificationReport(level=level)
-    report.results.append(check_norm_law(c["norm"]))
-    report.results.append(check_group_invariance(c["words"]))
-    report.results.append(check_fiber_transitivity(c["fibers"]))
-    report.results.append(check_inverse_roundtrip(c["roundtrip"]))
-    report.results.append(check_cone_level(c["cone"]))
-    report.results.append(check_face_flatness(c["faces"]))
-    report.results.append(check_boundary_distance(c["boundary"]))
-    report.results.append(check_separation_gap(c["gap"]))
-    report.results.append(check_sector_ratio(c["sector"]))
-    report.results.append(check_width_window(c["window"]))
-    report.results.append(check_preimage_disk(c["disks"]))
-    report.results.append(check_wall_projection(c["wall"]))
-    report.results.append(check_slab_distortion(c["slabs"], c["slab_pts"]))
-    report.results.append(check_face_projection_distortion(c["face_cfgs"]))
-    report.results.append(check_strip_intersection(c["strips"]))
-    report.results.append(check_area_transport(c["transport"]))
-    report.results.append(
-        check_coverage_trend(c["coverage_lines"], c["coverage_budget"], c["coverage_floor"])
-    )
-    report.results.append(
-        check_density_trend(c["density_grid"], c["density_budget"], c["density_rungs"])
-    )
+    for name, full, quick in CHECKS:
+        check = globals()[f"check_{name}"]
+        start = time.perf_counter()
+        report.results.append(check(*(full if level == "full" else quick)))
+        report.seconds[name] = time.perf_counter() - start
     return report

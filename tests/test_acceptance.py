@@ -6,6 +6,7 @@ Each test prints one `ACCEPTANCE <nn> <name>: PASS/FAIL` line; run with
 
 import math
 import time
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
@@ -241,78 +242,106 @@ def test_09_slab_distortion():
     )
 
 
-def test_10_face_projection_distortion():
-    worst = 0.0
-    for cfg in verify.FACE_CONFIGS:
-        worst = max(worst, verify.measure_face_projection_distortion(cfg))
-    ok = worst <= 2.1
-    report(10, "face_projection_distortion", ok, f"max D {worst:.4f} over 10 configurations")
+# Criteria 10-15 rest on one `verify --level full` run: it already runs each
+# of their checks, at the counts each criterion states.
 
 
-def test_11_strip_intersections():
-    result = verify.check_strip_intersection(1000)
-    ok = result.passed
+@dataclass
+class FullRun:
+    code: int
+    elapsed: float
+    results: dict  # check name -> CheckResult
+    seconds: dict  # check name -> wall seconds
+
+
+@pytest.fixture(scope="module")
+def full_verify(tmp_path_factory):
+    reports = []
+    run_checks = verify.run_checks
+
+    def recording(level):
+        reports.append(run_checks(level))
+        return reports[-1]
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(verify, "run_checks", recording)
+        start = time.perf_counter()
+        code = main(["verify", "--level", "full", "--out", str(tmp_path_factory.mktemp("full"))])
+        elapsed = time.perf_counter() - start
+    (rep,) = reports
+    return FullRun(code, elapsed, {r.name: r for r in rep.results}, rep.seconds)
+
+
+def full_args(name):
+    (args,) = [full for check, full, _ in verify.CHECKS if check == name]
+    return args
+
+
+def test_10_face_projection_distortion(full_verify):
+    result = full_verify.results["face_projection_distortion"]
+    ok = full_args("face_projection_distortion") == (10,) and result.passed and result.value <= 2.1
+    report(10, "face_projection_distortion", ok, f"max D {result.value:.4f} over 10 configurations")
+
+
+def test_11_strip_intersections(full_verify):
+    result = full_verify.results["strip_intersection"]
+    ok = full_args("strip_intersection") == (1000,) and result.passed
     report(11, "strip_intersections", ok, f"{int(result.value)} misses in 1000 rays")
 
 
-def test_12_area_transport():
-    result = verify.check_area_transport(20)
-    ok = result.passed
+def test_12_area_transport(full_verify):
+    result = full_verify.results["area_transport"]
+    ok = full_args("area_transport") == (20,) and result.note == "configs=20" and result.passed
     report(12, "area_transport", ok, f"20 configurations, worst overshoot {result.value:.3f}")
 
 
-def test_13_density_coverage():
+def test_13_density_coverage(full_verify):
+    # five seed-20260808 lines at 10^7, each series nondecreasing (coverage_trend)
+    result = full_verify.results["coverage_trend"]
     start = time.perf_counter()
-    rng = np.random.default_rng(20260808)
-    lines = [density.random_valid_line(rng) for _ in range(5)]
-    runs = density.coverage_experiment(lines, budget=density.COVERAGE_BUDGET)
-    coverages = [run.coverage for run in runs]
-    monotone = all(
-        all(b >= a for (_, a), (_, b) in zip(run.series, run.series[1:])) for run in runs
-    )
     excluded = [
         density.RawLine((0.0, 0.0, 0.3), (1.0, 0.4, 0.0)),   # x3 = p3 plane
         density.RawLine((0.0, 0.0, 0.0), (0.0, 0.7, 1.4e-4)),  # x1 = p1 plane
     ]
     exc_runs = density.coverage_experiment(excluded, budget=density.COVERAGE_BUDGET)
     exc_cov = [run.coverage for run in exc_runs]
-    elapsed = time.perf_counter() - start
+    elapsed = full_verify.seconds["coverage_trend"] + time.perf_counter() - start
     ok = (
-        monotone
-        and min(coverages) >= density.COVERAGE_THRESHOLD
+        full_args("coverage_trend")
+        == (5, density.COVERAGE_BUDGET, density.COVERAGE_THRESHOLD)
+        and result.passed
+        and result.value >= density.COVERAGE_THRESHOLD
         and max(exc_cov) < density.COVERAGE_THRESHOLD
         and elapsed < 300.0
     )
     report(
         13, "density_coverage", ok,
-        f"line coverages {[round(c, 4) for c in coverages]} vs threshold "
+        f"worst line coverage {result.value:.4f} vs threshold "
         f"{density.COVERAGE_THRESHOLD}, excluded {[round(c, 4) for c in exc_cov]}, "
         f"{elapsed:.0f}s",
     )
 
 
-def test_14_epsilon_density_trend():
-    ball = density.base_sequence(1)
-    patch = density.PatchSpec(density.YPoint("+x1", 0.4, 0.35), 0.08)
-    ladder = density.epsilon_density(patch, ball, grid_n=16, budget_per_line=20_000, rungs=4)
-    lam = distortion.lambda_h_estimate()
-    eps = preimage.CoverageConstants(radius=ball.center_norm, r0=ball.radius, lam=lam).eps
-    fractions = [r.fraction for r in ladder]
-    ok = len(ladder) == 4 and all(f >= density.DENSITY_FRACTION_MIN for f in fractions)
+def test_14_epsilon_density_trend(full_verify):
+    # 16 x 16 lines of 20 000 evaluations on each of 4 rungs (density_trend)
+    result = full_verify.results["density_trend"]
+    ok = (
+        full_args("density_trend") == (16, 20_000, 4)
+        and result.passed
+        and result.value >= density.DENSITY_FRACTION_MIN
+    )
     report(
         14, "epsilon_density_trend", ok,
-        f"fractions {[round(f, 3) for f in fractions]} vs floor "
-        f"{density.DENSITY_FRACTION_MIN}; worst-case constant C/16 = {eps:.3e}",
+        f"worst fraction {result.value:.3f} vs floor "
+        f"{density.DENSITY_FRACTION_MIN}; {result.note}",
     )
 
 
-def test_15_cmd_verify(tmp_path):
+def test_15_cmd_verify(tmp_path, full_verify):
     start = time.perf_counter()
     code_quick = main(["verify", "--level", "quick", "--out", str(tmp_path / "quick")])
     quick_elapsed = time.perf_counter() - start
-    start = time.perf_counter()
-    code_full = main(["verify", "--level", "full", "--out", str(tmp_path / "full")])
-    full_elapsed = time.perf_counter() - start
+    code_full, full_elapsed = full_verify.code, full_verify.elapsed
     ok = code_quick == 0 and quick_elapsed < 60.0 and code_full == 0 and full_elapsed < 900.0
     report(
         15, "cmd_verify", ok,

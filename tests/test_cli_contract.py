@@ -123,3 +123,34 @@ def test_negative_face_joined_with_equals(tmp_path):
 def test_missing_required_value_exits_2(capsys):
     assert main(["eval"]) == 2
     assert "--x is required" in capsys.readouterr().err
+
+
+# An argument that replaces others cannot be given with them, as a flag or a key.
+
+
+@pytest.mark.parametrize(
+    "argv, config",
+    [
+        (["coverage", "--direction", "1,0.4,0", "--face=-x2", "--u2", "0.9",
+          "--budget", "2000"], None),
+        (["density", "--q", "2,0,0", "--ball-n", "7", "--grid-n", "2"], None),
+        (["trace", "--u3", "0.001", "--budget", "2000"], "direction=1,0.4,0\n"),
+        (["density", "--grid-n", "2"], "q=2,0,0\nball_n=7\n"),
+    ],
+)
+def test_replaced_argument_exits_2(tmp_path, capsys, argv, config):
+    if config is not None:
+        argv = argv + ["--config", _config(tmp_path, config)]
+    assert main(argv + ["--out", str(tmp_path)]) == 2
+    assert "replaces" in capsys.readouterr().err
+    assert not list(tmp_path.glob("*_manifest.json"))
+
+
+def test_verify_prints_check_seconds(tmp_path, monkeypatch, capsys):
+    passing = CheckResult("norm_law", "norm-law", 0.0, 1.0, 0.0, True)
+    monkeypatch.setattr(
+        verify, "run_checks",
+        lambda level: VerificationReport(level, [passing], {"norm_law": 1.25}),
+    )
+    assert main(["verify", "--level", "quick", "--out", str(tmp_path)]) == 0
+    assert "PASS  norm_law: value=0 bound=1 (1.25 s)" in capsys.readouterr().out

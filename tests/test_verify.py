@@ -1,6 +1,6 @@
 import pytest
 
-from zorichlab import preimage
+from zorichlab import preimage, verify
 from zorichlab.verify import (
     FACE_CONFIGS,
     check_boundary_distance,
@@ -77,3 +77,53 @@ class TestRunChecks:
         r = check_slab_distortion(3, 100)
         assert not r.passed
         assert not VerificationReport(level="quick", results=[r]).overall
+
+    # the report order and the arguments of every check, per level
+    EXPECTED = {
+        "full": {
+            "norm_law": (100_000,), "group_invariance": (10_000,),
+            "fiber_transitivity": (500,), "inverse_roundtrip": (10_000,),
+            "cone_level": (10_000,), "face_flatness": (10_000,),
+            "boundary_distance": (10_000,), "separation_gap": (1_000,),
+            "sector_ratio": (1_000,), "width_window": (1_000,), "preimage_disk": (5,),
+            "wall_projection": (10_000,), "slab_distortion": (50, 300),
+            "face_projection_distortion": (10,), "strip_intersection": (1_000,),
+            "area_transport": (20,), "coverage_trend": (5, 10_000_000, 0.95),
+            "density_trend": (16, 20_000, 4),
+        },
+        "quick": {
+            "norm_law": (10_000,), "group_invariance": (1_000,),
+            "fiber_transitivity": (50,), "inverse_roundtrip": (1_000,),
+            "cone_level": (1_000,), "face_flatness": (1_000,),
+            "boundary_distance": (1_000,), "separation_gap": (100,),
+            "sector_ratio": (100,), "width_window": (100,), "preimage_disk": (2,),
+            "wall_projection": (1_000,), "slab_distortion": (5, 100),
+            "face_projection_distortion": (2,), "strip_intersection": (100,),
+            "area_transport": (4,), "coverage_trend": (2, 1_000_000, 0.25),
+            "density_trend": (8, 6_000, 2),
+        },
+    }
+
+    @pytest.mark.parametrize("level", ["quick", "full"])
+    def test_calls_patched_checks_in_order(self, monkeypatch, level):
+        # the checks are looked up at call time, so replacing a module
+        # attribute (as a tracer does) reaches run_checks
+        calls = []
+        for name in self.EXPECTED[level]:
+            def fake(*args, _name=name):
+                calls.append((_name, args))
+                return verify.CheckResult(_name, "claim", 0.0, 1.0, 0.0, True)
+
+            monkeypatch.setattr(verify, f"check_{name}", fake)
+        rep = run_checks(level)
+        assert calls == list(self.EXPECTED[level].items())
+        assert [r.name for r in rep.results] == list(self.EXPECTED[level])
+        assert list(rep.seconds) == list(self.EXPECTED[level])
+
+
+def test_face_measurement_cached_for_transport():
+    verify.measure_face_projection_distortion.cache_clear()
+    verify.check_face_projection_distortion(1)
+    verify.check_area_transport(1)
+    info = verify.measure_face_projection_distortion.cache_info()
+    assert (info.misses, info.hits) == (1, 1)
