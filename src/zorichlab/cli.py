@@ -22,6 +22,7 @@ option and the command exits 2.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from pathlib import Path
 
@@ -35,8 +36,15 @@ from .output import write_csv, write_point_cloud, write_report, write_triangle_s
 from .zorich import zorich, zorich_inverse, zorich_second
 
 
+def _real(text: str) -> float:
+    value = float(text)
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"expected a finite number, not {text!r}")
+    return value
+
+
 def _triple(text: str) -> tuple[float, float, float]:
-    parts = [float(v) for v in text.split(",")]
+    parts = [_real(v) for v in text.split(",")]
     if len(parts) != 3:
         raise argparse.ArgumentTypeError("expected three comma-separated numbers")
     return tuple(parts)
@@ -406,19 +414,19 @@ def build_parser() -> argparse.ArgumentParser:
     common(p, cmd_invert, out_default=None)
 
     p = sub.add_parser("cone", help="export a preimage-cone mesh")
-    p.add_argument("--level", type=float, default=1.0)
+    p.add_argument("--level", type=_real, default=1.0)
     p.add_argument("--m", type=int, default=0)
     p.add_argument("--n", type=int, default=0)
     p.add_argument("--flip", action="store_true")
-    p.add_argument("--t1", type=float, default=None, help="default: vertex height + 0.25")
-    p.add_argument("--t2", type=float, default=None, help="default: vertex height + 2.5")
+    p.add_argument("--t1", type=_real, default=None, help="default: vertex height + 0.25")
+    p.add_argument("--t2", type=_real, default=None, help="default: vertex height + 2.5")
     p.add_argument("--n-height", dest="n_height", type=int, default=48)
     p.add_argument("--n-width", dest="n_width", type=int, default=16)
     common(p, cmd_cone)
 
     def line_flags(p, u2, u3):
-        p.add_argument("--u2", type=float, default=u2, action=_Given)
-        p.add_argument("--u3", type=float, default=u3, action=_Given)
+        p.add_argument("--u2", type=_real, default=u2, action=_Given)
+        p.add_argument("--u3", type=_real, default=u3, action=_Given)
         p.add_argument("--face", default="+x1", choices=density.Y_FACES, action=_Given)
         p.add_argument("--p", type=_triple, default=(0.0, 0.0, 0.0), help="base point")
 
@@ -426,9 +434,9 @@ def build_parser() -> argparse.ArgumentParser:
         line_flags(p, 0.37, 1.3e-4)
         p.add_argument("--direction", type=_triple, default=None, action=_Given,
                        help="raw line direction (for excluded families); replaces --face/--u2/--u3")
-        p.add_argument("--box-r", dest="box_r", type=float, default=density.COVERAGE_BOX)
+        p.add_argument("--box-r", dest="box_r", type=_real, default=density.COVERAGE_BOX)
         p.add_argument("--budget", type=int, default=budget)
-        p.add_argument("--h-max", dest="h_max", type=float, default=None)
+        p.add_argument("--h-max", dest="h_max", type=_real, default=None)
 
     p = sub.add_parser("trace", help="adaptive second-iterate trace of one line")
     trace_flags(p, 100_000)
@@ -441,7 +449,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("density", help="hit-fraction ladder over a patch of lines")
     line_flags(p, 0.4, 0.35)
-    p.add_argument("--delta", type=float, default=0.08)
+    p.add_argument("--delta", type=_real, default=0.08)
     p.add_argument("--grid-n", dest="grid_n", type=int, default=16)
     p.add_argument("--budget", type=int, default=20_000)
     p.add_argument("--rungs", type=int, default=4)
@@ -449,14 +457,14 @@ def build_parser() -> argparse.ArgumentParser:
                    help="index into the countable ball base")
     p.add_argument("--q", type=_triple, default=None, action=_Given,
                    help="explicit ball center; replaces --ball-n")
-    p.add_argument("--ball-r", dest="ball_r", type=float, default=0.25)
+    p.add_argument("--ball-r", dest="ball_r", type=_real, default=0.25)
     common(p, cmd_density, quick=True)
 
     p = sub.add_parser("distortion", help="slab distortion against the product bound")
-    p.add_argument("--t1", type=float, default=0.0)
-    p.add_argument("--t2", type=float, default=1.0)
+    p.add_argument("--t1", type=_real, default=0.0)
+    p.add_argument("--t2", type=_real, default=1.0)
     p.add_argument("--samples", type=int, default=1000)
-    p.add_argument("--radius", type=float, default=distortion.DEFAULT_RADIUS)
+    p.add_argument("--radius", type=_real, default=distortion.DEFAULT_RADIUS)
     p.add_argument("--dirs", type=int, default=distortion.DEFAULT_DIRECTIONS)
     p.add_argument("--grid-n", dest="grid_n", type=int, default=128)
     common(p, cmd_distortion, quick=True)

@@ -7,7 +7,7 @@ the second-iterate image is confined to a plane, a sphere or a bounded set.
 
 The tracer samples the second iterate adaptively: a parameter interval is
 bisected while its image endpoints are further apart than a step bound and
-at least one endpoint lies in the target box.  Intervals whose first-stage
+at least one endpoint lies in the target box.  Intervals whose second
 exponent already exceeds the box scale are skipped.  Everything is
 deterministic for fixed inputs; traces from one run can be marked into
 occupancy grids in any chunking (marking is idempotent and merging is a
@@ -101,11 +101,6 @@ class LineSpec:
     def point_at(self, s) -> np.ndarray:
         s = np.asarray(s, dtype=float)
         return np.asarray(self.p, dtype=float) + np.multiply.outer(s, self.direction())
-
-
-def RawLine(p, d) -> LineSpec:
-    """Line through p with an arbitrary direction (for excluded families)."""
-    return LineSpec(p=p, d=d)
 
 
 @dataclass(frozen=True)
@@ -226,22 +221,6 @@ class TraceResult:
     audit: TraceAudit
 
 
-def _second_stage(line: LineSpec, s, box_r: float):
-    """Evaluate the second iterate along the line, masking overflow.
-
-    Returns (f, zexp, in_box, n_overflow, n_unresolvable): f has NaN rows
-    where the first stage overflows, the second exponent exceeds the cap, or
-    the intermediate phase is beyond float resolution; zexp is the
-    first-stage exponent with +inf on first-stage overflow.
-    """
-    f, zexp, status = second_iterate(line.point_at(s))
-    f[status == UNRESOLVABLE] = np.nan
-    counts = np.bincount(status.ravel(), minlength=4)
-    in_box = (status == OK) & np.all(np.abs(f) <= box_r, axis=-1)
-    return (f, zexp, in_box, int(counts[OVERFLOW_FIRST] + counts[OVERFLOW_SECOND]),
-            int(counts[UNRESOLVABLE]))
-
-
 def default_s_range(line: LineSpec) -> tuple[float, float]:
     """Parameter window mapping onto the first-coordinate window X3_WINDOW.
 
@@ -269,8 +248,8 @@ def adaptive_trace(
 
     Seeds a uniform parameter grid of budget // 3 points, then repeatedly
     bisects intervals whose image endpoints are more than h_max apart and
-    touch the box, skipping intervals whose first-stage exponents both
-    exceed ln(2*box_r) + 1.  Stops at the evaluation budget or after
+    touch the box, skipping intervals whose second exponents both exceed
+    ln(2*box_r) + 1.  Stops at the evaluation budget or after
     MAX_DEPTH bisections; overflow samples are dropped and counted, never
     fatal.
     """
@@ -283,66 +262,52 @@ def adaptive_trace(
     s_lo, s_hi = float(s_range[0]), float(s_range[1])
     if not s_lo < s_hi:
         raise DomainError("adaptive_trace: empty parameter range")
-    n0 = budget // 3
-
     skip_exp = math.log(2.0 * box_r) + 1.0
-    s = np.linspace(s_lo, s_hi, n0)
-    f, zexp, in_box, n_over, n_unres = _second_stage(line, s, box_r)
-    evals = n0
 
-    chunks_s = [s]
-    chunks_f = [f]
-    chunks_box = [in_box]
+    # the sample store, in evaluation order; an interval is a pair (lo, hi)
+    # of store indices.  Pages are touched only as samples are written.
+    s = np.empty(budget)
+    f = np.empty((budget, 3))
+    z3 = np.empty(budget)
+    in_box = np.empty(budget, dtype=bool)
+    status = np.empty(budget, dtype=np.int8)
 
-    left_s, right_s = s[:-1], s[1:]
-    left_f, right_f = f[:-1], f[1:]
-    left_e, right_e = zexp[:-1], zexp[1:]
-    left_b, right_b = in_box[:-1], in_box[1:]
-
-    for _depth in range(MAX_DEPTH):
-        if evals >= budget or len(left_s) == 0:
+    n0 = budget // 3
+    new_s = np.linspace(s_lo, s_hi, n0)
+    lo, hi = np.arange(n0 - 1), np.arange(1, n0)
+    evals = 0
+    for depth in range(MAX_DEPTH + 1):
+        batch = slice(evals, evals + len(new_s))
+        new_f, z3[batch], new_status = second_iterate(line.point_at(new_s))
+        new_f[new_status == UNRESOLVABLE] = np.nan
+        s[batch], f[batch], status[batch] = new_s, new_f, new_status
+        in_box[batch] = (new_status == OK) & np.all(np.abs(new_f) <= box_r, axis=-1)
+        evals = batch.stop
+        if depth == MAX_DEPTH or evals >= budget:
             break
         with np.errstate(over="ignore"):
-            gap = np.linalg.norm(left_f - right_f, axis=-1)
+            gap = np.linalg.norm(f.take(lo, axis=0) - f.take(hi, axis=0), axis=-1)
         gap = np.where(np.isnan(gap), np.inf, gap)
-        width_ok = (right_s - left_s) > 8.0 * np.spacing(np.maximum(np.abs(left_s), np.abs(right_s)))
+        left, right = s[lo], s[hi]
+        width_ok = (right - left) > 8.0 * np.spacing(np.maximum(np.abs(left), np.abs(right)))
         need = (
-            (left_b | right_b)
+            (in_box[lo] | in_box[hi])
             & (gap > h_max)
-            & (np.minimum(left_e, right_e) <= skip_exp)
+            & (np.minimum(z3[lo], z3[hi]) <= skip_exp)
             & width_ok
         )
-        idx = np.flatnonzero(need)
+        idx = np.flatnonzero(need)[: budget - evals]
         if len(idx) == 0:
             break
-        if evals + len(idx) > budget:
-            idx = idx[: budget - evals]
-        mid_s = 0.5 * (left_s[idx] + right_s[idx])
-        mid_f, mid_e, mid_b, o2, u2 = _second_stage(line, mid_s, box_r)
-        evals += len(idx)
-        n_over += o2
-        n_unres += u2
-        chunks_s.append(mid_s)
-        chunks_f.append(mid_f)
-        chunks_box.append(mid_b)
+        new_s = 0.5 * (left[idx] + right[idx])
+        mid = np.arange(evals, evals + len(idx))
         # children of split intervals replace their parents
-        left_s = np.concatenate([left_s[idx], mid_s])
-        right_s = np.concatenate([mid_s, right_s[idx]])
-        left_f = np.concatenate([left_f[idx], mid_f])
-        right_f = np.concatenate([mid_f, right_f[idx]])
-        left_e = np.concatenate([left_e[idx], mid_e])
-        right_e = np.concatenate([mid_e, right_e[idx]])
-        left_b = np.concatenate([left_b[idx], mid_b])
-        right_b = np.concatenate([mid_b, right_b[idx]])
+        lo, hi = np.concatenate([lo[idx], mid]), np.concatenate([mid, hi[idx]])
 
-    s_all = np.concatenate(chunks_s)
-    f_all = np.concatenate(chunks_f)
-    box_all = np.concatenate(chunks_box)
-    order = np.argsort(s_all, kind="stable")
-    s_all, f_all, box_all = s_all[order], f_all[order], box_all[order]
-
-    keep = np.all(np.isfinite(f_all), axis=-1)
-    s_kept, f_kept, box_kept = s_all[keep], f_all[keep], box_all[keep]
+    order = np.argsort(s[:evals], kind="stable")
+    order = order[np.all(np.isfinite(f[:evals]), axis=-1)[order]]
+    s_kept, f_kept, box_kept = s[order], f.take(order, axis=0), in_box[order]
+    counts = np.bincount(status[:evals], minlength=4)
 
     both = box_kept[:-1] & box_kept[1:]
     with np.errstate(over="ignore"):
@@ -351,8 +316,8 @@ def adaptive_trace(
 
     audit = TraceAudit(
         evals=evals,
-        dropped_overflow=n_over,
-        dropped_unresolvable=n_unres,
+        dropped_overflow=int(counts[OVERFLOW_FIRST] + counts[OVERFLOW_SECOND]),
+        dropped_unresolvable=int(counts[UNRESOLVABLE]),
         in_box_points=int(np.count_nonzero(box_kept)),
         pairs_in_box=int(np.count_nonzero(both)),
         cap_hits=cap_hits,
@@ -509,8 +474,8 @@ def epsilon_density(
     exclusions) are skipped and counted, and the patch is rejected as
     degenerate when they exceed MAX_SKIP_FRACTION of the grid.
     """
-    if grid_n < 2:
-        raise DomainError("epsilon_density: grid_n must be >= 2")
+    if grid_n < 2 or rungs < 1:
+        raise DomainError("epsilon_density: need grid_n >= 2 and rungs >= 1")
     out = []
     for r in range(rungs):
         delta = patch.delta / 2.0**r
@@ -567,12 +532,8 @@ def coverage_experiment(
     grid_n: int = COVERAGE_GRID_N,
     budget: int = COVERAGE_BUDGET,
     h_max: float | None = None,
-    shared_grid: VoxelGrid | None = None,
 ) -> list[CoverageRun]:
-    """Trace each line and mark a fresh grid per line; returns per-line runs.
-
-    When shared_grid is given the occupancy is also merged into it.
-    """
+    """Trace each line and mark a fresh grid per line; returns per-line runs."""
     if h_max is None:
         h_max = 2.0 * box_r / grid_n
     runs = []
@@ -580,8 +541,6 @@ def coverage_experiment(
         trace = adaptive_trace(line, box_r, budget, h_max)
         grid = VoxelGrid(box_r, grid_n)
         series = mark_and_coverage(grid, trace.points)
-        if shared_grid is not None:
-            shared_grid.merge(grid)
         runs.append(
             CoverageRun(line=line, series=series, audit=trace.audit, coverage=grid.coverage())
         )

@@ -300,8 +300,8 @@ def test_13_density_coverage(full_verify):
     result = full_verify.results["coverage_trend"]
     start = time.perf_counter()
     excluded = [
-        density.RawLine((0.0, 0.0, 0.3), (1.0, 0.4, 0.0)),   # x3 = p3 plane
-        density.RawLine((0.0, 0.0, 0.0), (0.0, 0.7, 1.4e-4)),  # x1 = p1 plane
+        density.LineSpec(p=(0.0, 0.0, 0.3), d=(1.0, 0.4, 0.0)),   # x3 = p3 plane
+        density.LineSpec(p=(0.0, 0.0, 0.0), d=(0.0, 0.7, 1.4e-4)),  # x1 = p1 plane
     ]
     exc_runs = density.coverage_experiment(excluded, budget=density.COVERAGE_BUDGET)
     exc_cov = [run.coverage for run in exc_runs]

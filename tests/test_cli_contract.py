@@ -154,3 +154,26 @@ def test_verify_prints_check_seconds(tmp_path, monkeypatch, capsys):
     )
     assert main(["verify", "--level", "quick", "--out", str(tmp_path)]) == 0
     assert "PASS  norm_law: value=0 bound=1 (1.25 s)" in capsys.readouterr().out
+
+
+# Non-finite numbers and an empty ladder are validation errors, as flags or keys.
+
+
+@pytest.mark.parametrize(
+    "argv, config, message",
+    [
+        (["trace", "--u2", "nan", "--budget", "3000"], None, "finite"),
+        (["trace", "--p", "nan,0,0", "--budget", "3000"], None, "finite"),
+        (["trace", "--direction", "1,nan,0.001", "--budget", "3000"], None, "finite"),
+        (["coverage", "--box-r", "inf", "--budget", "3000"], None, "finite"),
+        (["density", "--rungs", "0"], None, "rungs"),
+        (["density", "--rungs", "-2"], None, "rungs"),
+        (["coverage", "--budget", "3000"], "box_r=inf\n", "finite"),
+    ],
+)
+def test_non_finite_or_empty_exits_2(tmp_path, capsys, argv, config, message):
+    if config is not None:
+        argv = argv + ["--config", _config(tmp_path, config)]
+    assert main(argv + ["--out", str(tmp_path)]) == 2
+    assert message in capsys.readouterr().err
+    assert not list(tmp_path.glob("*_manifest.json"))

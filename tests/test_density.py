@@ -7,7 +7,6 @@ from zorichlab.density import (
     BallSpec,
     LineSpec,
     PatchSpec,
-    RawLine,
     VoxelGrid,
     YPoint,
     adaptive_trace,
@@ -22,8 +21,8 @@ from zorichlab.density import (
     random_valid_line,
     y_point_valid,
 )
-from zorichlab.density import _second_stage
 from zorichlab.errors import DegenerateError, DomainError
+from zorichlab.zorich import OK, second_iterate
 
 PI = math.pi
 
@@ -188,7 +187,7 @@ class TestAdaptiveTrace:
     def test_horizontal_line_image_bounded(self):
         # a line inside the x3 = p3 plane maps into a bounded set
         p3 = 0.4
-        line = RawLine((0.0, 0.0, p3), (1.0, 0.3, 0.0))
+        line = LineSpec(p=(0.0, 0.0, p3), d=(1.0, 0.3, 0.0))
         trace = adaptive_trace(line, 10.0, 20_000, 0.5)
         bound = math.exp(math.exp(p3))
         with np.errstate(over="ignore"):
@@ -196,12 +195,12 @@ class TestAdaptiveTrace:
         assert np.all(norms <= bound * (1.0 + 1e-12))
 
     def test_coordinate_plane_line_confined(self):
-        line = RawLine((0.0, 0.0, 0.0), (0.0, 0.7, 0.003))
+        line = LineSpec(p=(0.0, 0.0, 0.0), d=(0.0, 0.7, 0.003))
         trace = adaptive_trace(line, 10.0, 20_000, 0.5)
         assert np.all(trace.points[:, 0] == 0.0)
 
     def test_diagonal_line_confined(self):
-        line = RawLine((0.0, 0.0, 0.0), (1.0, 1.0, 0.003))
+        line = LineSpec(p=(0.0, 0.0, 0.0), d=(1.0, 1.0, 0.003))
         trace = adaptive_trace(line, 10.0, 20_000, 0.5)
         np.testing.assert_array_equal(trace.points[:, 0], trace.points[:, 1])
 
@@ -225,17 +224,16 @@ class TestAdaptiveTrace:
         assert np.all(np.isfinite(trace.points))
 
     def test_s_range_default_for_horizontal(self):
-        line = RawLine((0.0, 0.0, 1.0), (1.0, 0.5, 0.0))
+        line = LineSpec(p=(0.0, 0.0, 1.0), d=(1.0, 0.5, 0.0))
         lo, hi = default_s_range(line)
         assert lo < 0 < hi
 
 
 def brute_force_hit(line, ball, budget):
-    box_r = ball.center_norm + ball.radius
     s_lo, s_hi = default_s_range(line)
     s = np.linspace(s_lo, s_hi, budget)
-    f, _, _, _, _ = _second_stage(line, s, box_r)
-    keep = np.all(np.isfinite(f), axis=-1)
+    f, _, status = second_iterate(line.point_at(s))
+    keep = status == OK
     with np.errstate(over="ignore"):
         d = np.linalg.norm(f[keep] - np.asarray(ball.center), axis=-1)
     return bool(np.any(d < ball.radius))
@@ -256,7 +254,7 @@ class TestHitsBall:
 
     def test_unreachable_ball_for_horizontal_line(self):
         p3 = 0.0
-        line = RawLine((0.0, 0.0, p3), (1.0, 0.4, 0.0))
+        line = LineSpec(p=(0.0, 0.0, p3), d=(1.0, 0.4, 0.0))
         # image norms are at most e^(e^0) = e < |q| - delta
         ball = BallSpec((5.0, 0.0, 0.0), 0.5)
         res = hits_ball(line, ball, 10_000)
@@ -350,11 +348,3 @@ class TestCoverageExperiment:
         cov = [c for _, c in runs[0].series]
         assert all(b >= a for a, b in zip(cov, cov[1:]))
         assert 0.0 <= runs[0].coverage <= 1.0
-
-    def test_shared_grid_merges(self):
-        rng = np.random.default_rng(7)
-        from zorichlab.density import COVERAGE_BOX, COVERAGE_GRID_N
-
-        shared = VoxelGrid(COVERAGE_BOX, COVERAGE_GRID_N)
-        runs = coverage_experiment([random_valid_line(rng)], budget=50_000, shared_grid=shared)
-        assert shared.coverage() >= runs[0].coverage - 1e-12

@@ -1,4 +1,5 @@
-"""Property tests for the kernel invariants in zorichlab.zorich.
+"""Property tests for the kernel invariants in zorichlab.zorich and the
+bookkeeping of the adaptive tracer.
 
 Hypothesis runs derandomized, so every run draws the same examples.
 """
@@ -7,6 +8,7 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from zorichlab.density import Y_FACES, LineSpec, YPoint, adaptive_trace
 from zorichlab.zorich import (
     EXP_CAP,
     OK,
@@ -75,3 +77,24 @@ def test_h_extended_unit_norm_and_parity(rows):
     np.testing.assert_allclose(np.linalg.norm(v, axis=-1), 1.0, atol=1e-12, rtol=0)
     parity_sign = (1 - 2 * fold(p[:, 0]).parity) * (1 - 2 * fold(p[:, 1]).parity)
     np.testing.assert_array_equal(np.sign(v[:, 2]), parity_sign)
+
+
+@settings(derandomize=True, database=None, max_examples=40, deadline=None)
+@given(
+    st.sampled_from(Y_FACES),
+    st.floats(0.05, 0.95, exclude_min=True, exclude_max=True),
+    st.sampled_from([-1.0, 1.0]),
+    st.floats(3e-5, 1.0),
+    st.floats(1.0, 12.0),
+    st.floats(0.03, 1.0),
+    st.integers(1000, 20_000),
+)
+def test_trace_bookkeeping(face, u2, sign, u3, box_r, h_max, budget):
+    trace = adaptive_trace(LineSpec(YPoint(face, sign * u2, u3)), box_r, budget, h_max)
+    a = trace.audit
+    assert a.evals <= budget
+    assert len(trace.s) == a.evals - a.dropped_overflow - a.dropped_unresolvable
+    assert np.all(np.diff(trace.s) >= 0.0)
+    assert np.all(np.isfinite(trace.points))
+    np.testing.assert_array_equal(trace.in_box, np.all(np.abs(trace.points) <= box_r, axis=-1))
+    assert a.in_box_points == np.count_nonzero(trace.in_box)
