@@ -12,7 +12,8 @@ the flag's own, the switches (``flip``, ``quick``) take ``true`` or ``false``,
 and a flag on the command line still wins.  A key that names no argument of
 the command is a validation error, and so is a value given (as a flag or a
 key) for an argument that another given argument replaces: ``direction``
-replaces ``face``, ``u2`` and ``u3``; ``q`` replaces ``ball_n``.
+replaces ``face``, ``u2`` and ``u3``; ``q`` replaces ``ball_n``.  So is
+``ball_r`` without ``q``: it is the radius of the explicit ball only.
 
 A value that starts with ``-`` must be joined to its flag with ``=``
 (``--x=-1,0,0``, ``--face=-x1``); as a separate word argparse reads it as an
@@ -73,6 +74,8 @@ def read_config(path) -> dict:
 
 # an argument that replaces others, and the arguments it replaces
 _REPLACES = {"direction": ("face", "u2", "u3"), "q": ("ball_n",)}
+# an argument that acts only together with another
+_NEEDS = {"ball_r": "q"}
 
 
 class _Given(argparse.Action):
@@ -83,12 +86,19 @@ class _Given(argparse.Action):
         namespace.given = getattr(namespace, "given", frozenset()) | {self.dest}
 
 
-def _check_replaced(given) -> None:
+def _flag(name) -> str:
+    return "--" + name.replace("_", "-")
+
+
+def _check_given(given) -> None:
     for key, replaced in _REPLACES.items():
         clash = [name for name in replaced if name in given]
         if key in given and clash:
-            flags = ", ".join("--" + name.replace("_", "-") for name in clash)
-            raise DomainError(f"--{key} replaces {flags}; give one or the other")
+            flags = ", ".join(_flag(name) for name in clash)
+            raise DomainError(f"{_flag(key)} replaces {flags}; give one or the other")
+    for key, needed in _NEEDS.items():
+        if key in given and needed not in given:
+            raise DomainError(f"{_flag(key)} needs {_flag(needed)}")
 
 
 class _Parser(argparse.ArgumentParser):
@@ -457,7 +467,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="index into the countable ball base")
     p.add_argument("--q", type=_triple, default=None, action=_Given,
                    help="explicit ball center; replaces --ball-n")
-    p.add_argument("--ball-r", dest="ball_r", type=_real, default=0.25)
+    p.add_argument("--ball-r", dest="ball_r", type=_real, default=0.25, action=_Given,
+                   help="radius of the --q ball; needs --q")
     common(p, cmd_density, quick=True)
 
     p = sub.add_parser("distortion", help="slab distortion against the product bound")
@@ -484,7 +495,7 @@ def main(argv=None) -> int:
         if config:
             _apply_config(args.parser, args.command, config)
             args = parser.parse_args(argv)
-        _check_replaced(set(config) | getattr(args, "given", frozenset()))
+        _check_given(set(config) | getattr(args, "given", frozenset()))
         return args.func(args)
     except (DomainError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -8,10 +8,12 @@ the second-iterate image is confined to a plane, a sphere or a bounded set.
 The tracer samples the second iterate adaptively: a parameter interval is
 bisected while its image endpoints are further apart than a step bound and
 at least one endpoint lies in the target box.  Intervals whose second
-exponent already exceeds the box scale are skipped.  Everything is
-deterministic for fixed inputs; traces from one run can be marked into
-occupancy grids in any chunking (marking is idempotent and merging is a
-bitwise union).
+exponent already exceeds the box scale are skipped.  The lines of a density
+rung are traced together, in groups of at most _GROUP_SAMPLES samples of
+budget, with one kernel call per depth for the group; each line's trace is
+bit-identical to tracing it alone, so the outputs are unchanged.
+Everything is deterministic for fixed inputs; traces from one run can be
+marked into occupancy grids in any chunking (marking is idempotent).
 """
 
 from __future__ import annotations
@@ -28,6 +30,7 @@ Y_FACES = ("+x1", "-x1", "+x2", "-x2")
 
 _CHECKPOINT_BASE = 1000
 _BALL_CHUNK = 1 << 21  # ball centres generated per chunk of a dyadic stage
+_GROUP_SAMPLES = 1 << 17  # combined budget of the lines one group traces together
 # first-stage x3 window of a traced line: exp(27) ~ 5e11 < zorich.PHASE_CAP
 X3_WINDOW = (-1.0, 27.0)
 MAX_DEPTH = 48  # bisection depths of adaptive_trace
@@ -253,61 +256,156 @@ def adaptive_trace(
     MAX_DEPTH bisections; overflow samples are dropped and counted, never
     fatal.
     """
+    return next(_trace_lines([line], box_r, budget, h_max, [s_range]))
+
+
+def _trace_lines(lines, box_r: float, budget: int, h_max: float, s_ranges=None):
+    """adaptive_trace of each line (s_ranges: one range or None per line), in input order.
+
+    Lines are traced together in groups of at most _GROUP_SAMPLES // budget
+    lines (a larger budget traces alone); every result is bit-identical to
+    tracing its line alone.
+    """
     if budget < 1000:
         raise DomainError("adaptive_trace: budget must be >= 1000")
     if not (h_max > 0.0 and box_r > 0.0):
         raise DomainError("adaptive_trace: box_r and h_max must be positive")
-    if s_range is None:
-        s_range = default_s_range(line)
-    s_lo, s_hi = float(s_range[0]), float(s_range[1])
-    if not s_lo < s_hi:
+    ranges = [
+        default_s_range(line) if s_range is None else (float(s_range[0]), float(s_range[1]))
+        for line, s_range in zip(lines, s_ranges or [None] * len(lines), strict=True)
+    ]
+    if not all(s_lo < s_hi for s_lo, s_hi in ranges):
         raise DomainError("adaptive_trace: empty parameter range")
-    skip_exp = math.log(2.0 * box_r) + 1.0
+    per_group = max(1, _GROUP_SAMPLES // budget)
+    for first in range(0, len(lines), per_group):
+        group = slice(first, first + per_group)
+        yield from _trace_group(lines[group], ranges[group], box_r, budget, h_max)
 
-    # the sample store, in evaluation order; an interval is a pair (lo, hi)
-    # of store indices.  Pages are touched only as samples are written.
-    s = np.empty(budget)
-    f = np.empty((budget, 3))
-    z3 = np.empty(budget)
-    in_box = np.empty(budget, dtype=bool)
-    status = np.empty(budget, dtype=np.int8)
 
+def _trace_group(lines, ranges, box_r, budget, h_max):
+    """The tracer of adaptive_trace, run on a group of lines at once.
+
+    Each line's seed grid and its first bisection test run line by line;
+    every later depth evaluates the midpoints of all the group's lines in one
+    second_iterate call.  Intervals are kept grouped by line, each line's in
+    the order a lone trace of it keeps them, so the budget truncation takes
+    the same intervals: a line keeps its first budget - evals needed ones.
+    """
+    n = len(lines)
     n0 = budget // 3
-    new_s = np.linspace(s_lo, s_hi, n0)
-    lo, hi = np.arange(n0 - 1), np.arange(1, n0)
-    evals = 0
-    for depth in range(MAX_DEPTH + 1):
-        batch = slice(evals, evals + len(new_s))
-        new_f, z3[batch], new_status = second_iterate(line.point_at(new_s))
+    skip_exp = math.log(2.0 * box_r) + 1.0
+    # the sample store, in evaluation order: the seed grids line by line,
+    # then one block of midpoints per depth.  An interval is a pair (lo, hi)
+    # of store rows.  The store starts with room for the seeds plus one
+    # line's budget and grows on demand (one line never needs to); pages are
+    # touched only as samples are written.  `low` marks a second exponent
+    # z3 <= skip_exp: z3 is never NaN (+inf after a first-stage overflow), so
+    # min(z3[lo], z3[hi]) <= skip_exp is low[lo] | low[hi].
+    size = min(n * budget, n * n0 + budget)
+    s, f = np.empty(size), np.empty((size, 3))
+    low, in_box = np.empty(size, dtype=bool), np.empty(size, dtype=bool)
+    status = np.empty(size, dtype=np.int8)
+
+    def store(batch, new_s, new_f, new_z3, new_status):
         new_f[new_status == UNRESOLVABLE] = np.nan
         s[batch], f[batch], status[batch] = new_s, new_f, new_status
+        low[batch] = new_z3 <= skip_exp
         in_box[batch] = (new_status == OK) & np.all(np.abs(new_f) <= box_r, axis=-1)
-        evals = batch.stop
-        if depth == MAX_DEPTH or evals >= budget:
-            break
+
+    def needs_split(lo, hi):
         with np.errstate(over="ignore"):
             gap = np.linalg.norm(f.take(lo, axis=0) - f.take(hi, axis=0), axis=-1)
-        gap = np.where(np.isnan(gap), np.inf, gap)
         left, right = s[lo], s[hi]
         width_ok = (right - left) > 8.0 * np.spacing(np.maximum(np.abs(left), np.abs(right)))
-        need = (
+        return (
             (in_box[lo] | in_box[hi])
-            & (gap > h_max)
-            & (np.minimum(z3[lo], z3[hi]) <= skip_exp)
+            & ~(gap <= h_max)  # a NaN gap counts as too wide
+            & (low[lo] | low[hi])
             & width_ok
         )
-        idx = np.flatnonzero(need)[: budget - evals]
-        if len(idx) == 0:
-            break
-        new_s = 0.5 * (left[idx] + right[idx])
-        mid = np.arange(evals, evals + len(idx))
-        # children of split intervals replace their parents
-        lo, hi = np.concatenate([lo[idx], mid]), np.concatenate([mid, hi[idx]])
 
-    order = np.argsort(s[:evals], kind="stable")
-    order = order[np.all(np.isfinite(f[:evals]), axis=-1)[order]]
+    # depth 0, line by line: the seed grid and the intervals it splits
+    split = []
+    for k, (line, (s_lo, s_hi)) in enumerate(zip(lines, ranges)):
+        seed_s = np.linspace(s_lo, s_hi, n0)
+        batch = slice(k * n0, (k + 1) * n0)
+        new_f, new_z3, new_status = second_iterate(line.point_at(seed_s))
+        store(batch, seed_s, new_f, new_z3, new_status)
+        lo = np.arange(k * n0, (k + 1) * n0 - 1)
+        split.append(lo[np.flatnonzero(needs_split(lo, lo + 1))[: budget - n0]])
+    lo = np.concatenate(split)
+    hi = lo + 1
+    counts = np.array([len(c) for c in split])
+    evals = np.full(n, n0)
+    runs = [[(k * n0, (k + 1) * n0)] for k in range(n)]  # each line's store rows
+    total = n * n0
+    p = np.array([line.p for line in lines], dtype=float)
+    d = np.array([line.direction() for line in lines])
+
+    for depth in range(1, MAX_DEPTH + 1):
+        if len(lo) == 0:
+            break
+        if total + len(lo) > len(s):
+            size = min(n * budget, max(total + len(lo), 2 * len(s)))
+            s, f, low, in_box, status = (_grown(a, total, size) for a in (s, f, low, in_box, status))
+        edges = [0, *np.cumsum(counts).tolist()]
+        spans = list(zip(edges, edges[1:]))  # line k splits lo[a:b], hi[a:b]
+        new_s = 0.5 * (s[lo] + s[hi])
+        mid = np.arange(total, total + len(lo))
+        x = np.empty((len(lo), 3))
+        for k, (a, b) in enumerate(spans):
+            if b > a:
+                # lines[k].point_at(new_s[a:b]), bit for bit
+                np.add(p[k], np.multiply.outer(new_s[a:b], d[k]), out=x[a:b])
+                runs[k].append((total + a, total + b))
+        evals += counts
+        # children replace their parents line by line, left halves first; a
+        # line that spends its budget at this depth is done
+        spans = [(a, b) if evals[k] < budget else (a, a) for k, (a, b) in enumerate(spans)]
+        lo = np.concatenate([c for a, b in spans for c in (lo[a:b], mid[a:b])])
+        hi = np.concatenate([c for a, b in spans for c in (mid[a:b], hi[a:b])])
+        # the kernel's outputs stay bound until the next depth: freed at once,
+        # the allocator returned the heap top and each depth faulted the
+        # kernel's temporaries in again (+30% page faults on a 10^6 trace)
+        batch = slice(total, total + len(mid))
+        new_f, new_z3, new_status = second_iterate(x)
+        store(batch, new_s, new_f, new_z3, new_status)
+        total += len(mid)
+        if depth == MAX_DEPTH:
+            break
+        idx = np.flatnonzero(needs_split(lo, hi))
+        # the needed children of line k are idx[cut[k]:cut[k+1]]
+        cut = np.searchsorted(idx, np.cumsum([0] + [2 * (b - a) for a, b in spans]))
+        counts = np.minimum(np.diff(cut), budget - evals)
+        if np.any(counts < np.diff(cut)):
+            idx = np.concatenate([idx[c : c + m] for c, m in zip(cut, counts)])
+        lo, hi = lo[idx], hi[idx]
+
+    for k in range(n):
+        rows = _rows(runs[k])
+        yield _finish(s[rows], f[rows], in_box[rows], status[rows], h_max)
+
+
+def _grown(a: np.ndarray, used: int, size: int) -> np.ndarray:
+    """A copy of a's first `used` rows with room for `size` rows."""
+    out = np.empty((size, *a.shape[1:]), dtype=a.dtype)
+    out[:used] = a[:used]
+    return out
+
+
+def _rows(runs):
+    """Store rows of (start, stop) runs in order: a slice when they join up."""
+    if all(stop == start for (_, stop), (start, _) in zip(runs, runs[1:])):
+        return slice(runs[0][0], runs[-1][1])
+    return np.concatenate([np.arange(a, b) for a, b in runs])
+
+
+def _finish(s, f, in_box, status, h_max) -> TraceResult:
+    """The TraceResult of one line's samples, given in evaluation order."""
+    order = np.argsort(s, kind="stable")
+    order = order[np.all(np.isfinite(f), axis=-1)[order]]
     s_kept, f_kept, box_kept = s[order], f.take(order, axis=0), in_box[order]
-    counts = np.bincount(status[:evals], minlength=4)
+    counts = np.bincount(status, minlength=4)
 
     both = box_kept[:-1] & box_kept[1:]
     with np.errstate(over="ignore"):
@@ -315,7 +413,7 @@ def adaptive_trace(
     cap_hits = int(np.count_nonzero(both & (pair_gap > h_max * (1 + 1e-9))))
 
     audit = TraceAudit(
-        evals=evals,
+        evals=len(s),
         dropped_overflow=int(counts[OVERFLOW_FIRST] + counts[OVERFLOW_SECOND]),
         dropped_unresolvable=int(counts[UNRESOLVABLE]),
         in_box_points=int(np.count_nonzero(box_kept)),
@@ -376,11 +474,6 @@ class VoxelGrid:
         total = int(np.count_nonzero(active))
         return float(np.count_nonzero(self.occupancy & active)) / total if total else 0.0
 
-    def merge(self, other: "VoxelGrid") -> None:
-        if (other.n, other.half_extent) != (self.n, self.half_extent):
-            raise DomainError("VoxelGrid.merge: incompatible grids")
-        self.occupancy |= other.occupancy
-
 
 def mark_and_coverage(grid: VoxelGrid, points) -> list[tuple[int, float]]:
     """Mark a point stream and report coverage at geometric checkpoints.
@@ -423,7 +516,11 @@ def hits_ball(line: LineSpec, ball: BallSpec, budget: int, *,
     The trace step bound is the ball radius.
     """
     box_r = ball.center_norm + ball.radius
-    trace = adaptive_trace(line, box_r, budget, ball.radius, s_range=s_range)
+    return _hit(adaptive_trace(line, box_r, budget, ball.radius, s_range=s_range), ball)
+
+
+def _hit(trace: TraceResult, ball: BallSpec) -> HitResult:
+    """The trace point nearest the ball centre, a hit when inside the ball."""
     if len(trace.points) == 0:
         return HitResult(False, None, math.inf, trace.audit.evals)
     with np.errstate(over="ignore"):
@@ -470,12 +567,14 @@ def epsilon_density(
     """Hit fractions over a shrinking ladder of patch sizes.
 
     For each rung delta, delta/2, ... a grid_n x grid_n grid of crossings in
-    E_delta is traced against the ball; invalid crossings (the measure-zero
-    exclusions) are skipped and counted, and the patch is rejected as
-    degenerate when they exceed MAX_SKIP_FRACTION of the grid.
+    E_delta is traced against the ball, as hits_ball would trace each line
+    but in groups of lines; invalid crossings (the measure-zero exclusions)
+    are skipped and counted, and the patch is rejected as degenerate when
+    they exceed MAX_SKIP_FRACTION of the grid.
     """
     if grid_n < 2 or rungs < 1:
         raise DomainError("epsilon_density: need grid_n >= 2 and rungs >= 1")
+    box_r = ball.center_norm + ball.radius
     out = []
     for r in range(rungs):
         delta = patch.delta / 2.0**r
@@ -486,8 +585,9 @@ def epsilon_density(
             raise DegenerateError(
                 f"epsilon_density: {skipped} of {grid_n * grid_n} crossings hit the exclusions"
             )
-        hits = sum(hits_ball(LineSpec(a, tuple(p)), ball, budget_per_line).hit
-                   for a in valid_pts)
+        lines = [LineSpec(a, tuple(p)) for a in valid_pts]
+        traces = _trace_lines(lines, box_r, budget_per_line, ball.radius)
+        hits = sum(_hit(trace, ball).hit for trace in traces)
         out.append(
             DensityRung(
                 delta=delta,

@@ -187,6 +187,8 @@ def verify_slab_bound(slab: Slab, n_samples: int = 1000, *, lam: float | None = 
         raise DomainError("verify_slab_bound: slab gap above 20 is not sane to probe")
     if n_samples < 1:
         raise DomainError("verify_slab_bound: need samples")
+    if not (radius > 0.0 and math.isfinite(radius)):
+        raise DomainError("verify_slab_bound: radius must be positive and finite")
     if lam is None:
         lam = lambda_h_estimate()
     pts = sample_slab(slab, n_samples, seed, radius)

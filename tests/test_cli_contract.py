@@ -146,6 +146,35 @@ def test_replaced_argument_exits_2(tmp_path, capsys, argv, config):
     assert not list(tmp_path.glob("*_manifest.json"))
 
 
+# --ball-r is the radius of the explicit --q ball and acts only with it.
+
+RUNG = ["density", "--grid-n", "2", "--budget", "1000", "--rungs", "1"]
+
+
+@pytest.mark.parametrize(
+    "argv, config",
+    [(RUNG + ["--ball-r", "0"], None), (RUNG + ["--ball-r", "0.3"], None), (RUNG, "ball_r=0.3\n")],
+)
+def test_ball_radius_without_centre_exits_2(tmp_path, capsys, argv, config):
+    if config is not None:
+        argv = argv + ["--config", _config(tmp_path, config)]
+    assert main(argv + ["--out", str(tmp_path)]) == 2
+    assert "--ball-r needs --q" in capsys.readouterr().err
+    assert not list(tmp_path.glob("*_manifest.json"))
+
+
+def test_ball_radius_with_centre(tmp_path):
+    assert main(RUNG + ["--q", "2,0,0", "--ball-r", "0.3", "--out", str(tmp_path)]) == 0
+    assert _parameters(tmp_path, "density")["ball"] == {"center": [2.0, 0.0, 0.0], "radius": 0.3}
+
+
+def test_distortion_zero_radius_exits_2(tmp_path, capsys):
+    argv = ["distortion", "--radius", "0", "--samples", "10", "--grid-n", "64"]
+    assert main(argv + ["--out", str(tmp_path)]) == 2
+    assert "radius" in capsys.readouterr().err
+    assert not (tmp_path / "distortion_report.txt").exists()
+
+
 def test_verify_prints_check_seconds(tmp_path, monkeypatch, capsys):
     passing = CheckResult("norm_law", "norm-law", 0.0, 1.0, 0.0, True)
     monkeypatch.setattr(

@@ -122,16 +122,6 @@ class TestVoxelGrid:
         grid.mark(centers)
         assert grid.coverage() == 1.0
 
-    def test_merge(self):
-        a = VoxelGrid(10.0, 16)
-        b = VoxelGrid(10.0, 16)
-        a.mark([(5.0, 5.0, 5.0)])
-        b.mark([(-5.0, -5.0, -5.0)])
-        a.merge(b)
-        assert np.count_nonzero(a.occupancy) == 2
-        with pytest.raises(DomainError):
-            a.merge(VoxelGrid(10.0, 32))
-
 
 class TestMarkAndCoverage:
     def test_empty_stream(self):
@@ -167,8 +157,7 @@ class TestMarkAndCoverage:
         n = len(trace.points) // 2
         half1.mark(trace.points[:n])
         half2.mark(trace.points[n:])
-        half1.merge(half2)
-        np.testing.assert_array_equal(half1.occupancy, full.occupancy)
+        np.testing.assert_array_equal(half1.occupancy | half2.occupancy, full.occupancy)
 
 
 class TestAdaptiveTrace:
@@ -315,6 +304,18 @@ class TestEpsilonDensity:
         for r in rungs:
             assert 0.0 <= r.fraction <= 1.0
             assert r.valid + r.skipped == 16
+
+    def test_rung_hits_match_hits_ball(self):
+        # the rung traces its lines together; each line's hit is the one
+        # hits_ball finds tracing it alone
+        ball = base_sequence(1)
+        patch = PatchSpec(YPoint("+x1", 0.4, 0.35), 0.04)
+        rungs = epsilon_density(patch, ball, grid_n=4, budget_per_line=6000, rungs=2)
+        for r in rungs:
+            lines = [LineSpec(a) for a in patch_grid(patch, r.delta, 4) if y_point_valid(a)]
+            assert r.valid == len(lines)
+            assert r.hits == sum(hits_ball(line, ball, 6000).hit for line in lines)
+        assert 0 < sum(r.hits for r in rungs) < sum(r.valid for r in rungs)
 
     def test_degenerate_patch_rejected(self):
         # a binary-fraction grid hitting u2 = 0 exactly trips the skip cap

@@ -157,6 +157,11 @@ class TestSlabBound:
             rep = verify_slab_bound(Slab(t1, t1 + gap), 150, lam=lam, seed=100 + k)
             assert rep.passed, rep
 
+    @pytest.mark.parametrize("radius", [0.0, -1e-6, math.nan, math.inf])
+    def test_bad_radius_rejected(self, radius):
+        with pytest.raises(DomainError, match="radius"):
+            verify_slab_bound(Slab(0.0, 1.0), 10, lam=1.0, radius=radius)
+
     def test_sample_respects_branch_margin(self):
         pts = sample_slab(Slab(-1.0, 1.0), 500, seed=17, radius=1e-5)
         assert np.all(branch_distance(pts) > 1e-4)
