@@ -12,7 +12,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import NamedTuple
 
 import numpy as np
 
@@ -29,11 +28,6 @@ BRANCH_MARGIN_FACTOR = 10.0
 CHART_RADIUS = 1e-6
 # grid-counting slack: lam is inflated by this fraction in the transport check
 AREA_INFLATE = 0.02
-
-
-class LipschitzSample(NamedTuple):
-    upper: float
-    lower: float
 
 
 @dataclass(frozen=True)
@@ -70,10 +64,6 @@ def sphere_directions(n: int) -> np.ndarray:
     return np.column_stack([r * np.cos(theta), r * np.sin(theta), z])
 
 
-def circle_directions(n: int) -> np.ndarray:
-    return plane_directions(n, (1.0, 0.0), (0.0, 1.0))
-
-
 def plane_directions(n: int, e1, e2) -> np.ndarray:
     """Unit directions inside the plane spanned by orthonormal e1, e2."""
     ang = 2.0 * math.pi * (np.arange(n) + 0.5) / n
@@ -85,32 +75,24 @@ def plane_directions(n: int, e1, e2) -> np.ndarray:
 def _directions_for(x, n_dirs, directions):
     if directions is None:
         dim = np.asarray(x).shape[-1]
-        directions = sphere_directions(n_dirs) if dim == 3 else circle_directions(n_dirs)
+        directions = (sphere_directions(n_dirs) if dim == 3
+                      else plane_directions(n_dirs, (1.0, 0.0), (0.0, 1.0)))
     directions = np.asarray(directions, dtype=float)
     if len(directions) < 32:
-        raise DomainError("pointwise_lipschitz: need at least 32 directions")
+        raise DomainError("relative_distortion: need at least 32 directions")
     return directions
-
-
-def pointwise_lipschitz(f, x, radius: float, n_dirs: int = DEFAULT_DIRECTIONS,
-                        directions=None) -> LipschitzSample:
-    """Max/min difference quotient of f over a deterministic direction set.
-
-    upper/lower approximate the pointwise Lipschitz constants at x from
-    probes at distance `radius`.  Callers probing the exponential map should
-    keep x at branch distance > 10*radius; the limits exist on the branch
-    set too, but finite differences are noisy there.
-    """
-    if not radius > 0.0:
-        raise DomainError("pointwise_lipschitz: radius must be positive")
-    est = relative_distortion(f, np.asarray(x, dtype=float)[None, :], radius, n_dirs, directions)
-    return LipschitzSample(upper=est.sup_upper, lower=est.inf_lower)
 
 
 def relative_distortion(f, points, radius: float = DEFAULT_RADIUS,
                         n_dirs: int = DEFAULT_DIRECTIONS,
                         directions=None) -> DistortionEstimate:
-    """sup of upper constants over inf of lower constants on the sample set."""
+    """sup of upper constants over inf of lower constants on the sample set.
+
+    At one point these are the pointwise Lipschitz constants, probed at
+    distance `radius`; keep the points at branch distance > 10*radius.
+    """
+    if not radius > 0.0:
+        raise DomainError("relative_distortion: radius must be positive")
     points = np.atleast_2d(np.asarray(points, dtype=float))
     if len(points) == 0:
         raise DomainError("relative_distortion: need at least one sample point")

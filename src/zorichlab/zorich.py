@@ -68,7 +68,8 @@ class Beam(NamedTuple):
 def _fold_arrays(t):
     """Vectorized fold: returns (folded, strip, (-1)**strip) as float arrays."""
     q = np.floor((t + HALF_PI) / math.pi)
-    sign = 1.0 - 2.0 * np.mod(q, 2.0)
+    # q mod 2, exactly (q is an integer) and several times faster than np.mod
+    sign = 1.0 - 2.0 * (q - 2.0 * np.floor(0.5 * q))
     return (t - q * math.pi) * sign, q, sign
 
 
@@ -96,12 +97,16 @@ def unfold(folded, strip):
     return strip * math.pi + (1 - 2 * np.mod(strip, 2)) * folded
 
 
-def _chart(x1, x2, m):
-    """Coordinates of h_square at points of the base square, m = max(|x1|, |x2|)."""
+def _chart(x1, x2, m, sign):
+    """h_square at base-square points, m = max(|x1|, |x2|), third coordinate times sign."""
     r = np.hypot(x1, x2)
     safe_r = np.where(r > 0.0, r, 1.0)
     scale = np.where(r > 0.0, np.sin(m) / safe_r, 0.0)
-    return x1 * scale, x2 * scale, np.cos(m)
+    out = np.empty(np.shape(m) + (3,))
+    np.multiply(x1, scale, out=out[..., 0])
+    np.multiply(x2, scale, out=out[..., 1])
+    np.multiply(np.cos(m), sign, out=out[..., 2])
+    return out
 
 
 def h_square(p):
@@ -116,7 +121,7 @@ def h_square(p):
     m = np.maximum(np.abs(x1), np.abs(x2))
     if np.any(m > HALF_PI + _SQUARE_TOL):
         raise DomainError("h_square: point outside the base square")
-    return np.stack(_chart(x1, x2, m), axis=-1)
+    return _chart(x1, x2, m, 1.0)
 
 
 def h_extended(p):
@@ -131,15 +136,27 @@ def h_extended(p):
     p = np.asarray(p, dtype=float)
     a, _, sign_a = _fold_arrays(p[..., 0])
     b, _, sign_b = _fold_arrays(p[..., 1])
+    # not clip(out=a): a is a numpy scalar for one point
     a = np.clip(a, -HALF_PI, HALF_PI)
     b = np.clip(b, -HALF_PI, HALF_PI)
-    v1, v2, v3 = _chart(a, b, np.maximum(np.abs(a), np.abs(b)))
-    return np.stack([v1, v2, v3 * (sign_a * sign_b)], axis=-1)
+    return _chart(a, b, np.maximum(np.abs(a), np.abs(b)), sign_a * sign_b)
 
 
 def _lift(x):
     """exp(x3) * h_extended(x1, x2), for x3 already checked against EXP_CAP."""
-    return np.exp(x[..., 2])[..., None] * h_extended(x[..., :2])
+    out = h_extended(x[..., :2])
+    out *= np.exp(x[..., 2])[..., None]
+    return out
+
+
+def _lift_where(x, ok):
+    """_lift where ok holds, NaN elsewhere; masked copies only when some point fails."""
+    if ok.size and ok.all():  # an empty batch makes no h_extended call
+        return _lift(x)
+    out = np.full(x.shape, np.nan)
+    if np.any(ok):
+        out[ok] = _lift(x[ok])
+    return out
 
 
 def zorich(x):
@@ -166,17 +183,15 @@ def second_iterate(x):
     """
     x = np.asarray(x, dtype=float)
     ok1 = x[..., 2] <= EXP_CAP
-    z = np.full(x.shape, np.nan)
-    if np.any(ok1):
-        z[ok1] = _lift(x[ok1])
+    z = _lift_where(x, ok1)
     z3 = np.where(ok1, z[..., 2], np.inf)
     ok2 = z3 <= EXP_CAP
-    f = np.full(x.shape, np.nan)
-    if np.any(ok2):
-        f[ok2] = _lift(z[ok2])
-    phase_ok = np.max(np.abs(z[..., :2]), axis=-1) <= PHASE_CAP
-    status = np.select(
-        [~ok1, ~ok2, ~phase_ok], [OVERFLOW_FIRST, OVERFLOW_SECOND, UNRESOLVABLE], OK
+    f = _lift_where(z, ok2)
+    phase_ok = np.maximum(np.abs(z[..., 0]), np.abs(z[..., 1])) <= PHASE_CAP
+    status = np.where(
+        ok1,
+        np.where(ok2, np.where(phase_ok, OK, UNRESOLVABLE), OVERFLOW_SECOND),
+        OVERFLOW_FIRST,
     )
     return f, z3, status
 

@@ -5,11 +5,9 @@ import pytest
 
 from zorichlab.distortion import (
     Slab,
-    circle_directions,
     grid_count_measures,
     lambda_h_estimate,
     plane_directions,
-    pointwise_lipschitz,
     relative_distortion,
     sample_slab,
     sphere_directions,
@@ -32,7 +30,7 @@ class TestDirections:
         assert np.max(np.abs(d.mean(axis=0))) < 0.02
 
     def test_circle(self):
-        d = circle_directions(64)
+        d = plane_directions(64, (1.0, 0.0), (0.0, 1.0))
         np.testing.assert_allclose(np.linalg.norm(d, axis=-1), 1.0, atol=1e-12)
 
     def test_plane(self):
@@ -45,32 +43,39 @@ class TestDirections:
 
 
 class TestPointwiseLipschitz:
+    # relative_distortion at one point: sup_upper and inf_lower are the
+    # pointwise Lipschitz constants there
     def test_identity(self):
         # x + radius*v rounds into the ulp scale of x, so the quotients are
         # exact only to ulp(|x|)/radius
-        s = pointwise_lipschitz(lambda x: x, np.array([1.0, 2.0, 3.0]), 1e-5)
-        assert s.upper == pytest.approx(1.0, rel=1e-9)
-        assert s.lower == pytest.approx(1.0, rel=1e-9)
+        est = relative_distortion(lambda x: x, np.array([1.0, 2.0, 3.0])[None], 1e-5)
+        assert est.sup_upper == pytest.approx(1.0, rel=1e-9)
+        assert est.inf_lower == pytest.approx(1.0, rel=1e-9)
 
     def test_scaling(self):
-        s = pointwise_lipschitz(lambda x: 3.0 * x, np.array([0.2, -0.4, 1.0]), 1e-4)
-        assert s.upper == pytest.approx(3.0, rel=1e-9)
-        assert s.lower == pytest.approx(3.0, rel=1e-9)
+        est = relative_distortion(lambda x: 3.0 * x, np.array([0.2, -0.4, 1.0])[None], 1e-4)
+        assert est.sup_upper == pytest.approx(3.0, rel=1e-9)
+        assert est.inf_lower == pytest.approx(3.0, rel=1e-9)
 
     def test_map_at_origin_bracketed_by_lambda(self):
         lam = lambda_h_estimate(64)
-        s = pointwise_lipschitz(zorich, np.array([0.0, 0.0, 0.0]), 1e-5)
-        assert s.lower >= 1.0 / lam
-        assert s.upper <= lam * math.exp(1e-5)
+        est = relative_distortion(zorich, np.array([0.0, 0.0, 0.0])[None], 1e-5)
+        assert est.inf_lower >= 1.0 / lam
+        assert est.sup_upper <= lam * math.exp(1e-5)
 
     def test_constant_map_degenerate(self):
         with pytest.raises(DegenerateError):
-            pointwise_lipschitz(lambda x: np.zeros(np.shape(x)[:-1] + (3,)) + 1.0,
-                                np.array([0.0, 0.0, 0.0]), 1e-5)
+            relative_distortion(lambda x: np.zeros(np.shape(x)[:-1] + (3,)) + 1.0,
+                                np.array([0.0, 0.0, 0.0])[None], 1e-5)
 
     def test_too_few_directions(self):
         with pytest.raises(DomainError):
-            pointwise_lipschitz(lambda x: x, np.array([0.0, 0.0, 0.0]), 1e-5, n_dirs=16)
+            relative_distortion(lambda x: x, np.array([0.0, 0.0, 0.0])[None], 1e-5, n_dirs=16)
+
+    @pytest.mark.parametrize("radius", [0.0, -1e-5])
+    def test_radius_must_be_positive(self, radius):
+        with pytest.raises(DomainError):
+            relative_distortion(lambda x: x, np.array([0.0, 0.0, 0.0])[None], radius)
 
     def test_refinement_convergence_away_from_branch(self):
         rng = np.random.default_rng(41)
@@ -79,10 +84,10 @@ class TestPointwiseLipschitz:
         )
         pts = pts[branch_distance(pts) > 1e-3][:20]
         for x in pts:
-            a = pointwise_lipschitz(zorich, x, 1e-5)
-            b = pointwise_lipschitz(zorich, x, 5e-6)
-            assert abs(a.upper - b.upper) / b.upper < 0.01
-            assert abs(a.lower - b.lower) / b.lower < 0.01
+            a = relative_distortion(zorich, x[None], 1e-5)
+            b = relative_distortion(zorich, x[None], 5e-6)
+            assert abs(a.sup_upper - b.sup_upper) / b.sup_upper < 0.01
+            assert abs(a.inf_lower - b.inf_lower) / b.inf_lower < 0.01
 
 
 class TestRelativeDistortion:
