@@ -126,8 +126,8 @@ def _apply_config(parser, command, config: dict) -> None:
         parser.set_defaults(**{key: value})
 
 
-def _manifest(args, name, params, outputs):
-    man = RunManifest(command=name, parameters=params)
+def _manifest(args, name, params, outputs, **extra):
+    man = RunManifest(command=name, parameters=params, extra=extra)
     if args.config:
         man.add_input(args.config)
     for path in outputs:
@@ -395,7 +395,8 @@ def cmd_verify(args) -> int:
             f"bound={r.bound:.6g} ({report.seconds.get(r.name, 0.0):.2f} s)"
         )
     print(f"overall: {'PASS' if report.overall else 'FAIL'} ({len(report.results)} checks)")
-    _manifest(args, "verify", {"level": args.level}, [path])
+    # wall seconds per check: in the manifest only, so the report stays reproducible
+    _manifest(args, "verify", {"level": args.level}, [path], seconds=report.seconds)
     return 0 if report.overall else 1
 
 

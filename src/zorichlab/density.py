@@ -332,7 +332,8 @@ def _trace_group(lines, ranges, box_r, budget, h_max):
         new_f, new_z3, new_status = second_iterate(line.point_at(seed_s))
         store(batch, seed_s, new_f, new_z3, new_status)
         lo = np.arange(k * n0, (k + 1) * n0 - 1)
-        split.append(lo[np.flatnonzero(needs_split(lo, lo + 1))[: budget - n0]])
+        # n0 - 1 < budget - n0 seed intervals: the budget never binds here
+        split.append(lo[np.flatnonzero(needs_split(lo, lo + 1))])
     lo = np.concatenate(split)
     hi = lo + 1
     counts = np.array([len(c) for c in split])

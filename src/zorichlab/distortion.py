@@ -231,11 +231,12 @@ def verify_area_transport(measures, lam: float, n_dim: int) -> AreaTransportRepo
 
 
 def grid_count_measures(membership_e, membership_u, box_lo, box_hi,
-                        cells_per_axis: int) -> tuple[float, float]:
+                        cells_per_axis: int, *, pullback=None) -> tuple[float, float]:
     """Estimate the measures of two nested sets by counting cell centers.
 
     Returns (m_e, m_u) in absolute units of the box volume; works in any
-    dimension (len(box_lo) axes).
+    dimension (len(box_lo) axes).  With a pullback, both memberships test
+    pullback(centers), computed once, instead of the centers.
     """
     box_lo = np.asarray(box_lo, dtype=float)
     box_hi = np.asarray(box_hi, dtype=float)
@@ -246,6 +247,8 @@ def grid_count_measures(membership_e, membership_u, box_lo, box_hi,
     ]
     centers = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, dim)
     cell = float(np.prod((box_hi - box_lo) / cells_per_axis))
+    if pullback is not None:
+        centers = pullback(centers)
     in_e = np.asarray(membership_e(centers), dtype=bool)
     in_u = np.asarray(membership_u(centers), dtype=bool)
     return float(np.count_nonzero(in_e)) * cell, float(np.count_nonzero(in_u)) * cell

@@ -97,9 +97,16 @@ def find_g(x, y) -> GroupElement:
 
 
 def _reduce_once(v: float) -> tuple[float, int]:
-    """Shift v by a multiple of 2*pi into [-pi/2, 3*pi/2)."""
+    """Shift v by a multiple of 2*pi into [-pi/2, 3*pi/2).
+
+    Rounding can leave v - 2*pi*k a few ulps outside the interval; v is then
+    at one of its ends but for rounding, and goes to the lower end.
+    """
     k = math.floor((v + HALF_PI) / TWO_PI)
-    return v - TWO_PI * k, k
+    r = v - TWO_PI * k
+    if r >= 3.0 * HALF_PI:
+        return -HALF_PI, k + 1
+    return max(r, -HALF_PI), k
 
 
 def reduce_to_fundamental_domain(x):
@@ -121,10 +128,13 @@ def reduce_to_fundamental_domain(x):
         # flip route: x = apply((m, n, flip), x') with x' = reduce(pi - x)
         x1p, j = _reduce_once(math.pi - x1)
         x2p, k = _reduce_once(math.pi - x2)
-        return np.array([x1p, x2p, x3]), GroupElement(-j, -k, True)
+        if x2p < HALF_PI:
+            return np.array([x1p, x2p, x3]), GroupElement(-j, -k, True)
+        # else both routes round x2' to pi/2 or above: x is on the face but
+        # for rounding
     # face x2 = pi/2 (mod 2*pi): flip fixes the face, pick x1' in [-pi/2, pi/2]
     x1p, m = _reduce_once(x1)
     if x1p <= HALF_PI:
         return np.array([x1p, HALF_PI, x3]), GroupElement(m, n0, False)
-    x1p, j = _reduce_once(math.pi - x1)
-    return np.array([x1p, HALF_PI, x3]), GroupElement(-j, n0, True)
+    x1p, j = _reduce_once(math.pi - x1)  # rounding may put x1p a few ulps past pi/2
+    return np.array([min(x1p, HALF_PI), HALF_PI, x3]), GroupElement(-j, n0, True)

@@ -3,7 +3,9 @@
 A manifest records the command, the full parameter set, the tool version and
 SHA-256 digests of every input and output file.  All computations are
 deterministic, so re-running a command with the manifest's parameters must
-reproduce the recorded output digests bit for bit.
+reproduce the recorded output digests bit for bit.  A command may add records
+that vary from run to run, such as verify's per-check wall seconds; they stay
+out of the output files.
 """
 
 from __future__ import annotations
@@ -32,6 +34,7 @@ class RunManifest:
     parameters: dict
     inputs: dict = field(default_factory=dict)
     outputs: dict = field(default_factory=dict)
+    extra: dict = field(default_factory=dict)  # more top-level records, e.g. verify's seconds
 
     def add_input(self, path) -> None:
         self.inputs[Path(path).name] = sha256_of(path)
@@ -48,5 +51,6 @@ class RunManifest:
             "timestamp_utc": datetime.now(timezone.utc).isoformat(timespec="seconds"),
             "inputs": self.inputs,
             "outputs": self.outputs,
+            **self.extra,
         }
         Path(path).write_text(json.dumps(record, indent=2, sort_keys=True) + "\n")

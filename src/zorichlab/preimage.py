@@ -32,10 +32,11 @@ FACE_IDS = ("+x1", "-x1", "+x2", "-x2")
 # sign*p[axis] >= |p[other]|
 _FACE_AXIS = {"+x1": (1.0, 0), "-x1": (-1.0, 0), "+x2": (1.0, 1), "-x2": (-1.0, 1)}
 
-# ray_cone_intersect: points of the bracketing scan, and the most bisection
-# steps per bracket
+# ray_cone_intersect: points of the bracketing scan, the most bisection
+# steps per bracket, and rays scanned at once (about 16 MB of temporaries)
 RAY_SCAN_SAMPLES = 1024
 RAY_BISECT_STEPS = 200
+RAY_BLOCK = 256
 
 
 @dataclass(frozen=True)
@@ -256,155 +257,166 @@ def strip_contains(spec: StripSpec, x) -> bool:
     )
 
 
-def _to_base_frame(cone: ConeSurface, pts):
-    """Map ambient points into the parameter frame of the base cone."""
-    pts = apply(inverse(cone.element), pts)
-    if cone.level < 0.0:
-        pts = pts.copy()
-        pts[..., 0] = math.pi - pts[..., 0]
-    return pts
-
-
-def _surface_residual(level_abs: float, y):
+def _surface_residual(level_abs, y):
     """exp(y3)*cos(M(y)) - |level|; zero exactly on the base cone."""
     m = np.maximum(np.abs(y[..., 0]), np.abs(y[..., 1]))
     return np.exp(np.minimum(y[..., 2], EXP_CAP)) * np.cos(m) - level_abs
 
 
-def _in_quadrant(face: str, y, tol: float = 0.0):
-    sign, axis = _FACE_AXIS[face]
-    lead = sign * y[..., axis]
-    other = np.abs(y[..., 1 - axis])
-    return lead >= other - tol
+def _in_quadrant(sign, axis, y, tol):
+    """sign*y[axis] >= |y[other]| - tol, with sign and axis broadcast over y[..., 0]."""
+    lead = sign * np.where(axis == 0, y[..., 0], y[..., 1])
+    return lead >= np.abs(np.where(axis == 0, y[..., 1], y[..., 0])) - tol
 
 
-def ray_cone_intersect(
-    p,
-    through,
-    cone: ConeSurface,
-    face: str,
-) -> np.ndarray:
+# why a ray has no intersection, by code; code 0 is a hit
+_MISSES = ("", "vertical ray misses the face quadrant", "surface is behind the ray origin",
+           "ray never enters the beam", "beam crossing is empty (s in [{lo:.6g}, {hi:.6g}])",
+           "no crossing on face {face} for s in [{lo:.6g}, {hi:.6g}] ({n} samples)")
+
+
+def ray_cone_intersect(p, through, cone: ConeSurface, face: str) -> np.ndarray:
     """First intersection of the ray from p through `through` with a cone face.
 
-    The ray is mapped into the base parameter frame, the crossing of the
-    central beam is bracketed with a coarse scan of RAY_SCAN_SAMPLES points
-    and polished by bisection.
-    Bisection is used deliberately: the surface residual need not be monotone
-    along the ray, and bracketing plus bisection is robust and deterministic.
-    Raises NoIntersectionError (reporting the scanned range) when no sign
-    change lies in the face quadrant.
+    The one-ray case of ray_cone_intersect_many; raises NoIntersectionError
+    (reporting the scanned range) when the ray finds no crossing.
     """
-    if face not in _FACE_AXIS:
-        raise DomainError(f"ray_cone_intersect: unknown face {face!r}")
-    p = np.asarray(p, dtype=float)
+    points, why, lo, hi = _solve_rays(p, np.asarray(through, dtype=float)[None], cone, face)
+    if why[0]:
+        message = _MISSES[why[0]].format(face=face, lo=lo[0], hi=hi[0], n=RAY_SCAN_SAMPLES)
+        scanned = (float(lo[0]), float(hi[0])) if why[0] >= 4 else None
+        raise NoIntersectionError(f"ray_cone_intersect: {message}", scanned=scanned)
+    return points[0]
+
+
+def ray_cone_intersect_many(p, through, cones, faces):
+    """First intersections of rays with cone faces: (points, found).
+
+    Ray k runs from p (or p[k]) through through[k] to face faces[k] of
+    cones[k]; one cone or face serves every ray.  In its cone's base frame a
+    ray's beam crossing is bracketed by a scan of RAY_SCAN_SAMPLES points and
+    polished by bisection, which is robust where the residual is not
+    monotone.  A ray with no crossing on its face has found False and NaN
+    coordinates.
+    """
+    points, why, _, _ = _solve_rays(p, through, cones, faces)
+    return points, why == 0
+
+
+def _solve_rays(p, through, cones, faces):
+    """Points, miss codes (see _MISSES) and scanned ranges of rays."""
     through = np.asarray(through, dtype=float)
+    n = len(through)
+    faces = [faces] * n if isinstance(faces, str) else list(faces)
+    cones = [cones] * n if isinstance(cones, ConeSurface) else list(cones)
+    for face in faces:
+        if face not in _FACE_AXIS:
+            raise DomainError(f"ray_cone_intersect: unknown face {face!r}")
+    p = np.broadcast_to(np.asarray(p, dtype=float), through.shape)
     d = through - p
-    if not np.all(np.isfinite(d)) or float(np.linalg.norm(d)) == 0.0:
+    if not np.all(np.isfinite(d)) or np.any(np.linalg.norm(d, axis=-1) == 0.0):
         raise DomainError("ray_cone_intersect: degenerate ray")
-    level_abs = abs(cone.level)
+    sign, axis = np.array([_FACE_AXIS[face] for face in faces]).reshape(n, 2).T
+    level_abs = np.array([abs(cone.level) for cone in cones])
 
-    q0 = _to_base_frame(cone, p)
-    q1 = _to_base_frame(cone, p + d)
-    e = q1 - q0
+    # both ends of each ray into its cone's base frame, one apply per cone
+    q = np.stack([p, p + d])
+    rows = {}
+    for k, cone in enumerate(cones):
+        rows.setdefault(cone, []).append(k)
+    for cone, ks in rows.items():
+        q[:, ks] = apply(inverse(cone.element), q[:, ks])
+        if cone.level < 0.0:
+            q[:, ks, 0] = math.pi - q[:, ks, 0]
+    q0, e = q[0], q[1] - q[0]
 
-    def base_point(s):
-        return q0 + np.multiply.outer(np.asarray(s, dtype=float), e)
-
-    residual_tol = 1e-10 * max(1.0, level_abs)
-
+    s = np.full(n, np.nan)
+    why = np.zeros(n, dtype=int)
     # vertical rays hit the graph x3 = ln(|level| / cos M) in closed form
-    if abs(e[0]) < 1e-14 and abs(e[1]) < 1e-14:
-        m = max(abs(q0[0]), abs(q0[1]))
-        if e[2] == 0.0 or m >= HALF_PI or not _in_quadrant(face, q0[None, :], tol=1e-12)[0]:
-            raise NoIntersectionError(
-                "ray_cone_intersect: vertical ray misses the face quadrant", scanned=None
-            )
-        s_star = (math.log(level_abs / math.cos(m)) - q0[2]) / e[2]
-        if s_star <= 0.0:
-            raise NoIntersectionError(
-                "ray_cone_intersect: surface is behind the ray origin", scanned=None
-            )
-        return p + s_star * d
-
-    # restrict to the parameter-square slab crossing, plus an exponent cap
-    lo, hi = 1e-12, math.inf
-    for axis in (0, 1):
-        if abs(e[axis]) < 1e-14:
-            if not -HALF_PI <= q0[axis] <= HALF_PI:
-                raise NoIntersectionError(
-                    "ray_cone_intersect: ray never enters the beam", scanned=None
-                )
-            continue
-        a = (-HALF_PI - q0[axis]) / e[axis]
-        b = (HALF_PI - q0[axis]) / e[axis]
-        lo = max(lo, min(a, b))
-        hi = min(hi, max(a, b))
-    if abs(e[2]) > 1e-14:
-        cap = (EXP_CAP - q0[2]) / e[2]
-        if e[2] > 0:
-            hi = min(hi, cap)
+    vertical = (np.abs(e[:, 0]) < 1e-14) & (np.abs(e[:, 1]) < 1e-14)
+    for k in np.flatnonzero(vertical):
+        m = max(abs(q0[k, 0]), abs(q0[k, 1]))
+        if e[k, 2] == 0.0 or m >= HALF_PI or not _in_quadrant(sign[k], axis[k], q0[k], 1e-12):
+            why[k] = 1
         else:
-            lo = max(lo, cap)
-    if not lo < hi or not math.isfinite(hi):
-        raise NoIntersectionError(
-            f"ray_cone_intersect: beam crossing is empty (s in [{lo:.6g}, {hi:.6g}])",
-            scanned=(lo, hi),
-        )
+            s[k] = (math.log(level_abs[k] / math.cos(m)) - q0[k, 2]) / e[k, 2]
+            why[k] = 2 if s[k] <= 0.0 else 0
 
-    s_grid = np.linspace(lo, hi, RAY_SCAN_SAMPLES)
-    y = base_point(s_grid)
-    phi = _surface_residual(level_abs, y)
-    quad = _in_quadrant(face, y, tol=1e-12)
+    # restrict to the parameter-square slab crossing, plus an exponent cap;
+    # each np.where is the builtin min or max, ties included
+    lo, hi = np.full(n, 1e-12), np.full(n, np.inf)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for ax in (0, 1):
+            flat = np.abs(e[:, ax]) < 1e-14
+            why[~vertical & flat & ~(np.abs(q0[:, ax]) <= HALF_PI)] = 3
+            a = (-HALF_PI - q0[:, ax]) / e[:, ax]
+            b = (HALF_PI - q0[:, ax]) / e[:, ax]
+            near, far = np.where(b < a, b, a), np.where(b > a, b, a)
+            lo = np.where(~flat & (near > lo), near, lo)
+            hi = np.where(~flat & (far < hi), far, hi)
+        cap = (EXP_CAP - q0[:, 2]) / e[:, 2]
+    steep = np.abs(e[:, 2]) > 1e-14
+    hi = np.where(steep & (e[:, 2] > 0) & (cap < hi), cap, hi)
+    lo = np.where(steep & ~(e[:, 2] > 0) & (cap > lo), cap, lo)
+    why[~vertical & (why == 0) & (~(lo < hi) | ~np.isfinite(hi))] = 4
 
-    def polish(sa, sb):
-        # bisect down to the float limit; the residual gradient scales like
-        # exp(y3), so a fixed parameter tolerance alone is not enough
-        fa = float(_surface_residual(level_abs, base_point(sa)))
-        fb = float(_surface_residual(level_abs, base_point(sb)))
-        best_s, best_f = (sa, abs(fa)) if abs(fa) <= abs(fb) else (sb, abs(fb))
+    scan = np.flatnonzero(~vertical & (why == 0))
+    for start in range(0, len(scan), RAY_BLOCK):
+        k = scan[start:start + RAY_BLOCK]
+        s[k] = _scan_and_polish(q0[k], e[k], level_abs[k], sign[k], axis[k], lo[k], hi[k])
+    why[~vertical & (why == 0) & np.isnan(s)] = 5
+    s[why != 0] = np.nan
+    return p + s[:, None] * d, why, lo, hi
+
+
+def _scan_and_polish(q0, e, level_abs, sign, axis, lo, hi):
+    """Each ray's first accepted root in [lo, hi], by scan cell order; NaN if none."""
+    grid = np.linspace(lo, hi, RAY_SCAN_SAMPLES, axis=-1)
+    y = q0[:, None, :] + grid[..., None] * e[:, None, :]
+    phi = _surface_residual(level_abs[:, None], y)
+    quad = _in_quadrant(sign[:, None], axis[:, None], y, 1e-12)
+    root = (phi[:, :-1] == 0.0) & quad[:, :-1]
+    cand = (quad[:, :-1] | quad[:, 1:]) & (root | ((phi[:, :-1] < 0.0) != (phi[:, 1:] < 0.0)))
+    tol = 1e-10 * np.maximum(1.0, level_abs)
+    s_star = np.full(len(lo), np.nan)
+    r = np.flatnonzero(cand.any(axis=1))
+    while len(r):  # each round tries every open ray's next candidate cell
+        i = cand[r].argmax(axis=1)
+        cand[r, i] = False
+        sa, sb, fa, fb = grid[r, i], grid[r, i + 1], phi[r, i], phi[r, i + 1]
+        first = np.abs(fa) <= np.abs(fb)
+        s, best_f = np.where(first, sa, sb), np.where(first, np.abs(fa), np.abs(fb))
+        # bisect a sign change to the float limit (the residual gradient scales
+        # like exp(y3)); each ray stops where a one-ray loop would break.  A
+        # cell starting on a root keeps s = sa, as fa == 0
+        act = np.flatnonzero(~root[r, i])
         for _ in range(RAY_BISECT_STEPS):
-            sm = 0.5 * (sa + sb)
-            if sm == sa or sm == sb:
+            sm = 0.5 * (sa[act] + sb[act])
+            moved = (sm != sa[act]) & (sm != sb[act])
+            act, sm = act[moved], sm[moved]
+            if not len(act):
                 break
-            fm = float(_surface_residual(level_abs, base_point(sm)))
-            if abs(fm) < best_f:
-                best_s, best_f = sm, abs(fm)
-            if fm == 0.0:
-                break
-            if (sb - sa) < 1e-12 * max(1.0, abs(sm)) and best_f <= 0.01 * residual_tol:
-                break
-            if (fa < 0.0) != (fm < 0.0):
-                sb, fb = sm, fm
-            else:
-                sa, fa = sm, fm
-        return best_s
-
-    def accepted(s_star):
-        y_star = base_point(s_star)
-        if not _in_quadrant(face, y_star, tol=1e-9):
-            return False
-        res = abs(float(_surface_residual(level_abs, y_star)))
-        # high on the cone exp(y3) pushes the absolute residual below float
-        # resolution; the transverse form cos(M) - level*exp(-y3) stays
-        # well conditioned there
-        return res <= residual_tol or res * math.exp(-float(y_star[2])) <= 1e-12
-
-    for i in range(RAY_SCAN_SAMPLES - 1):
-        if not (quad[i] or quad[i + 1]):
-            continue
-        if phi[i] == 0.0 and quad[i]:
-            s_star = float(s_grid[i])
-        elif (phi[i] < 0.0) != (phi[i + 1] < 0.0):
-            s_star = polish(float(s_grid[i]), float(s_grid[i + 1]))
-        else:
-            continue
-        if accepted(s_star):
-            return p + s_star * d
-    raise NoIntersectionError(
-        f"ray_cone_intersect: no crossing on face {face} for s in "
-        f"[{lo:.6g}, {hi:.6g}] ({RAY_SCAN_SAMPLES} samples)",
-        scanned=(lo, hi),
-    )
+            fm = _surface_residual(level_abs[r[act]], q0[r[act]] + sm[:, None] * e[r[act]])
+            better = np.abs(fm) < best_f[act]
+            s[act[better]], best_f[act[better]] = sm[better], np.abs(fm[better])
+            small = (sb[act] - sa[act]) < 1e-12 * np.maximum(1.0, np.abs(sm))
+            go = ~((fm == 0.0) | (small & (best_f[act] <= 0.01 * tol[r[act]])))
+            left = go & ((fa[act] < 0.0) != (fm < 0.0))
+            right = go & ~left
+            sb[act[left]] = sm[left]
+            sa[act[right]], fa[act[right]] = sm[right], fm[right]
+            act = act[go]
+        y_star = q0[r] + s[:, None] * e[r]
+        res = np.abs(_surface_residual(level_abs[r], y_star))
+        # high on the cone exp(y3) makes the absolute residual unresolvable;
+        # the transverse form cos(M) - level*exp(-y3) stays well conditioned
+        with np.errstate(over="ignore"):
+            transverse = res * np.exp(-y_star[:, 2]) <= 1e-12
+        ok = _in_quadrant(sign[r], axis[r], y_star, 1e-9) & ((res <= tol[r]) | transverse)
+        s_star[r[ok]] = s[ok]
+        r = r[~ok]
+        r = r[cand[r].any(axis=1)]
+    return s_star
 
 
 def cone_for_strip(level: float, plane_index: int, l: int) -> ConeSurface:
@@ -430,19 +442,13 @@ def cone_for_strip(level: float, plane_index: int, l: int) -> ConeSurface:
 def face_toward_wall(cone: ConeSurface, plane_index: int) -> str:
     """Face of the cone whose points are nearest to the given wall plane."""
     wall = HALF_PI + plane_index * math.pi
-    probes = {
-        "+x1": (0.7, 0.0),
-        "-x1": (-0.7, 0.0),
-        "+x2": (0.0, 0.7),
-        "-x2": (0.0, -0.7),
-    }
-    best, best_d = None, math.inf
-    for fid, pr in probes.items():
-        x = cone_point(cone, pr)
-        dist = abs(float(x[0]) - wall)
-        if dist < best_d:
-            best, best_d = fid, dist
-    return best
+
+    def distance(face):  # from the face's probe point, 0.7 along its axis
+        sign, axis = _FACE_AXIS[face]
+        probe = (sign * 0.7, 0.0) if axis == 0 else (0.0, sign * 0.7)
+        return abs(float(cone_point(cone, probe)[0]) - wall)
+
+    return min(FACE_IDS, key=distance)
 
 
 def face_mesh(region: FaceRegion, n_height: int, n_width: int) -> np.ndarray:
@@ -464,19 +470,12 @@ def face_mesh(region: FaceRegion, n_height: int, n_width: int) -> np.ndarray:
     param[..., axis] = lead
     param[..., 1 - axis] = trans
     pts = cone_point(region.cone, param.reshape(-1, 2)).reshape(n_height + 1, n_width + 1, 3)
-    tris = []
-    for i in range(n_height):
-        for j in range(n_width):
-            a, b = pts[i, j], pts[i, j + 1]
-            c, d = pts[i + 1, j], pts[i + 1, j + 1]
-            tris.append((a, b, d))
-            tris.append((a, d, c))
-    return np.asarray(tris)
+    # cell (i, j) with corners a b / c d gives triangles (a, b, d) and (a, d, c)
+    a, b, c, d = pts[:-1, :-1], pts[:-1, 1:], pts[1:, :-1], pts[1:, 1:]
+    return np.stack([a, b, d, a, d, c], axis=2).reshape(-1, 3, 3)
 
 
 def cone_mesh(cone: ConeSurface, t1: float, t2: float, n_height: int, n_width: int) -> np.ndarray:
     """Triangle soup for all four faces of a cone band."""
-    parts = [
-        face_mesh(FaceRegion(cone, fid, t1, t2), n_height, n_width) for fid in FACE_IDS
-    ]
-    return np.concatenate(parts, axis=0)
+    return np.concatenate(
+        [face_mesh(FaceRegion(cone, fid, t1, t2), n_height, n_width) for fid in FACE_IDS])

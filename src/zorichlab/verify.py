@@ -17,7 +17,6 @@ from functools import lru_cache
 import numpy as np
 
 from . import density, distortion, preimage
-from .errors import NoIntersectionError
 from .group import GroupElement, apply, find_g, from_word
 from .zorich import Beam, branch_distance, zorich, zorich_inverse
 
@@ -443,7 +442,9 @@ def face_projection_map(cone, face, p):
     def project(pts):
         pts = np.asarray(pts, dtype=float)
         flat = pts.reshape(-1, 3)
-        out = np.array([preimage.ray_cone_intersect(p, row, cone, face) for row in flat])
+        out, found = preimage.ray_cone_intersect_many(p, flat, cone, face)
+        if not np.all(found):  # raise the first miss's NoIntersectionError
+            preimage.ray_cone_intersect(p, flat[np.argmin(found)], cone, face)
         return out.reshape(pts.shape)
 
     return project
@@ -481,9 +482,8 @@ def check_face_projection_distortion(n_cfg: int) -> CheckResult:
 
 def check_strip_intersection(n: int) -> CheckResult:
     rng = np.random.default_rng(127)
-    misses = 0
-    count = 0
-    while count < n:
+    targets, cones, faces, levels = [], [], [], []
+    for _ in range(n):
         radius = float(rng.uniform(1.5, 8.0))
         level = math.log(radius)
         eta = float(rng.uniform(0.15, PI / 4 - 0.05))
@@ -492,19 +492,17 @@ def check_strip_intersection(n: int) -> CheckResult:
         l = int(rng.integers(-(m - 3), m - 2))
         spec = preimage.StripSpec(m, l, eta, max(s0, 0.0) + 0.5)
         lo, hi = spec.x2_interval
-        target = np.array(
+        targets.append(
             [spec.wall_x1, float(rng.uniform(lo, hi)), spec.s + float(rng.uniform(0.2, 2.0))]
         )
-        count += 1
-        cone = preimage.cone_for_strip(level, m, l)
-        face = preimage.face_toward_wall(cone, m)
-        try:
-            hit = preimage.ray_cone_intersect((0.0, 0.0, 0.0), target, cone, face)
-        except NoIntersectionError:
-            misses += 1
-            continue
-        if abs(float(zorich(hit)[2]) - level) > 1e-9 * max(1.0, abs(level)):
-            misses += 1
+        cones.append(preimage.cone_for_strip(level, m, l))
+        faces.append(preimage.face_toward_wall(cones[-1], m))
+        levels.append(level)
+    # a ray that finds no crossing is a miss, and so is a hit off the level
+    hits, found = preimage.ray_cone_intersect_many(ORIGIN, np.array(targets), cones, faces)
+    levels = np.array(levels)[found]
+    off = np.abs(zorich(hits[found])[:, 2] - levels) > 1e-9 * np.maximum(1.0, np.abs(levels))
+    misses = np.count_nonzero(~found) + np.count_nonzero(off)
     return CheckResult(
         "strip_intersection", "strip-face-intersection", float(misses), 0.0, 0.0,
         misses == 0,
@@ -516,11 +514,12 @@ def check_strip_intersection(n: int) -> CheckResult:
 
 
 def _cube_member(lo, hi):
-    lo = np.asarray(lo)
-    hi = np.asarray(hi)
-
     def member(pts):
-        return np.all((np.asarray(pts) >= lo) & (np.asarray(pts) <= hi), axis=-1)
+        pts = np.asarray(pts)
+        inside = (pts[..., 0] >= lo[0]) & (pts[..., 0] <= hi[0])
+        for k in range(1, len(lo)):  # column by column: no (n, 3) boolean temporaries
+            inside &= (pts[..., k] >= lo[k]) & (pts[..., k] <= hi[k])
+        return inside
 
     return member
 
@@ -543,9 +542,7 @@ def _affine_transport(seed: int) -> distortion.AreaTransportReport:
     in_e = _cube_member(e_lo, e_hi)
     in_u = _cube_member(e_lo, u_hi)
     img_lo, img_hi = np.minimum(f(e_lo), f(e_hi)), np.maximum(f(e_lo), f(e_hi))
-    m_fe, m_fu = distortion.grid_count_measures(
-        lambda y: in_e(inv(y)), lambda y: in_u(inv(y)), img_lo, img_hi, 100
-    )
+    m_fe, m_fu = distortion.grid_count_measures(in_e, in_u, img_lo, img_hi, 100, pullback=inv)
     lam = distortion.relative_distortion(f, rng.uniform(0, 1, size=(30, 3)), 1e-5).ratio
     return distortion.verify_area_transport((1.0, 0.5, m_fe, m_fu), lam, 3)
 
@@ -571,11 +568,7 @@ def _map_cube_transport(seed: int) -> distortion.AreaTransportReport:
     img_lo = img.min(axis=0) - 1e-3
     img_hi = img.max(axis=0) + 1e-3
     m_fe, m_fu = distortion.grid_count_measures(
-        lambda y: in_e(zorich_inverse(y, (0, 0))),
-        lambda y: in_u(zorich_inverse(y, (0, 0))),
-        img_lo,
-        img_hi,
-        100,
+        in_e, in_u, img_lo, img_hi, 100, pullback=lambda y: zorich_inverse(y, (0, 0))
     )
     pts = center + rng.uniform(-half, half, size=(200, 3))
     lam = distortion.relative_distortion(zorich, pts, 1e-5).ratio
@@ -590,8 +583,8 @@ def _face_transport(cfg: FaceProjectionConfig) -> distortion.AreaTransportReport
 
     # which side of the wall the face is on, from a mid-height probe
     mid_h = 0.5 * (u3_rect[0] + u3_rect[1]) * cfg.c
-    probe = preimage.ray_cone_intersect(
-        ORIGIN, (1.0, 0.5 * (u2_rect[0] + u2_rect[1]), mid_h / cfg.c), cone, face
+    probe = face_projection_map(cone, face, ORIGIN)(
+        (1.0, 0.5 * (u2_rect[0] + u2_rect[1]), mid_h / cfg.c)
     )
     side = 1.0 if probe[0] >= wall else -1.0
 

@@ -185,6 +185,26 @@ def test_verify_prints_check_seconds(tmp_path, monkeypatch, capsys):
     assert "PASS  norm_law: value=0 bound=1 (1.25 s)" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("level", ["quick", "full"])
+def test_verify_manifest_records_check_seconds(tmp_path, monkeypatch, level):
+    # every check replaced by a stub, so run_checks times all 18 of them
+    names = [name for name, _, _ in verify.CHECKS]
+    for name in names:
+        monkeypatch.setattr(
+            verify, f"check_{name}",
+            lambda *args, _name=name: CheckResult(_name, "claim", 0.0, 1.0, 0.0, True),
+        )
+    assert main(["verify", "--level", level, "--out", str(tmp_path)]) == 0
+    seconds = json.loads((tmp_path / "verify_manifest.json").read_text())["seconds"]
+    assert len(names) == 18 and sorted(seconds) == sorted(names)  # the manifest sorts keys
+    assert all(isinstance(s, float) and s >= 0.0 for s in seconds.values())
+    # the report keeps no timings, so reruns give the same bytes
+    report = (tmp_path / "verify_report.txt").read_text()
+    assert "second" not in report and " s)" not in report
+    assert main(["verify", "--level", level, "--out", str(tmp_path / "again")]) == 0
+    assert (tmp_path / "again" / "verify_report.txt").read_text() == report
+
+
 # Non-finite numbers and an empty ladder are validation errors, as flags or keys.
 
 

@@ -239,6 +239,37 @@ class TestAreaTransport:
         rep = verify_area_transport(((2 * half) ** 3, (2 * half) ** 3 / 2, m_fe, m_fu), lam, 3)
         assert rep.passed, rep
 
+    @pytest.mark.parametrize("cube", ["affine", "map"])
+    def test_pullback_counts_like_composed_memberships(self, cube):
+        # the cubes of the two tests above: the membership tests run once on
+        # the pulled-back centers instead of once per set
+        if cube == "affine":
+            b = np.array([0.3, -0.2, 0.5])
+            e_lo, e_hi, u_hi = np.zeros(3), np.ones(3), np.array([0.5, 1.0, 1.0])
+            img_lo, img_hi = 2.0 * e_lo + b, 2.0 * e_hi + b
+
+            def pullback(y):
+                return (np.asarray(y) - b) / 2.0
+        else:
+            center, half = np.array([0.3, -0.2, 0.1]), 0.1
+            e_lo, e_hi = center - half, center + half
+            u_hi = e_hi.copy()
+            u_hi[0] = center[0]
+            g = np.linspace(0, 1, 24)
+            cube_pts = np.stack(np.meshgrid(g, g, g, indexing="ij"), -1).reshape(-1, 3)
+            img = zorich(e_lo + cube_pts * 2 * half)
+            img_lo, img_hi = img.min(axis=0) - 1e-3, img.max(axis=0) + 1e-3
+
+            def pullback(y):
+                return zorich_inverse(y, (0, 0))
+        in_e, in_u = cube_membership(e_lo, e_hi), cube_membership(e_lo, u_hi)
+        composed = grid_count_measures(
+            lambda y: in_e(pullback(y)), lambda y: in_u(pullback(y)), img_lo, img_hi, 100
+        )
+        pulled = grid_count_measures(in_e, in_u, img_lo, img_hi, 100, pullback=pullback)
+        assert pulled == composed
+        assert min(pulled) > 0.0
+
     def test_degenerate_measures_rejected(self):
         with pytest.raises(DegenerateError):
             verify_area_transport((0.0, 0.0, 1.0, 0.5), 1.0, 3)

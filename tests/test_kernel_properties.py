@@ -1,9 +1,11 @@
 """Property tests for the kernel invariants in zorichlab.zorich, the
-bookkeeping of the adaptive tracer and its grouped form.
+bookkeeping of the adaptive tracer and its grouped form, the group action
+and fundamental-domain reduction, and the batched ray-cone solve.
 
 Hypothesis runs derandomized, so every run draws the same examples.
 """
 
+import contextlib
 import math
 
 import numpy as np
@@ -23,6 +25,23 @@ from zorichlab.density import (
     base_sequence,
     default_s_range,
 )
+from zorichlab.errors import DomainError, NoIntersectionError
+from zorichlab.group import (
+    GroupElement,
+    apply,
+    compose,
+    inverse,
+    reduce_to_fundamental_domain,
+)
+from zorichlab.preimage import (
+    FACE_IDS,
+    RAY_BISECT_STEPS,
+    RAY_SCAN_SAMPLES,
+    ConeSurface,
+    cone_point,
+    ray_cone_intersect,
+    ray_cone_intersect_many,
+)
 from zorichlab.zorich import (
     EXP_CAP,
     HALF_PI,
@@ -30,6 +49,7 @@ from zorichlab.zorich import (
     OVERFLOW_FIRST,
     OVERFLOW_SECOND,
     PHASE_CAP,
+    TWO_PI,
     UNRESOLVABLE,
     branch_distance,
     fold,
@@ -332,3 +352,310 @@ def test_budget_truncation_keeps_the_first_needed_children(budget):
         assert want.audit.evals == budget
         assert_same_trace(adaptive_trace(line, box_r, budget, ball.radius), want)
         assert_same_trace(trace, want)
+
+
+
+ELEMENTS = st.builds(GroupElement, st.integers(-50, 50), st.integers(-50, 50), st.booleans())
+GROUP_POINTS = st.lists(
+    st.tuples(st.floats(-100.0, 100.0), st.floats(-100.0, 100.0), st.floats(-30.0, 30.0)),
+    min_size=1,
+    max_size=20,
+)
+
+
+def action_tolerance(x, *elements):
+    """A few roundings of the largest coordinate or translation involved."""
+    shift = TWO_PI * sum(abs(g.m) + abs(g.n) for g in elements)
+    return 8.0 * np.finfo(float).eps * (math.pi + float(np.max(np.abs(x))) + shift)
+
+
+@PROPERTY
+@given(ELEMENTS, ELEMENTS, GROUP_POINTS)
+def test_apply_is_a_group_action(g, h, rows):
+    x = np.array(rows)
+    tol = action_tolerance(x, g, h)
+    composed, stepwise = apply(compose(g, h), x), apply(g, apply(h, x))
+    np.testing.assert_allclose(composed, stepwise, rtol=0, atol=tol)
+    back = apply(inverse(g), apply(g, x))
+    np.testing.assert_allclose(back, x, rtol=0, atol=tol)
+    for y in (composed, stepwise, back):  # the third coordinate is never touched
+        assert y[:, 2].tobytes() == x[:, 2].tobytes()
+
+
+# coordinates anywhere, or a rounding of an odd multiple of pi/2: the ends of
+# the box, the x2 = pi/2 face and their translates, where rounding decides
+NEAR_ENDS = st.integers(-30, 30).map(lambda k: HALF_PI + math.pi * k)
+
+
+@PROPERTY
+@given(
+    st.one_of(st.floats(-100.0, 100.0), NEAR_ENDS),
+    st.one_of(st.floats(-100.0, 100.0), st.just(HALF_PI), NEAR_ENDS),
+    st.floats(-30.0, 30.0),
+)
+def test_reduction_lands_in_the_fundamental_domain(x1, x2, x3):
+    x = np.array([x1, x2, x3])
+    reduced, g = reduce_to_fundamental_domain(x)
+    r1, r2, r3 = reduced
+    if x2 == HALF_PI:
+        assert r2 == HALF_PI
+    if r2 == HALF_PI:  # the face convention: x1' in the closed [-pi/2, pi/2]
+        assert -HALF_PI <= r1 <= HALF_PI
+    else:  # the half-open box
+        assert -HALF_PI <= r1 < 3.0 * HALF_PI and -HALF_PI <= r2 < HALF_PI
+    assert r3 == x3
+    np.testing.assert_allclose(apply(g, reduced), x, rtol=0, atol=action_tolerance(x, g))
+
+# The ray-cone solve written the plain way, one ray at a time: a Python loop
+# over the scan cells and scalar bisection.  ray_cone_intersect_many must
+# give the same bits ray by ray.  `rejected` collects the scan cells whose
+# root was not accepted.
+_FACE_AXIS = {"+x1": (1.0, 0), "-x1": (-1.0, 0), "+x2": (1.0, 1), "-x2": (-1.0, 1)}
+
+
+def scalar_base_frame(cone, pts):
+    pts = apply(inverse(cone.element), pts)
+    if cone.level < 0.0:
+        pts = pts.copy()
+        pts[..., 0] = math.pi - pts[..., 0]
+    return pts
+
+
+def scalar_residual(level_abs, y):
+    m = np.maximum(np.abs(y[..., 0]), np.abs(y[..., 1]))
+    return np.exp(np.minimum(y[..., 2], EXP_CAP)) * np.cos(m) - level_abs
+
+
+def scalar_in_quadrant(face, y, tol=0.0):
+    sign, axis = _FACE_AXIS[face]
+    return sign * y[..., axis] >= np.abs(y[..., 1 - axis]) - tol
+
+
+def scalar_ray_cone_intersect(p, through, cone, face, rejected=None):
+    if face not in _FACE_AXIS:
+        raise DomainError(f"ray_cone_intersect: unknown face {face!r}")
+    p = np.asarray(p, dtype=float)
+    through = np.asarray(through, dtype=float)
+    d = through - p
+    if not np.all(np.isfinite(d)) or float(np.linalg.norm(d)) == 0.0:
+        raise DomainError("ray_cone_intersect: degenerate ray")
+    level_abs = abs(cone.level)
+    q0 = scalar_base_frame(cone, p)
+    e = scalar_base_frame(cone, p + d) - q0
+
+    def base_point(s):
+        return q0 + np.multiply.outer(np.asarray(s, dtype=float), e)
+
+    residual_tol = 1e-10 * max(1.0, level_abs)
+    if abs(e[0]) < 1e-14 and abs(e[1]) < 1e-14:
+        m = max(abs(q0[0]), abs(q0[1]))
+        if e[2] == 0.0 or m >= HALF_PI or not scalar_in_quadrant(face, q0[None, :], 1e-12)[0]:
+            raise NoIntersectionError(
+                "ray_cone_intersect: vertical ray misses the face quadrant", scanned=None
+            )
+        s_star = (math.log(level_abs / math.cos(m)) - q0[2]) / e[2]
+        if s_star <= 0.0:
+            raise NoIntersectionError(
+                "ray_cone_intersect: surface is behind the ray origin", scanned=None
+            )
+        return p + s_star * d
+    lo, hi = 1e-12, math.inf
+    for axis in (0, 1):
+        if abs(e[axis]) < 1e-14:
+            if not -HALF_PI <= q0[axis] <= HALF_PI:
+                raise NoIntersectionError(
+                    "ray_cone_intersect: ray never enters the beam", scanned=None
+                )
+            continue
+        a = (-HALF_PI - q0[axis]) / e[axis]
+        b = (HALF_PI - q0[axis]) / e[axis]
+        lo = max(lo, min(a, b))
+        hi = min(hi, max(a, b))
+    if abs(e[2]) > 1e-14:
+        cap = (EXP_CAP - q0[2]) / e[2]
+        if e[2] > 0:
+            hi = min(hi, cap)
+        else:
+            lo = max(lo, cap)
+    if not lo < hi or not math.isfinite(hi):
+        raise NoIntersectionError(
+            f"ray_cone_intersect: beam crossing is empty (s in [{lo:.6g}, {hi:.6g}])",
+            scanned=(lo, hi),
+        )
+    s_grid = np.linspace(lo, hi, RAY_SCAN_SAMPLES)
+    y = base_point(s_grid)
+    phi = scalar_residual(level_abs, y)
+    quad = scalar_in_quadrant(face, y, tol=1e-12)
+
+    def polish(sa, sb):
+        fa = float(scalar_residual(level_abs, base_point(sa)))
+        fb = float(scalar_residual(level_abs, base_point(sb)))
+        best_s, best_f = (sa, abs(fa)) if abs(fa) <= abs(fb) else (sb, abs(fb))
+        for _ in range(RAY_BISECT_STEPS):
+            sm = 0.5 * (sa + sb)
+            if sm == sa or sm == sb:
+                break
+            fm = float(scalar_residual(level_abs, base_point(sm)))
+            if abs(fm) < best_f:
+                best_s, best_f = sm, abs(fm)
+            if fm == 0.0:
+                break
+            if (sb - sa) < 1e-12 * max(1.0, abs(sm)) and best_f <= 0.01 * residual_tol:
+                break
+            if (fa < 0.0) != (fm < 0.0):
+                sb, fb = sm, fm
+            else:
+                sa, fa = sm, fm
+        return best_s
+
+    def accepted(s_star):
+        y_star = base_point(s_star)
+        if not scalar_in_quadrant(face, y_star, tol=1e-9):
+            return False
+        res = abs(float(scalar_residual(level_abs, y_star)))
+        return res <= residual_tol or res * math.exp(-float(y_star[2])) <= 1e-12
+
+    for i in range(RAY_SCAN_SAMPLES - 1):
+        if not (quad[i] or quad[i + 1]):
+            continue
+        if phi[i] == 0.0 and quad[i]:
+            s_star = float(s_grid[i])
+        elif (phi[i] < 0.0) != (phi[i + 1] < 0.0):
+            s_star = polish(float(s_grid[i]), float(s_grid[i + 1]))
+        else:
+            continue
+        if accepted(s_star):
+            return p + s_star * d
+        if rejected is not None:
+            rejected.append(i)
+    raise NoIntersectionError(
+        f"ray_cone_intersect: no crossing on face {face} for s in "
+        f"[{lo:.6g}, {hi:.6g}] ({RAY_SCAN_SAMPLES} samples)",
+        scanned=(lo, hi),
+    )
+
+
+def scalar_rays(p, through, cones, faces):
+    """Points (NaN where missed), found, and each miss's message and range."""
+    points, found, misses = [], [], []
+    for k in range(len(through)):
+        try:
+            points.append(scalar_ray_cone_intersect(p[k], through[k], cones[k], faces[k]))
+            found.append(True)
+        except NoIntersectionError as err:
+            points.append(np.full(3, np.nan))
+            found.append(False)
+            misses.append((str(err), err.scanned))
+    return np.array(points), np.array(found), misses
+
+
+def assert_rays_match_scalar(p, through, cones, faces):
+    want_points, want_found, want_misses = scalar_rays(p, through, cones, faces)
+    points, found = ray_cone_intersect_many(p, through, cones, faces)
+    assert points.dtype == want_points.dtype and points.shape == want_points.shape
+    assert points.tobytes() == want_points.tobytes()
+    np.testing.assert_array_equal(found, want_found)
+    misses = []
+    for k in range(len(through)):
+        try:
+            assert_same_bits(ray_cone_intersect(p[k], through[k], cones[k], faces[k]),
+                             want_points[k])
+        except NoIntersectionError as err:
+            misses.append((str(err), err.scanned))
+    assert misses == want_misses
+    return found
+
+
+LEVELS = st.builds(
+    lambda level, sign: sign * level, st.floats(0.05, 20.0), st.sampled_from([-1.0, 1.0])
+)
+CONES = st.builds(
+    lambda level, m, n, flip: ConeSurface(level, GroupElement(m, n, flip)),
+    LEVELS, st.integers(-3, 3), st.integers(-3, 3), st.booleans(),
+)
+
+
+@st.composite
+def rays(draw):
+    """One ray: aimed through a cone point, vertical, or anywhere."""
+    cone, face = draw(CONES), draw(st.sampled_from(FACE_IDS))
+    param = np.array([draw(st.floats(-1.5, 1.5)), draw(st.floats(-1.5, 1.5))])
+    target = cone_point(cone, param)
+    offset = np.array([draw(st.floats(-6.0, 6.0)) for _ in range(3)])
+    kind = draw(st.sampled_from(["aimed", "vertical", "anywhere"]))
+    if kind == "vertical":  # from below or above the surface point
+        height = draw(st.sampled_from([-1.0, 1.0])) * draw(st.floats(0.1, 5.0))
+        offset = np.array([0.0, 0.0, height])
+    elif kind == "anywhere":
+        target = target + np.array([draw(st.floats(-3.0, 3.0)) for _ in range(3)])
+    origin = target + offset
+    if np.array_equal(origin, target):  # a zero offset, or one lost to rounding
+        origin = target + np.array([0.0, 0.0, 1.0])
+    return origin, target, cone, face
+
+
+# a ray whose first bracket is polished to a root off its face before it
+# finds an accepted one, and one that then finds none at all
+REJECTED_FIRST = [
+    ((-13.83750482870557, 10.730631015013705, -0.46317129079353947),
+     (-11.640042036416622, 11.644502236790983, 2.284967530306775),
+     ConeSurface(5.902815634716647, GroupElement(-2, 2, False)), "+x1"),
+    ((1.1666424438571754, 12.490072398245877, 0.5350516002073782),
+     (5.352726642935361, 13.498343905423091, 2.5622447404709083),
+     ConeSurface(7.73032699599385, GroupElement(1, 2, False)), "-x1"),
+]
+
+
+@PROPERTY
+@given(st.lists(rays(), min_size=1, max_size=12))
+def test_batched_ray_solve_is_the_scalar_solve(batch):
+    p, through, cones, faces = (list(column) for column in zip(*batch))
+    p, through = np.array(p), np.array(through)
+    assert_rays_match_scalar(p, through, cones, faces)  # mixed cones and faces
+    n = len(through)  # one origin, cone and face for every ray
+    origin = np.broadcast_to(p[0], through.shape)
+    assert_rays_match_scalar(origin, through, [cones[0]] * n, [faces[0]] * n)
+    points, found = ray_cone_intersect_many(p[0], through, cones[0], faces[0])
+    want_points, want_found = ray_cone_intersect_many(
+        origin, through, [cones[0]] * n, [faces[0]] * n
+    )
+    assert points.tobytes() == want_points.tobytes()
+    np.testing.assert_array_equal(found, want_found)
+
+
+def test_batched_ray_solve_covers_every_branch():
+    p, through, cones, faces = (list(column) for column in zip(*REJECTED_FIRST))
+    for k in range(len(p)):
+        rejected = []
+        with contextlib.suppress(NoIntersectionError):
+            scalar_ray_cone_intersect(p[k], through[k], cones[k], faces[k], rejected)
+        assert rejected  # the first bracket is rejected
+    found = assert_rays_match_scalar(np.array(p), np.array(through), cones, faces)
+    np.testing.assert_array_equal(found, [True, False])
+    cone = ConeSurface(2.0)
+    cases = [  # (origin, through, the start of its miss message or None for a hit)
+        ((0.1, 0.05, 5.0), (0.1, 0.05, 0.0), None),  # vertical, from above
+        ((0.1, 0.05, -1.0), (0.1, 0.05, 0.0), None),  # vertical, from below
+        ((-0.1, 0.05, -1.0), (-0.1, 0.05, 0.0), "vertical ray misses the face quadrant"),
+        ((0.1, 0.05, 5.0), (0.1, 0.05, 6.0), "surface is behind the ray origin"),
+        ((10.0, 0.3, 0.0), (10.0, 0.5, 5.0), "ray never enters the beam"),
+        ((-3.0, 0.0, 0.0), (-3.5, 0.0, 0.0), "beam crossing is empty (s in ["),
+        ((0.2, 0.0, -5.0), (0.3, 0.1, -6.0), "no crossing on face +x1 for s in ["),
+    ]
+    p, through = np.array([c[0] for c in cases]), np.array([c[1] for c in cases])
+    found = assert_rays_match_scalar(p, through, [cone] * len(cases), ["+x1"] * len(cases))
+    np.testing.assert_array_equal(found, [c[2] is None for c in cases])
+    for origin, target, message in cases[2:]:
+        with pytest.raises(NoIntersectionError) as miss:
+            ray_cone_intersect(origin, target, cone, "+x1")
+        assert str(miss.value).startswith(f"ray_cone_intersect: {message}")
+    # bad input is an error for the whole call, in both forms
+    origin, x_axis = (0.0, 0.0, 0.0), (1.0, 0.0, 0.0)
+    with pytest.raises(DomainError, match="^ray_cone_intersect: degenerate ray$"):
+        ray_cone_intersect(origin, origin, cone, "+x1")
+    with pytest.raises(DomainError, match="^ray_cone_intersect: degenerate ray$"):
+        ray_cone_intersect_many(origin, [x_axis, origin], cone, "+x1")
+    with pytest.raises(DomainError, match="^ray_cone_intersect: unknown face '[+]x3'$"):
+        ray_cone_intersect(origin, x_axis, cone, "+x3")
+    with pytest.raises(DomainError, match="^ray_cone_intersect: unknown face '[+]x3'$"):
+        ray_cone_intersect_many(origin, [x_axis, x_axis], cone, ["+x1", "+x3"])
