@@ -230,6 +230,18 @@ def verify_area_transport(measures, lam: float, n_dim: int) -> AreaTransportRepo
     )
 
 
+def cube_membership(lo, hi):
+    """Membership test of the closed box [lo, hi], for points of shape (..., len(lo))."""
+    def member(pts):
+        pts = np.asarray(pts)
+        inside = (pts[..., 0] >= lo[0]) & (pts[..., 0] <= hi[0])
+        for k in range(1, len(lo)):  # column by column: no (n, 3) boolean temporaries
+            inside &= (pts[..., k] >= lo[k]) & (pts[..., k] <= hi[k])
+        return inside
+
+    return member
+
+
 def grid_count_measures(membership_e, membership_u, box_lo, box_hi,
                         cells_per_axis: int, *, pullback=None) -> tuple[float, float]:
     """Estimate the measures of two nested sets by counting cell centers.

@@ -24,7 +24,7 @@ import numpy as np
 
 from .errors import DegenerateError, DomainError, NoIntersectionError
 from .group import IDENTITY, GroupElement, apply, inverse
-from .zorich import EXP_CAP, HALF_PI
+from .zorich import EXP_CAP, HALF_PI, Beam
 
 FACE_IDS = ("+x1", "-x1", "+x2", "-x2")
 
@@ -137,6 +137,14 @@ def beam_boundary_distance(level: float, x3) -> np.ndarray:
     if np.any(arg > 1.0 + 1e-12):
         raise DomainError("beam_boundary_distance: height below the cone vertex")
     return np.arcsin(np.clip(arg, -1.0, 1.0))
+
+
+def strip_floor(level: float, eta: float) -> float:
+    """Lowest height, at least 0, above which the level cone is within eta/3 of its beam's boundary.
+
+    beam_boundary_distance(|level|, s) < eta/3 exactly when s > ln(|level| / sin(eta/3)).
+    """
+    return max(math.log(abs(level) / math.sin(eta / 3.0)), 0.0)
 
 
 def separation_constant(radius: float) -> float:
@@ -428,27 +436,31 @@ def cone_for_strip(level: float, plane_index: int, l: int) -> ConeSurface:
     """
     if level == 0.0:
         raise DomainError("cone_for_strip: level must be nonzero")
-    want = 0 if level > 0.0 else 1
-    i = plane_index if (plane_index + l) % 2 == want else plane_index + 1
-    b0i, b0j = (0, 0) if level > 0.0 else (1, 0)
-    di, dj = i - b0i, l - b0j
-    if di % 2 == 0:
-        element = GroupElement(di // 2, dj // 2, False)
-    else:
-        element = GroupElement((i - (1 - b0i)) // 2, (l - (1 - b0j)) // 2, True)
-    return ConeSurface(level, element)
+    negative = int(level < 0.0)
+    i = plane_index if (plane_index + l) % 2 == negative else plane_index + 1
+    flip = l % 2  # so that cone_beam of the result is (i, l)
+    m = (i - (negative != flip)) // 2
+    return ConeSurface(level, GroupElement(m, (l - flip) // 2, flip == 1))
+
+
+def cone_beam(cone: ConeSurface) -> Beam:
+    """The beam holding the cone, its vertex on the beam's axis.
+
+    The base cone is in beam (0, 0), or (1, 0) for a negative level; the flip
+    maps beam (i, j) to (1 - i, 1 - j), and (m, n) adds (2m, 2n).
+    """
+    g = cone.element
+    return Beam(2 * g.m + int((cone.level < 0.0) != g.flip), 2 * g.n + int(g.flip))
 
 
 def face_toward_wall(cone: ConeSurface, plane_index: int) -> str:
-    """Face of the cone whose points are nearest to the given wall plane."""
-    wall = HALF_PI + plane_index * math.pi
+    """Face of the cone nearest to the wall x1 = pi/2 + plane_index*pi.
 
-    def distance(face):  # from the face's probe point, 0.7 along its axis
-        sign, axis = _FACE_AXIS[face]
-        probe = (sign * 0.7, 0.0) if axis == 0 else (0.0, sign * 0.7)
-        return abs(float(cone_point(cone, probe)[0]) - wall)
-
-    return min(FACE_IDS, key=distance)
+    That is the x1 face moving from the vertex toward the wall; the parameter
+    axis p1 runs along ambient x1 in an even beam and against it in an odd one.
+    """
+    i = cone_beam(cone).i
+    return "+x1" if (i <= plane_index) == (i % 2 == 0) else "-x1"
 
 
 def face_mesh(region: FaceRegion, n_height: int, n_width: int) -> np.ndarray:

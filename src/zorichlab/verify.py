@@ -393,12 +393,10 @@ class FaceProjectionConfig:
         return PI / 2 + self.wall_index * PI
 
     def build(self):
-        big_l = abs(self.level)
-        s0 = math.log(big_l / math.sin(self.eta / 3.0))
         a = preimage.separation_constant(self.radius)
         w = 1.05 * max(4 * PI, a)
         delta = w / (2.0 * self.c)
-        s_floor = max(s0, 0.0) + 0.35
+        s_floor = preimage.strip_floor(self.level, self.eta) + 0.35
         u3_center = s_floor / self.c + delta
         # image square must sit in resolvable heights and meet the width window
         top = self.c * (u3_center + delta)
@@ -414,10 +412,8 @@ class FaceProjectionConfig:
         lo, hi = strip.x2_interval
         u2_rect = (lo / self.c, hi / self.c)
         u3_rect = (u3_center - delta, u3_center + delta)
-        # the strip heights must satisfy the closeness threshold xi < eta/3
-        xi = preimage.beam_boundary_distance(abs(self.level), s_floor)
-        if not xi < self.eta / 3.0:
-            raise ValueError("face config: boundary gap threshold violated")
+        if not preimage.beam_boundary_distance(abs(self.level), s_floor) < self.eta / 3.0:
+            raise ValueError("face config: boundary gap threshold xi < eta/3 violated")
         return cone, face, strip, u2_rect, u3_rect
 
 
@@ -482,25 +478,23 @@ def check_face_projection_distortion(n_cfg: int) -> CheckResult:
 
 def check_strip_intersection(n: int) -> CheckResult:
     rng = np.random.default_rng(127)
-    targets, cones, faces, levels = [], [], [], []
+    targets, cones, faces = [], [], []
     for _ in range(n):
         radius = float(rng.uniform(1.5, 8.0))
         level = math.log(radius)
         eta = float(rng.uniform(0.15, PI / 4 - 0.05))
-        s0 = math.log(abs(math.log(radius)) / math.sin(eta / 3.0))
         m = int(rng.integers(6, 12))
         l = int(rng.integers(-(m - 3), m - 2))
-        spec = preimage.StripSpec(m, l, eta, max(s0, 0.0) + 0.5)
+        spec = preimage.StripSpec(m, l, eta, preimage.strip_floor(level, eta) + 0.5)
         lo, hi = spec.x2_interval
         targets.append(
             [spec.wall_x1, float(rng.uniform(lo, hi)), spec.s + float(rng.uniform(0.2, 2.0))]
         )
         cones.append(preimage.cone_for_strip(level, m, l))
         faces.append(preimage.face_toward_wall(cones[-1], m))
-        levels.append(level)
     # a ray that finds no crossing is a miss, and so is a hit off the level
     hits, found = preimage.ray_cone_intersect_many(ORIGIN, np.array(targets), cones, faces)
-    levels = np.array(levels)[found]
+    levels = np.array([cone.level for cone in cones])[found]
     off = np.abs(zorich(hits[found])[:, 2] - levels) > 1e-9 * np.maximum(1.0, np.abs(levels))
     misses = np.count_nonzero(~found) + np.count_nonzero(off)
     return CheckResult(
@@ -513,15 +507,13 @@ def check_strip_intersection(n: int) -> CheckResult:
 # area transport configurations
 
 
-def _cube_member(lo, hi):
-    def member(pts):
-        pts = np.asarray(pts)
-        inside = (pts[..., 0] >= lo[0]) & (pts[..., 0] <= hi[0])
-        for k in range(1, len(lo)):  # column by column: no (n, 3) boolean temporaries
-            inside &= (pts[..., k] >= lo[k]) & (pts[..., k] <= hi[k])
-        return inside
-
-    return member
+def _cube_transport(f, pullback, e_lo, e_hi, u_hi, img_box, samples, vol):
+    """Transport sandwich of the cube [e_lo, e_hi] of volume vol and its part below u_hi."""
+    in_e = distortion.cube_membership(e_lo, e_hi)
+    in_u = distortion.cube_membership(e_lo, u_hi)
+    m_fe, m_fu = distortion.grid_count_measures(in_e, in_u, *img_box, 100, pullback=pullback)
+    lam = distortion.relative_distortion(f, samples, 1e-5).ratio
+    return distortion.verify_area_transport((vol, vol / 2, m_fe, m_fu), lam, 3)
 
 
 def _affine_transport(seed: int) -> distortion.AreaTransportReport:
@@ -539,12 +531,9 @@ def _affine_transport(seed: int) -> distortion.AreaTransportReport:
     def inv(y):
         return (np.asarray(y) - b) / scale
 
-    in_e = _cube_member(e_lo, e_hi)
-    in_u = _cube_member(e_lo, u_hi)
-    img_lo, img_hi = np.minimum(f(e_lo), f(e_hi)), np.maximum(f(e_lo), f(e_hi))
-    m_fe, m_fu = distortion.grid_count_measures(in_e, in_u, img_lo, img_hi, 100, pullback=inv)
-    lam = distortion.relative_distortion(f, rng.uniform(0, 1, size=(30, 3)), 1e-5).ratio
-    return distortion.verify_area_transport((1.0, 0.5, m_fe, m_fu), lam, 3)
+    img_box = np.minimum(f(e_lo), f(e_hi)), np.maximum(f(e_lo), f(e_hi))
+    samples = rng.uniform(0, 1, size=(30, 3))
+    return _cube_transport(f, inv, e_lo, e_hi, u_hi, img_box, samples, 1.0)
 
 
 def _map_cube_transport(seed: int) -> distortion.AreaTransportReport:
@@ -560,36 +549,21 @@ def _map_cube_transport(seed: int) -> distortion.AreaTransportReport:
     axis = int(rng.integers(0, 3))
     u_hi = e_hi.copy()
     u_hi[axis] = center[axis]
-    in_e = _cube_member(e_lo, e_hi)
-    in_u = _cube_member(e_lo, u_hi)
     g = np.linspace(0, 1, 20)
     probe = e_lo + np.stack(np.meshgrid(g, g, g, indexing="ij"), -1).reshape(-1, 3) * 2 * half
     img = zorich(probe)
-    img_lo = img.min(axis=0) - 1e-3
-    img_hi = img.max(axis=0) + 1e-3
-    m_fe, m_fu = distortion.grid_count_measures(
-        in_e, in_u, img_lo, img_hi, 100, pullback=lambda y: zorich_inverse(y, (0, 0))
-    )
-    pts = center + rng.uniform(-half, half, size=(200, 3))
-    lam = distortion.relative_distortion(zorich, pts, 1e-5).ratio
-    vol = (2 * half) ** 3
-    return distortion.verify_area_transport((vol, vol / 2, m_fe, m_fu), lam, 3)
+    img_box = img.min(axis=0) - 1e-3, img.max(axis=0) + 1e-3
+    samples = center + rng.uniform(-half, half, size=(200, 3))
+    return _cube_transport(zorich, lambda y: zorich_inverse(y, (0, 0)), e_lo, e_hi, u_hi,
+                           img_box, samples, (2 * half) ** 3)
 
 
 def _face_transport(cfg: FaceProjectionConfig) -> distortion.AreaTransportReport:
-    cone, face, strip, u2_rect, u3_rect = cfg.build()
-    wall = strip.wall_x1
-    level = cfg.level
-
-    # which side of the wall the face is on, from a mid-height probe
-    mid_h = 0.5 * (u3_rect[0] + u3_rect[1]) * cfg.c
-    probe = face_projection_map(cone, face, ORIGIN)(
-        (1.0, 0.5 * (u2_rect[0] + u2_rect[1]), mid_h / cfg.c)
-    )
-    side = 1.0 if probe[0] >= wall else -1.0
-
     # E = the J rectangle, U = its lower-u2 half; both exact in the wall chart
-    e_u2, e_u3 = u2_rect, u3_rect
+    cone, _, strip, e_u2, e_u3 = cfg.build()
+    level_abs = abs(cfg.level)
+    # the face lies on the same side of the wall as the cone's vertex
+    side = 1.0 if preimage.cone_beam(cone).i > strip.plane_index else -1.0
     m_e = (e_u2[1] - e_u2[0]) * (e_u3[1] - e_u3[0])
     m_u = m_e / 2.0
     u2_mid = 0.5 * (e_u2[0] + e_u2[1])
@@ -603,10 +577,11 @@ def _face_transport(cfg: FaceProjectionConfig) -> distortion.AreaTransportReport
     x2 = lo2 + (np.arange(cells) + 0.5) * (hi2 - lo2) / cells
     x3 = lo3 + (np.arange(cells) + 0.5) * (hi3 - lo3) / cells
     cell_area = (hi2 - lo2) / cells * (hi3 - lo3) / cells
-    xi = np.arcsin(np.clip(abs(level) * np.exp(-x3), -1.0, 1.0))
-    dxi = -abs(level) * np.exp(-x3) / np.sqrt(1.0 - (abs(level) * np.exp(-x3)) ** 2)
+    xi = preimage.beam_boundary_distance(level_abs, x3)
+    arg = level_abs * np.exp(-x3)
+    dxi = -arg / np.sqrt(1.0 - arg**2)
     weight = np.sqrt(1.0 + dxi**2)
-    x1 = wall + side * xi
+    x1 = strip.wall_x1 + side * xi
     # pull each face point back through the wall chart
     u2g = x2[None, :] / x1[:, None]
     u3g = x3[:, None] / x1[:, None]

@@ -5,6 +5,7 @@ import pytest
 
 from zorichlab.distortion import (
     Slab,
+    cube_membership,
     grid_count_measures,
     lambda_h_estimate,
     plane_directions,
@@ -171,17 +172,6 @@ class TestSlabBound:
         pts = sample_slab(Slab(-1.0, 1.0), 500, seed=17, radius=1e-5)
         assert np.all(branch_distance(pts) > 1e-4)
         assert np.all((pts[:, 2] > -1.0) & (pts[:, 2] < 1.0))
-
-
-def cube_membership(lo, hi):
-    lo = np.asarray(lo)
-    hi = np.asarray(hi)
-
-    def member(pts):
-        pts = np.asarray(pts)
-        return np.all((pts >= lo) & (pts <= hi), axis=-1)
-
-    return member
 
 
 class TestAreaTransport:

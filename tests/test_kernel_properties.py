@@ -1,6 +1,7 @@
 """Property tests for the kernel invariants in zorichlab.zorich, the
 bookkeeping of the adaptive tracer and its grouped form, the group action
-and fundamental-domain reduction, and the batched ray-cone solve.
+and fundamental-domain reduction, the batched ray-cone solve and the face
+of a cone toward a wall.
 
 Hypothesis runs derandomized, so every run draws the same examples.
 """
@@ -39,6 +40,7 @@ from zorichlab.preimage import (
     RAY_SCAN_SAMPLES,
     ConeSurface,
     cone_point,
+    face_toward_wall,
     ray_cone_intersect,
     ray_cone_intersect_many,
 )
@@ -659,3 +661,17 @@ def test_batched_ray_solve_covers_every_branch():
         ray_cone_intersect(origin, x_axis, cone, "+x3")
     with pytest.raises(DomainError, match="^ray_cone_intersect: unknown face '[+]x3'$"):
         ray_cone_intersect_many(origin, [x_axis, x_axis], cone, ["+x1", "+x3"])
+
+
+def probed_face_toward_wall(cone, plane_index):
+    """The face-toward-wall rule as a search: the face whose probe point, 0.7
+    along its axis in the parameter square, is nearest the wall."""
+    wall = HALF_PI + plane_index * math.pi
+    probes = {"+x1": (0.7, 0.0), "-x1": (-0.7, 0.0), "+x2": (0.0, 0.7), "-x2": (0.0, -0.7)}
+    return min(FACE_IDS, key=lambda face: abs(float(cone_point(cone, probes[face])[0]) - wall))
+
+
+@PROPERTY
+@given(CONES, st.integers(-12, 12))
+def test_face_toward_wall_is_the_nearest_probed_face(cone, plane_index):
+    assert face_toward_wall(cone, plane_index) == probed_face_toward_wall(cone, plane_index)

@@ -14,6 +14,7 @@ from zorichlab.preimage import (
     StripSpec,
     annular_sector_areas,
     beam_boundary_distance,
+    cone_beam,
     cone_for_strip,
     cone_height,
     cone_mesh,
@@ -25,6 +26,7 @@ from zorichlab.preimage import (
     ray_cone_intersect,
     separation_constant,
     strip_contains,
+    strip_floor,
     trapezoid_fill_bound,
 )
 from zorichlab.zorich import zorich, zorich_inverse
@@ -353,10 +355,9 @@ class TestRayConeIntersect:
             radius = rng.uniform(1.5, 8.0)
             level = math.log(radius)
             eta = rng.uniform(0.15, PI / 4 - 0.05)
-            s0 = math.log(abs(math.log(radius)) / math.sin(eta / 3.0))
             m = int(rng.integers(6, 12))
             l = int(rng.integers(-(m - 3), m - 2))
-            spec = StripSpec(plane_index=m, l=l, eta=eta, s=max(s0, 0.0) + 0.5)
+            spec = StripSpec(plane_index=m, l=l, eta=eta, s=strip_floor(level, eta) + 0.5)
             lo, hi = spec.x2_interval
             a = np.array(
                 [spec.wall_x1, rng.uniform(lo, hi), spec.s + rng.uniform(0.2, 2.0)]
@@ -376,6 +377,19 @@ class TestRayConeIntersect:
             ray_cone_intersect((10.0, 10.0, 0.0), (10.0, 10.0, 5.0), cone, "+x1")
 
 
+class TestStripFloor:
+    def test_boundary_gap_is_eta_third_at_the_floor(self):
+        for level, eta in ((2.0, 0.3), (-5.0, 0.7), (1.2, 0.15)):
+            s = strip_floor(level, eta)
+            assert s > 0.0
+            assert beam_boundary_distance(abs(level), s) == pytest.approx(eta / 3.0, rel=1e-12)
+            assert beam_boundary_distance(abs(level), s + 1e-6) < eta / 3.0
+
+    def test_floor_is_zero_for_small_levels(self):
+        assert strip_floor(0.05, 0.7) == 0.0
+        assert strip_floor(-0.05, 0.7) == 0.0
+
+
 class TestConeForStrip:
     def test_adjacent_and_parity(self):
         for level in (2.0, -3.0):
@@ -389,6 +403,19 @@ class TestConeForStrip:
                     assert abs(probe[1] - l * PI) < PI / 2 + 1e-9
                     z = zorich(probe)
                     assert z[2] == pytest.approx(level, rel=1e-12)
+
+    def test_cone_beam_holds_the_vertex(self):
+        elements = (GroupElement(0, 0, False), GroupElement(2, -1, True), GroupElement(-3, 2, False))
+        for level in (2.0, -3.0):
+            for g in elements:
+                cone = ConeSurface(level, g)
+                beam = cone_beam(cone)
+                np.testing.assert_allclose(
+                    cone_point(cone, (0.0, 0.0))[:2], (beam.i * PI, beam.j * PI), atol=1e-12
+                )
+        for m, l in ((3, -2), (4, 1)):
+            assert cone_beam(cone_for_strip(2.0, m, l)).j == l
+            assert cone_beam(cone_for_strip(-2.0, m, l)).i in (m, m + 1)
 
     def test_face_toward_wall_is_nearest(self):
         cone = cone_for_strip(2.0, 5, 1)

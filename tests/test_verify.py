@@ -1,3 +1,5 @@
+import inspect
+
 import pytest
 
 from zorichlab import preimage, verify
@@ -103,6 +105,17 @@ class TestRunChecks:
             "density_trend": (8, 6_000, 2),
         },
     }
+
+    def test_every_check_function_is_in_the_table(self):
+        # a check missing from CHECKS never runs, and the benchmark wraps and
+        # paces each check_<name> by the names in the table
+        defined = {
+            name.removeprefix("check_")
+            for name, obj in vars(verify).items()
+            if name.startswith("check_") and inspect.isfunction(obj)
+            and obj.__module__ == verify.__name__
+        }
+        assert defined == {name for name, _, _ in verify.CHECKS}
 
     @pytest.mark.parametrize("level", ["quick", "full"])
     def test_calls_patched_checks_in_order(self, monkeypatch, level):
