@@ -216,8 +216,8 @@ def zorich_second(x):
 def h_inverse(u):
     """Invert h_square on the closed upper hemisphere.
 
-    M = arccos(u3); below the pole cutoff the unique preimage is the origin,
-    otherwise the preimage is M * (u1, u2) / max(|u1|, |u2|).
+    M = arctan2(hypot(u1, u2), u3), exact near the pole too; below the pole
+    cutoff the preimage is the origin, otherwise M * (u1, u2) / max(|u1|, |u2|).
     """
     u = np.asarray(u, dtype=float)
     norm = np.sqrt(np.sum(u * u, axis=-1))
@@ -226,7 +226,7 @@ def h_inverse(u):
     u3 = u[..., 2]
     if np.any(u3 < -_POLE_TOL):
         raise DomainError("h_inverse: third coordinate must be >= 0")
-    m = np.arccos(np.clip(u3, -1.0, 1.0))
+    m = np.arctan2(np.hypot(u[..., 0], u[..., 1]), u3)
     den = np.maximum(np.abs(u[..., 0]), np.abs(u[..., 1]))
     at_pole = m < _POLE_TOL
     safe_den = np.where(at_pole, 1.0, den)

@@ -1,5 +1,3 @@
-import inspect
-
 import pytest
 
 from zorichlab import preimage, verify
@@ -109,12 +107,7 @@ class TestRunChecks:
     def test_every_check_function_is_in_the_table(self):
         # a check missing from CHECKS never runs, and the benchmark wraps and
         # paces each check_<name> by the names in the table
-        defined = {
-            name.removeprefix("check_")
-            for name, obj in vars(verify).items()
-            if name.startswith("check_") and inspect.isfunction(obj)
-            and obj.__module__ == verify.__name__
-        }
+        defined = {name.removeprefix("check_") for name in vars(verify) if name.startswith("check_")}
         assert defined == {name for name, _, _ in verify.CHECKS}
 
     @pytest.mark.parametrize("level", ["quick", "full"])

@@ -217,6 +217,12 @@ class TestZorichInverse:
         err = np.linalg.norm(back - x, axis=-1) / np.maximum(1.0, np.linalg.norm(x, axis=-1))
         assert np.max(err) <= 1e-9
 
+    @pytest.mark.parametrize("beam", [(0, 0), (1, 0)])
+    def test_roundtrip_near_the_beam_axis(self, beam):
+        # the chart angle of a point 1e-8 off the axis must survive the inverse
+        x = np.array([1e-8 + beam[0] * PI, 3e-9 + beam[1] * PI, 0.5])
+        np.testing.assert_allclose(zorich_inverse(zorich(x), beam), x, rtol=0, atol=1e-12)
+
     def test_inverse_consistency(self):
         rng = np.random.default_rng(31)
         y = rng.normal(size=(500, 3))
