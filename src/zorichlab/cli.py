@@ -278,13 +278,13 @@ def cmd_coverage(args) -> int:
     out = _ensure_out(args)
     line = _line_from_args(args)
     budget = max(1000, args.budget // 10) if args.quick else args.budget
-    h_max = 2.0 * args.box_r / args.grid_n if args.h_max is None else args.h_max
     for note in _confinement_notes(line):
         print(f"note: {note}")
     runs = density.coverage_experiment(
-        [line], box_r=args.box_r, grid_n=args.grid_n, budget=budget, h_max=h_max
+        [line], box_r=args.box_r, grid_n=args.grid_n, budget=budget, h_max=args.h_max
     )
     run = runs[0]
+    h_max = 2.0 * args.box_r / args.grid_n if args.h_max is None else args.h_max
     path = out / "coverage.csv"
     write_csv(
         path,

@@ -10,8 +10,9 @@ bisected while its image endpoints are further apart than a step bound and
 at least one endpoint lies in the target box.  Intervals whose second
 exponent already exceeds the box scale are skipped.  The lines of a density
 rung are traced together, in groups of at most _GROUP_SAMPLES samples of
-budget, with one kernel call per depth for the group; each line's trace is
-bit-identical to tracing it alone, so the outputs are unchanged.
+budget, with one kernel call per depth for the group; each line fills its
+own fixed region of the group's sample store in its evaluation order, so its
+trace is bit-identical to tracing it alone and the outputs are unchanged.
 Everything is deterministic for fixed inputs; traces from one run can be
 marked into occupancy grids in any chunking (marking is idempotent).
 """
@@ -294,23 +295,24 @@ def _trace_group(lines, ranges, box_r, budget, h_max):
     n = len(lines)
     n0 = budget // 3
     skip_exp = math.log(2.0 * box_r) + 1.0
-    # the sample store, in evaluation order: the seed grids line by line,
-    # then one block of midpoints per depth.  An interval is a pair (lo, hi)
-    # of store rows.  The store starts with room for the seeds plus one
-    # line's budget and grows on demand (one line never needs to); pages are
-    # touched only as samples are written.  `low` marks a second exponent
-    # z3 <= skip_exp: z3 is never NaN (+inf after a first-stage overflow), so
-    # min(z3[lo], z3[hi]) <= skip_exp is low[lo] | low[hi].
-    size = min(n * budget, n * n0 + budget)
-    s, f = np.empty(size), np.empty((size, 3))
-    low, in_box = np.empty(size, dtype=bool), np.empty(size, dtype=bool)
-    status = np.empty(size, dtype=np.int8)
+    # the sample store: line k owns rows [k*budget, (k+1)*budget) and fills
+    # them in its evaluation order, its seed grid and then one block of
+    # midpoints per depth.  An interval is a pair (lo, hi) of store rows.
+    # Pages are touched only as samples are written.  `low` marks a second
+    # exponent z3 <= skip_exp: z3 is never NaN (+inf after a first-stage
+    # overflow), so min(z3[lo], z3[hi]) <= skip_exp is low[lo] | low[hi].
+    s, f = np.empty(n * budget), np.empty((n * budget, 3))
+    low, in_box = np.empty(n * budget, dtype=bool), np.empty(n * budget, dtype=bool)
+    status = np.empty(n * budget, dtype=np.int8)
 
-    def store(batch, new_s, new_f, new_z3, new_status):
+    def store(writes, new_s, new_f, new_z3, new_status):
+        """Write a batch: its samples `part` go to store rows `rows`, for each (rows, part)."""
         new_f[new_status == UNRESOLVABLE] = np.nan
-        s[batch], f[batch], status[batch] = new_s, new_f, new_status
-        low[batch] = new_z3 <= skip_exp
-        in_box[batch] = (new_status == OK) & np.all(np.abs(new_f) <= box_r, axis=-1)
+        new_low = new_z3 <= skip_exp
+        new_in_box = (new_status == OK) & np.all(np.abs(new_f) <= box_r, axis=-1)
+        for rows, part in writes:
+            s[rows], f[rows], status[rows] = new_s[part], new_f[part], new_status[part]
+            low[rows], in_box[rows] = new_low[part], new_in_box[part]
 
     def needs_split(lo, hi):
         with np.errstate(over="ignore"):
@@ -324,41 +326,39 @@ def _trace_group(lines, ranges, box_r, budget, h_max):
             & width_ok
         )
 
-    # depth 0, line by line: the seed grid and the intervals it splits
+    # depth 0, line by line: the seed grid and the intervals it splits; its
+    # n0 - 1 < budget - n0 intervals leave the budget unbound
     split = []
     for k, (line, (s_lo, s_hi)) in enumerate(zip(lines, ranges)):
         seed_s = np.linspace(s_lo, s_hi, n0)
-        batch = slice(k * n0, (k + 1) * n0)
         new_f, new_z3, new_status = second_iterate(line.point_at(seed_s))
-        store(batch, seed_s, new_f, new_z3, new_status)
-        lo = np.arange(k * n0, (k + 1) * n0 - 1)
-        # n0 - 1 < budget - n0 seed intervals: the budget never binds here
+        rows = slice(k * budget, k * budget + n0)
+        store([(rows, slice(None))], seed_s, new_f, new_z3, new_status)
+        lo = np.arange(rows.start, rows.stop - 1)
         split.append(lo[np.flatnonzero(needs_split(lo, lo + 1))])
     lo = np.concatenate(split)
     hi = lo + 1
     counts = np.array([len(c) for c in split])
-    evals = np.full(n, n0)
-    runs = [[(k * n0, (k + 1) * n0)] for k in range(n)]  # each line's store rows
-    total = n * n0
+    evals = np.full(n, n0)  # rows line k has filled
     p = np.array([line.p for line in lines], dtype=float)
     d = np.array([line.direction() for line in lines])
 
     for depth in range(1, MAX_DEPTH + 1):
         if len(lo) == 0:
             break
-        if total + len(lo) > len(s):
-            size = min(n * budget, max(total + len(lo), 2 * len(s)))
-            s, f, low, in_box, status = (_grown(a, total, size) for a in (s, f, low, in_box, status))
         edges = [0, *np.cumsum(counts).tolist()]
         spans = list(zip(edges, edges[1:]))  # line k splits lo[a:b], hi[a:b]
         new_s = 0.5 * (s[lo] + s[hi])
-        mid = np.arange(total, total + len(lo))
+        mid = np.empty(len(lo), dtype=np.intp)
         x = np.empty((len(lo), 3))
+        writes = []
         for k, (a, b) in enumerate(spans):
             if b > a:
                 # lines[k].point_at(new_s[a:b]), bit for bit
                 np.add(p[k], np.multiply.outer(new_s[a:b], d[k]), out=x[a:b])
-                runs[k].append((total + a, total + b))
+                first = k * budget + evals[k]
+                mid[a:b] = np.arange(first, first + b - a)
+                writes.append((slice(first, first + b - a), slice(a, b)))
         evals += counts
         # children replace their parents line by line, left halves first; a
         # line that spends its budget at this depth is done
@@ -368,10 +368,8 @@ def _trace_group(lines, ranges, box_r, budget, h_max):
         # the kernel's outputs stay bound until the next depth: freed at once,
         # the allocator returned the heap top and each depth faulted the
         # kernel's temporaries in again (+30% page faults on a 10^6 trace)
-        batch = slice(total, total + len(mid))
         new_f, new_z3, new_status = second_iterate(x)
-        store(batch, new_s, new_f, new_z3, new_status)
-        total += len(mid)
+        store(writes, new_s, new_f, new_z3, new_status)
         if depth == MAX_DEPTH:
             break
         idx = np.flatnonzero(needs_split(lo, hi))
@@ -383,22 +381,8 @@ def _trace_group(lines, ranges, box_r, budget, h_max):
         lo, hi = lo[idx], hi[idx]
 
     for k in range(n):
-        rows = _rows(runs[k])
+        rows = slice(k * budget, k * budget + evals[k])
         yield _finish(s[rows], f[rows], in_box[rows], status[rows], h_max)
-
-
-def _grown(a: np.ndarray, used: int, size: int) -> np.ndarray:
-    """A copy of a's first `used` rows with room for `size` rows."""
-    out = np.empty((size, *a.shape[1:]), dtype=a.dtype)
-    out[:used] = a[:used]
-    return out
-
-
-def _rows(runs):
-    """Store rows of (start, stop) runs in order: a slice when they join up."""
-    if all(stop == start for (_, stop), (start, _) in zip(runs, runs[1:])):
-        return slice(runs[0][0], runs[-1][1])
-    return np.concatenate([np.arange(a, b) for a, b in runs])
 
 
 def _finish(s, f, in_box, status, h_max) -> TraceResult:
@@ -634,13 +618,11 @@ def coverage_experiment(
     budget: int = COVERAGE_BUDGET,
     h_max: float | None = None,
 ) -> list[CoverageRun]:
-    """Trace each line and mark a fresh grid per line; returns per-line runs."""
-    if h_max is None:
-        h_max = 2.0 * box_r / grid_n
+    """Trace each line and mark a fresh grid per line (h_max defaults to its voxel edge)."""
     runs = []
     for line in lines:
-        trace = adaptive_trace(line, box_r, budget, h_max)
         grid = VoxelGrid(box_r, grid_n)
+        trace = adaptive_trace(line, box_r, budget, grid.voxel if h_max is None else h_max)
         series = mark_and_coverage(grid, trace.points)
         runs.append(
             CoverageRun(line=line, series=series, audit=trace.audit, coverage=grid.coverage())

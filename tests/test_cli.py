@@ -1,5 +1,9 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 
@@ -26,6 +30,16 @@ class TestEvalInvert:
         assert main(["invert", "--y", "0,0,-1", "--beam", "1,0"]) == 0
         out = capsys.readouterr().out
         assert "preimage in beam (1, 0)" in out
+
+    def test_invert_writes_files(self, tmp_path):
+        assert main(["invert", "--y", "0,0,-1", "--beam", "1,0", "--out", str(tmp_path)]) == 0
+        assert (tmp_path / "invert.csv").read_text().splitlines() == [
+            "quantity,x1,x2,x3",
+            "y,0.0,0.0,-1.0",
+            "preimage,3.141592653589793,0.0,0.0",
+        ]
+        manifest = json.loads((tmp_path / "invert_manifest.json").read_text())
+        assert manifest["parameters"] == {"y": [0.0, 0.0, -1.0], "beam": [1, 0]}
 
     def test_invert_zero_exits_2(self, capsys):
         assert main(["invert", "--y", "0,0,0"]) == 2
@@ -57,6 +71,17 @@ class TestFileCommands:
         lines = (tmp_path / "trace_points.txt").read_text().splitlines()
         assert lines[0] == "# x y z (scene units)"
         assert len(lines) > 100
+
+    def test_trace_notes_planar_lines(self, tmp_path, capsys):
+        argv = ["trace", "--budget", "1000", "--out", str(tmp_path)]
+        assert main(argv + ["--direction", "1,0,0.001"]) == 0
+        assert "note: planar image: line lies in a preserved coordinate plane" in (
+            capsys.readouterr().out
+        )
+        assert main(argv + ["--direction", "1,1,0.001"]) == 0
+        assert "note: planar image: line lies in a preserved diagonal plane" in (
+            capsys.readouterr().out
+        )
 
     def test_coverage_excluded_line_flagged(self, tmp_path, capsys):
         code = main(
@@ -93,6 +118,17 @@ class TestFileCommands:
         lines = (tmp_path / "density.csv").read_text().splitlines()
         assert lines[0] == "delta,grid_n,valid_points,hits,fraction"
         assert len(lines) == 3
+
+    def test_density_quick_halves_grid_and_cuts_budget(self, tmp_path):
+        argv = ["density", "--quick", "--grid-n", "8", "--budget", "20000", "--rungs", "1"]
+        assert main(argv + ["--out", str(tmp_path)]) == 0
+        params = json.loads((tmp_path / "density_manifest.json").read_text())["parameters"]
+        assert (params["grid_n"], params["budget_per_line"]) == (4, 2000)
+
+    def test_distortion_quick_counts(self, tmp_path):
+        assert main(["distortion", "--quick", "--out", str(tmp_path)]) == 0
+        params = json.loads((tmp_path / "distortion_manifest.json").read_text())["parameters"]
+        assert (params["samples"], params["grid_n"]) == (100, 64)
 
     def test_distortion_report(self, tmp_path, capsys):
         code = main(
@@ -167,3 +203,12 @@ class TestWriters:
         lines = path.read_text().splitlines()
         assert lines[1] == "check=alpha claim=claim-a value=0.5 bound=1.0 tolerance=0.1 pass=true"
         assert lines[-1] == "overall pass=false checks=2 failed=1"
+
+
+def test_module_entry_point():
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+    done = subprocess.run(
+        [sys.executable, "-m", "zorichlab", "--version"], env=env, capture_output=True, text=True
+    )
+    assert done.returncode == 0
+    assert done.stdout.strip() == "zorichlab 0.1.0"

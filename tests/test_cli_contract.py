@@ -5,7 +5,7 @@ import json
 
 import pytest
 
-from zorichlab import verify
+from zorichlab import density, verify
 from zorichlab.cli import main
 from zorichlab.verify import CheckResult, VerificationReport
 
@@ -218,6 +218,16 @@ def test_verify_manifest_records_check_seconds(tmp_path, monkeypatch, level):
         (["density", "--rungs", "0"], None, "rungs"),
         (["density", "--rungs", "-2"], None, "rungs"),
         (["coverage", "--budget", "3000"], "box_r=inf\n", "finite"),
+        (["trace", "--budget", "999"], None, "budget must be >= 1000"),
+        (["trace", "--h-max", "0"], None, "h_max must be positive"),
+        (["cone", "--level", "0"], None, "level must be finite and nonzero"),
+        (["cone", "--n-height", "0"], None, "at least one cell"),
+        (["cone", "--level", "1", "--t1=-1", "--t2", "1"], None, "vertex_height < t1 < t2"),
+        (["distortion", "--t1", "1", "--t2", "0"], None, "need t1 < t2"),
+        (["distortion", "--samples", "0"], None, "need samples"),
+        (["distortion", "--t2", "25"], None, "slab gap above 20"),
+        (["density", "--delta", "0"], None, "delta must be positive"),
+        (["density", "--ball-n", "0"], None, "need n >= 1"),
     ],
 )
 def test_non_finite_or_empty_exits_2(tmp_path, capsys, argv, config, message):
@@ -225,4 +235,18 @@ def test_non_finite_or_empty_exits_2(tmp_path, capsys, argv, config, message):
         argv = argv + ["--config", _config(tmp_path, config)]
     assert main(argv + ["--out", str(tmp_path)]) == 2
     assert message in capsys.readouterr().err
+    assert not list(tmp_path.glob("*_manifest.json"))
+
+
+# A bad voxel grid size is rejected before the line is traced.
+
+
+@pytest.mark.parametrize("grid_n", ["0", "1", "-4"])
+def test_coverage_grid_size_exits_2_before_tracing(tmp_path, capsys, monkeypatch, grid_n):
+    def no_trace(*args, **kwargs):
+        raise AssertionError("the line was traced")
+
+    monkeypatch.setattr(density, "adaptive_trace", no_trace)
+    assert main(["coverage", f"--grid-n={grid_n}", "--out", str(tmp_path)]) == 2
+    assert "VoxelGrid" in capsys.readouterr().err
     assert not list(tmp_path.glob("*_manifest.json"))

@@ -5,6 +5,7 @@ import pytest
 
 from zorichlab.density import (
     BallSpec,
+    HitResult,
     LineSpec,
     PatchSpec,
     VoxelGrid,
@@ -249,6 +250,12 @@ class TestHitsBall:
         res = hits_ball(line, ball, 10_000)
         assert not res.hit
         assert res.min_distance >= 5.0 - 0.5 - math.e
+
+    def test_no_finite_point_is_no_hit(self):
+        # every point of this window overflows at the first stage
+        line = LineSpec(d=(0.3, 0.2, 1.0))
+        res = hits_ball(line, base_sequence(1), 1000, s_range=(701.0, 800.0))
+        assert res == HitResult(False, None, math.inf, 333)
 
     def test_brute_force_never_beats_adaptive(self):
         rng = np.random.default_rng(4242)
