@@ -14,6 +14,9 @@ the command is a validation error, and so is a value given (as a flag or a
 key) for an argument that another given argument replaces: ``direction``
 replaces ``face``, ``u2`` and ``u3``; ``q`` replaces ``ball_n``.  So is
 ``ball_r`` without ``q``: it is the radius of the explicit ball only.
+The counts that ``--quick`` scales down (``budget``, ``grid_n`` of
+``density`` and ``distortion``, ``samples``) take positive integers, and
+are checked before the scaling.
 
 A value that starts with ``-`` must be joined to its flag with ``=``
 (``--x=-1,0,0``, ``--face=-x1``); as a separate word argparse reads it as an
@@ -49,6 +52,17 @@ def _triple(text: str) -> tuple[float, float, float]:
     if len(parts) != 3:
         raise argparse.ArgumentTypeError("expected three comma-separated numbers")
     return tuple(parts)
+
+
+def _count(name: str):
+    """argparse type of a count flag that --quick scales: a positive integer."""
+
+    def integer(text: str) -> int:
+        if int(text) < 1:
+            raise argparse.ArgumentTypeError(f"need {name} >= 1, not {text!r}")
+        return int(text)
+
+    return integer
 
 
 def _pair(text: str) -> tuple[int, int]:
@@ -124,6 +138,12 @@ def _apply_config(parser, command, config: dict) -> None:
         elif action.choices is not None and value not in action.choices:
             raise DomainError(f"config: {key} must be one of {', '.join(action.choices)}")
         parser.set_defaults(**{key: value})
+
+
+def _scaled(args, name, divisor, floor) -> int:
+    """The count flag `name`; --quick divides it by divisor, down to floor."""
+    value = getattr(args, name)
+    return max(floor, value // divisor) if args.quick else value
 
 
 def _manifest(args, name, params, outputs, **extra):
@@ -232,7 +252,7 @@ def _confinement_notes(line) -> list[str]:
 def cmd_trace(args) -> int:
     out = _ensure_out(args)
     line = _line_from_args(args)
-    budget = max(1000, args.budget // 10) if args.quick else args.budget
+    budget = _scaled(args, "budget", 10, 1000)
     h_max = 2.0 * args.box_r / density.COVERAGE_GRID_N if args.h_max is None else args.h_max
     trace = density.adaptive_trace(line, args.box_r, budget, h_max)
     for note in _confinement_notes(line):
@@ -277,7 +297,7 @@ def _line_params(line):
 def cmd_coverage(args) -> int:
     out = _ensure_out(args)
     line = _line_from_args(args)
-    budget = max(1000, args.budget // 10) if args.quick else args.budget
+    budget = _scaled(args, "budget", 10, 1000)
     for note in _confinement_notes(line):
         print(f"note: {note}")
     runs = density.coverage_experiment(
@@ -310,10 +330,7 @@ def cmd_coverage(args) -> int:
 
 def cmd_density(args) -> int:
     out = _ensure_out(args)
-    grid_n, budget = args.grid_n, args.budget
-    if args.quick:
-        budget = max(1000, budget // 10)
-        grid_n = max(4, grid_n // 2)
+    grid_n, budget = _scaled(args, "grid_n", 2, 4), _scaled(args, "budget", 10, 1000)
     if args.q is not None:
         ball = density.BallSpec(args.q, args.ball_r)
     else:
@@ -345,10 +362,7 @@ def cmd_density(args) -> int:
 
 def cmd_distortion(args) -> int:
     out = _ensure_out(args)
-    samples, grid_n = args.samples, args.grid_n
-    if args.quick:
-        samples = max(50, samples // 10)
-        grid_n = max(64, grid_n // 2)
+    samples, grid_n = _scaled(args, "samples", 10, 50), _scaled(args, "grid_n", 2, 64)
     lam = distortion.lambda_h_estimate(grid_n)
     rep = distortion.verify_slab_bound(
         distortion.Slab(args.t1, args.t2), samples, lam=lam, radius=args.radius, n_dirs=args.dirs
@@ -446,7 +460,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--direction", type=_triple, default=None, action=_Given,
                        help="raw line direction (for excluded families); replaces --face/--u2/--u3")
         p.add_argument("--box-r", dest="box_r", type=_real, default=density.COVERAGE_BOX)
-        p.add_argument("--budget", type=int, default=budget)
+        p.add_argument("--budget", type=_count("budget"), default=budget)
         p.add_argument("--h-max", dest="h_max", type=_real, default=None)
 
     p = sub.add_parser("trace", help="adaptive second-iterate trace of one line")
@@ -461,8 +475,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("density", help="hit-fraction ladder over a patch of lines")
     line_flags(p, 0.4, 0.35)
     p.add_argument("--delta", type=_real, default=0.08)
-    p.add_argument("--grid-n", dest="grid_n", type=int, default=16)
-    p.add_argument("--budget", type=int, default=20_000)
+    p.add_argument("--grid-n", dest="grid_n", type=_count("grid_n"), default=16)
+    p.add_argument("--budget", type=_count("budget"), default=20_000)
     p.add_argument("--rungs", type=int, default=4)
     p.add_argument("--ball-n", dest="ball_n", type=int, default=1, action=_Given,
                    help="index into the countable ball base")
@@ -475,10 +489,10 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("distortion", help="slab distortion against the product bound")
     p.add_argument("--t1", type=_real, default=0.0)
     p.add_argument("--t2", type=_real, default=1.0)
-    p.add_argument("--samples", type=int, default=1000)
+    p.add_argument("--samples", type=_count("samples"), default=1000)
     p.add_argument("--radius", type=_real, default=distortion.DEFAULT_RADIUS)
     p.add_argument("--dirs", type=int, default=distortion.DEFAULT_DIRECTIONS)
-    p.add_argument("--grid-n", dest="grid_n", type=int, default=128)
+    p.add_argument("--grid-n", dest="grid_n", type=_count("grid_n"), default=128)
     common(p, cmd_distortion, quick=True)
 
     p = sub.add_parser("verify", help="run the aggregated verification suite")

@@ -138,6 +138,16 @@ class PatchSpec:
             raise DomainError("PatchSpec: patch leaves the face")
 
 
+def _norm3(v) -> np.ndarray:
+    """np.linalg.norm(v, axis=-1) of 3-vector rows, bit for bit, from the columns.
+
+    The sum runs in the order of numpy's reduction, (x*x + y*y) + z*z, and
+    is several times faster than a reduction over the length-3 last axis.
+    """
+    x, y, z = v[..., 0], v[..., 1], v[..., 2]
+    return np.sqrt(x * x + y * y + z * z)
+
+
 # ---------------------------------------------------------------------------
 # countable ball base of R^3 minus the unit sphere and the origin
 
@@ -155,7 +165,7 @@ def _stage_balls(k: int):
     for start in range(0, n, rows_per_chunk):
         c0 = coords[start : start + rows_per_chunk]
         q = np.stack(np.meshgrid(c0, coords, coords, indexing="ij"), axis=-1).reshape(-1, 3)
-        norm = np.linalg.norm(q, axis=-1)
+        norm = _norm3(q)
         keep = (norm > 0.0) & (np.abs(norm - 1.0) > 2.0**-k)
         yield q[keep], norm[keep]
 
@@ -309,14 +319,15 @@ def _trace_group(lines, ranges, box_r, budget, h_max):
         """Write a batch: its samples `part` go to store rows `rows`, for each (rows, part)."""
         new_f[new_status == UNRESOLVABLE] = np.nan
         new_low = new_z3 <= skip_exp
-        new_in_box = (new_status == OK) & np.all(np.abs(new_f) <= box_r, axis=-1)
+        near = np.abs(new_f) <= box_r
+        new_in_box = (new_status == OK) & near[:, 0] & near[:, 1] & near[:, 2]
         for rows, part in writes:
             s[rows], f[rows], status[rows] = new_s[part], new_f[part], new_status[part]
             low[rows], in_box[rows] = new_low[part], new_in_box[part]
 
     def needs_split(lo, hi):
         with np.errstate(over="ignore"):
-            gap = np.linalg.norm(f.take(lo, axis=0) - f.take(hi, axis=0), axis=-1)
+            gap = _norm3(f.take(lo, axis=0) - f.take(hi, axis=0))
         left, right = s[lo], s[hi]
         width_ok = (right - left) > 8.0 * np.spacing(np.maximum(np.abs(left), np.abs(right)))
         return (
@@ -388,13 +399,13 @@ def _trace_group(lines, ranges, box_r, budget, h_max):
 def _finish(s, f, in_box, status, h_max) -> TraceResult:
     """The TraceResult of one line's samples, given in evaluation order."""
     order = np.argsort(s, kind="stable")
-    order = order[np.all(np.isfinite(f), axis=-1)[order]]
+    order = order[status[order] == OK]  # the store keeps a row finite iff it is OK
     s_kept, f_kept, box_kept = s[order], f.take(order, axis=0), in_box[order]
     counts = np.bincount(status, minlength=4)
 
     both = box_kept[:-1] & box_kept[1:]
     with np.errstate(over="ignore"):
-        pair_gap = np.linalg.norm(f_kept[:-1] - f_kept[1:], axis=-1)
+        pair_gap = _norm3(f_kept[:-1] - f_kept[1:])
     cap_hits = int(np.count_nonzero(both & (pair_gap > h_max * (1 + 1e-9))))
 
     audit = TraceAudit(
@@ -430,12 +441,18 @@ class VoxelGrid:
         self.excluded = self._exclusion_mask()
 
     def _exclusion_mask(self) -> np.ndarray:
-        edges = -self.half_extent + self.voxel * np.arange(self.n)
-        lo = np.stack(np.meshgrid(edges, edges, edges, indexing="ij"), axis=-1)
+        lo = -self.half_extent + self.voxel * np.arange(self.n)  # voxel edges on one axis
         hi = lo + self.voxel
-        nearest = np.clip(0.0, lo, hi)
-        dmin = np.linalg.norm(nearest, axis=-1)
-        dmax = np.linalg.norm(np.maximum(np.abs(lo), np.abs(hi)), axis=-1)
+
+        def radius(c):
+            """|(c[i], c[j], c[k])| over the grid, summed in _norm3's order."""
+            sq = c * c
+            r = (sq[:, None, None] + sq[None, :, None]) + sq
+            return np.sqrt(r, out=r)
+
+        # distance from the origin of each voxel's nearest and farthest point
+        dmin = radius(np.clip(0.0, lo, hi))
+        dmax = radius(np.maximum(np.abs(lo), np.abs(hi)))
         diag = self.voxel * math.sqrt(3.0)
         ball = dmin <= diag
         shell = (dmin < 1.0 + diag) & (dmax > 1.0 - diag)
@@ -446,10 +463,12 @@ class VoxelGrid:
         pts = np.atleast_2d(np.asarray(points, dtype=float))
         if pts.shape[0] == 0:
             return 0
-        inside = np.all((pts >= -self.half_extent) & (pts < self.half_extent), axis=-1)
-        pts = pts[inside]
+        h = self.half_extent
+        x, y, z = pts[:, 0], pts[:, 1], pts[:, 2]
+        inside = (x >= -h) & (x < h) & (y >= -h) & (y < h) & (z >= -h) & (z < h)
+        pts = pts.take(np.flatnonzero(inside), axis=0)
         if len(pts):
-            idx = ((pts + self.half_extent) / self.voxel).astype(np.int64)
+            idx = ((pts + h) / self.voxel).astype(np.int64)
             idx = np.clip(idx, 0, self.n - 1)
             self.occupancy[idx[:, 0], idx[:, 1], idx[:, 2]] = True
         return int(np.count_nonzero(inside))
@@ -509,7 +528,7 @@ def _hit(trace: TraceResult, ball: BallSpec) -> HitResult:
     if len(trace.points) == 0:
         return HitResult(False, None, math.inf, trace.audit.evals)
     with np.errstate(over="ignore"):
-        dist = np.linalg.norm(trace.points - np.asarray(ball.center), axis=-1)
+        dist = _norm3(trace.points - np.asarray(ball.center))
     k = int(np.argmin(dist))
     best = float(dist[k])
     if best < ball.radius:

@@ -154,8 +154,9 @@ def _lift_where(x, ok):
     if ok.size and ok.all():  # an empty batch makes no h_extended call
         return _lift(x)
     out = np.full(x.shape, np.nan)
-    if np.any(ok):
-        out[ok] = _lift(x[ok])
+    i = np.flatnonzero(ok)  # row indices of a (-1, 3) view; faster than a boolean gather
+    if len(i):
+        out.reshape(-1, 3)[i] = _lift(x.reshape(-1, 3).take(i, axis=0))
     return out
 
 

@@ -207,6 +207,15 @@ def test_verify_manifest_records_check_seconds(tmp_path, monkeypatch, level):
 
 # Non-finite numbers and an empty ladder are validation errors, as flags or keys.
 
+COUNT_FLAGS = [
+    ("trace", "--budget", "budget", "-5"),
+    ("coverage", "--budget", "budget", "0"),
+    ("density", "--budget", "budget", "-5"),
+    ("density", "--grid-n", "grid_n", "0"),
+    ("distortion", "--samples", "samples", "0"),
+    ("distortion", "--grid-n", "grid_n", "-1"),
+]
+
 
 @pytest.mark.parametrize(
     "argv, config, message",
@@ -228,6 +237,17 @@ def test_verify_manifest_records_check_seconds(tmp_path, monkeypatch, level):
         (["distortion", "--t2", "25"], None, "slab gap above 20"),
         (["density", "--delta", "0"], None, "delta must be positive"),
         (["density", "--ball-n", "0"], None, "need n >= 1"),
+        # a count that --quick scales is checked before the scaling, with and
+        # without --quick, as a flag and as a config key
+        *[
+            (argv, config, f"need {key} >= 1")
+            for command, flag, key, value in COUNT_FLAGS
+            for quick in ([], ["--quick"])
+            for argv, config in [
+                ([command, f"{flag}={value}", *quick], None),
+                ([command, *quick], f"{key}={value}\n"),
+            ]
+        ],
     ],
 )
 def test_non_finite_or_empty_exits_2(tmp_path, capsys, argv, config, message):

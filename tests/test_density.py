@@ -1,8 +1,12 @@
+import ast
 import math
+import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from zorichlab import density
 from zorichlab.density import (
     BallSpec,
     HitResult,
@@ -122,6 +126,84 @@ class TestVoxelGrid:
         centers = np.stack(np.meshgrid(edges, edges, edges, indexing="ij"), -1).reshape(-1, 3)
         grid.mark(centers)
         assert grid.coverage() == 1.0
+
+
+def meshgrid_exclusion_mask(grid):
+    """VoxelGrid._exclusion_mask as first written, from n^3 x 3 meshgrids."""
+    edges = -grid.half_extent + grid.voxel * np.arange(grid.n)
+    lo = np.stack(np.meshgrid(edges, edges, edges, indexing="ij"), axis=-1)
+    hi = lo + grid.voxel
+    dmin = np.linalg.norm(np.clip(0.0, lo, hi), axis=-1)
+    dmax = np.linalg.norm(np.maximum(np.abs(lo), np.abs(hi)), axis=-1)
+    diag = grid.voxel * math.sqrt(3.0)
+    return (dmin <= diag) | ((dmin < 1.0 + diag) & (dmax > 1.0 - diag))
+
+
+def three_index_mark(grid, points):
+    """VoxelGrid.mark as first written, with a row reduction and a boolean gather."""
+    pts = np.atleast_2d(np.asarray(points, dtype=float))
+    inside = np.all((pts >= -grid.half_extent) & (pts < grid.half_extent), axis=-1)
+    pts = pts[inside]
+    if len(pts):
+        idx = ((pts + grid.half_extent) / grid.voxel).astype(np.int64)
+        idx = np.clip(idx, 0, grid.n - 1)
+        grid.occupancy[idx[:, 0], idx[:, 1], idx[:, 2]] = True
+    return int(np.count_nonzero(inside))
+
+
+class TestVoxelGridRows:
+    @pytest.mark.parametrize("n", [2, 3, 7, 64, 128])
+    @pytest.mark.parametrize("half_extent", [0.5, 2.0, 10.0])
+    def test_exclusion_mask_is_the_meshgrid_mask(self, half_extent, n):
+        grid = VoxelGrid(half_extent, n)
+        np.testing.assert_array_equal(grid.excluded, meshgrid_exclusion_mask(grid))
+
+    def test_exclusion_mask_memory(self):
+        # one n^3 distance array at a time, not n^3 x 3 meshgrids (40 MB at n = 64)
+        VoxelGrid(10.0, 64)
+        tracemalloc.start()
+        try:
+            VoxelGrid(10.0, 64)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 2**20
+
+    @pytest.mark.parametrize("half_extent, n", [(10.0, 16), (2.0, 7), (0.5, 3)])
+    def test_mark_on_the_faces(self, half_extent, n):
+        h = half_extent
+        grid, frozen = VoxelGrid(h, n), VoxelGrid(h, n)
+        assert grid.mark([(-h, -h, -h)]) == 1 and grid.occupancy[0, 0, 0]
+        assert grid.mark([(h, 0.0, 0.0), (0.0, h, 0.0), (0.0, 0.0, h)]) == 0
+        assert np.count_nonzero(grid.occupancy) == 1
+        # clouds with coordinates on, just inside and just outside every face
+        rng = np.random.default_rng(5)
+        face = [-h, h, np.nextafter(-h, 0.0), np.nextafter(h, 0.0), np.nextafter(-h, -np.inf),
+                np.nextafter(h, np.inf), 0.0, -0.0, math.nan, math.inf]
+        coords = np.where(rng.random((3000, 3)) < 0.5, rng.choice(face, (3000, 3)),
+                          rng.uniform(-1.5 * h, 1.5 * h, (3000, 3)))
+        grid = VoxelGrid(h, n)
+        for chunk in np.array_split(coords, 7):
+            assert grid.mark(chunk) == three_index_mark(frozen, chunk)
+        np.testing.assert_array_equal(grid.occupancy, frozen.occupancy)
+
+
+def test_density_reduces_rows_by_columns():
+    # reductions over the length-3 last axis are several times slower than
+    # the same arithmetic on the columns; density.py's hot path uses the columns
+    def last_axis(call):
+        axis = [k.value for k in call.keywords if k.arg == "axis"] + call.args[1:2]
+        return any(ast.unparse(a) == "-1" for a in axis)
+
+    tree = ast.parse(Path(density.__file__).read_text())
+    found = [
+        f"line {node.lineno}: {ast.unparse(node)}"
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call)
+        and ast.unparse(node.func) in ("np.linalg.norm", "np.all", "np.any")
+        and last_axis(node)
+    ]
+    assert not found, found
 
 
 class TestMarkAndCoverage:

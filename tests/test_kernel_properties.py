@@ -21,6 +21,7 @@ from zorichlab.density import (
     LineSpec,
     YPoint,
     _finish,
+    _norm3,
     _trace_lines,
     adaptive_trace,
     base_sequence,
@@ -76,6 +77,64 @@ POINTS = st.lists(
     min_size=1,
     max_size=40,
 )
+
+
+# a coordinate of a row the tracer reduces: specials, squares that overflow or
+# underflow, subnormals and signed zeros
+COORDS = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.sampled_from([math.nan, math.inf, -math.inf, 0.0, -0.0, 5e-324, -5e-324]),
+    st.floats(1e154, 1e300).flatmap(lambda v: st.sampled_from([v, -v])),
+    st.floats(-2.2250738585072014e-308, 2.2250738585072014e-308),
+)
+# rows of like magnitudes, where the order of the sum decides its rounding
+LIKE = st.floats(-4.0, 4.0)
+ROWS = st.lists(
+    st.one_of(st.tuples(COORDS, COORDS, COORDS), st.tuples(LIKE, LIKE, LIKE)),
+    min_size=1,
+    max_size=30,
+)
+
+
+@PROPERTY
+@given(ROWS)
+def test_norm3_is_linalg_norm(rows):
+    v = np.array(rows, dtype=float)
+    with np.errstate(over="ignore", under="ignore", invalid="ignore"):
+        for w in (v, v[:-1] - v[1:]):  # the rows and the gaps between them
+            assert _norm3(w).tobytes() == np.linalg.norm(w, axis=-1).tobytes()
+    # the column-and of a row mask, as the store and VoxelGrid.mark take it
+    m = np.abs(v) <= 10.0
+    np.testing.assert_array_equal(m[:, 0] & m[:, 1] & m[:, 2], np.all(m, axis=-1))
+
+
+# first-stage x3 where the first-stage coordinates pass PHASE_CAP (odd beams
+# keep the second exponent negative there), and x3 next to EXP_CAP
+LN_PHASE_CAP = math.log(PHASE_CAP)
+STATUS_POINTS = st.lists(
+    st.tuples(
+        st.floats(-40.0, 40.0),
+        st.floats(-40.0, 40.0),
+        st.one_of(
+            st.floats(-30.0, EXP_CAP + 20.0),
+            st.floats(LN_PHASE_CAP - 1.0, LN_PHASE_CAP + 8.0),
+            st.floats(EXP_CAP - 1e-9, EXP_CAP + 1e-9),
+            st.floats(6.0, 7.0),
+        ),
+    ),
+    min_size=1,
+    max_size=40,
+)
+
+
+@PROPERTY
+@given(STATUS_POINTS)
+def test_stored_row_is_finite_iff_ok(rows):
+    # the tracer's store sets an UNRESOLVABLE row to NaN; _finish then keeps
+    # the finite rows by their status alone
+    f, _, status = second_iterate(np.array(rows))
+    f[status == UNRESOLVABLE] = np.nan
+    np.testing.assert_array_equal(np.all(np.isfinite(f), axis=-1), status == OK)
 
 
 @PROPERTY
