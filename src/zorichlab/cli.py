@@ -15,8 +15,9 @@ key) for an argument that another given argument replaces: ``direction``
 replaces ``face``, ``u2`` and ``u3``; ``q`` replaces ``ball_n``.  So is
 ``ball_r`` without ``q``: it is the radius of the explicit ball only.
 The counts that ``--quick`` scales down (``budget``, ``grid_n`` of
-``density`` and ``distortion``, ``samples``) take positive integers, and
-are checked before the scaling.
+``density`` and ``distortion``, ``samples``) take integers no smaller than
+the library's minimum for them (1000, 2, 64 and 1), and are checked before
+the scaling, so ``--quick`` never lifts a value the library would reject.
 
 A value that starts with ``-`` must be joined to its flag with ``=``
 (``--x=-1,0,0``, ``--face=-x1``); as a separate word argparse reads it as an
@@ -54,12 +55,15 @@ def _triple(text: str) -> tuple[float, float, float]:
     return tuple(parts)
 
 
-def _count(name: str):
-    """argparse type of a count flag that --quick scales: a positive integer."""
+def _count(name: str, least: int = 1):
+    """argparse type of a count flag that --quick scales: a positive integer,
+    at least `least`, the library's minimum for it."""
 
     def integer(text: str) -> int:
         if int(text) < 1:
             raise argparse.ArgumentTypeError(f"need {name} >= 1, not {text!r}")
+        if int(text) < least:
+            raise argparse.ArgumentTypeError(f"{name} must be >= {least}, not {text!r}")
         return int(text)
 
     return integer
@@ -460,7 +464,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--direction", type=_triple, default=None, action=_Given,
                        help="raw line direction (for excluded families); replaces --face/--u2/--u3")
         p.add_argument("--box-r", dest="box_r", type=_real, default=density.COVERAGE_BOX)
-        p.add_argument("--budget", type=_count("budget"), default=budget)
+        p.add_argument("--budget", type=_count("budget", 1000), default=budget)
         p.add_argument("--h-max", dest="h_max", type=_real, default=None)
 
     p = sub.add_parser("trace", help="adaptive second-iterate trace of one line")
@@ -475,8 +479,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("density", help="hit-fraction ladder over a patch of lines")
     line_flags(p, 0.4, 0.35)
     p.add_argument("--delta", type=_real, default=0.08)
-    p.add_argument("--grid-n", dest="grid_n", type=_count("grid_n"), default=16)
-    p.add_argument("--budget", type=_count("budget"), default=20_000)
+    p.add_argument("--grid-n", dest="grid_n", type=_count("grid_n", 2), default=16)
+    p.add_argument("--budget", type=_count("budget", 1000), default=20_000)
     p.add_argument("--rungs", type=int, default=4)
     p.add_argument("--ball-n", dest="ball_n", type=int, default=1, action=_Given,
                    help="index into the countable ball base")
@@ -492,7 +496,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--samples", type=_count("samples"), default=1000)
     p.add_argument("--radius", type=_real, default=distortion.DEFAULT_RADIUS)
     p.add_argument("--dirs", type=int, default=distortion.DEFAULT_DIRECTIONS)
-    p.add_argument("--grid-n", dest="grid_n", type=_count("grid_n"), default=128)
+    p.add_argument("--grid-n", dest="grid_n", type=_count("grid_n", 64), default=128)
     common(p, cmd_distortion, quick=True)
 
     p = sub.add_parser("verify", help="run the aggregated verification suite")

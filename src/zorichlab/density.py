@@ -10,9 +10,17 @@ bisected while its image endpoints are further apart than a step bound and
 at least one endpoint lies in the target box.  Intervals whose second
 exponent already exceeds the box scale are skipped.  The lines of a density
 rung are traced together, in groups of at most _GROUP_SAMPLES samples of
-budget, with one kernel call per depth for the group; each line fills its
-own fixed region of the group's sample store in its evaluation order, so its
-trace is bit-identical to tracing it alone and the outputs are unchanged.
+budget, and a depth's midpoints of the whole group are evaluated together;
+each line fills its own fixed region of the group's sample store in its
+evaluation order, so its trace is bit-identical to tracing it alone and the
+outputs are unchanged.
+
+The tracer works in fixed blocks of _BLOCK points: each kernel call, each
+pass of the split test, the final gathers and pair gaps and each voxel mark
+take at most one block.  Every step is elementwise, so the blocks change no
+output bit; they bound the working set beside the store and the result (a
+10^6 trace peaks near 69 MB of arrays, 35 MB of them the store).
+
 Everything is deterministic for fixed inputs; traces from one run can be
 marked into occupancy grids in any chunking (marking is idempotent).
 """
@@ -32,6 +40,7 @@ Y_FACES = ("+x1", "-x1", "+x2", "-x2")
 _CHECKPOINT_BASE = 1000
 _BALL_CHUNK = 1 << 21  # ball centres generated per chunk of a dyadic stage
 _GROUP_SAMPLES = 1 << 17  # combined budget of the lines one group traces together
+_BLOCK = 1 << 16  # points or intervals per kernel call, test, gather and mark
 # first-stage x3 window of a traced line: exp(27) ~ 5e11 < zorich.PHASE_CAP
 X3_WINDOW = (-1.0, 27.0)
 MAX_DEPTH = 48  # bisection depths of adaptive_trace
@@ -297,16 +306,17 @@ def _trace_group(lines, ranges, box_r, budget, h_max):
     """The tracer of adaptive_trace, run on a group of lines at once.
 
     Each line's seed grid and its first bisection test run line by line;
-    every later depth evaluates the midpoints of all the group's lines in one
-    second_iterate call.  Intervals are kept grouped by line, each line's in
-    the order a lone trace of it keeps them, so the budget truncation takes
-    the same intervals: a line keeps its first budget - evals needed ones.
+    every later depth evaluates the midpoints of all the group's lines
+    together, one _BLOCK of points per second_iterate call.  Intervals are
+    kept grouped by line, each line's in the order a lone trace of it keeps
+    them, so the budget truncation takes the same intervals: a line keeps its
+    first budget - evals needed ones.
     """
     n = len(lines)
     n0 = budget // 3
     skip_exp = math.log(2.0 * box_r) + 1.0
     # the sample store: line k owns rows [k*budget, (k+1)*budget) and fills
-    # them in its evaluation order, its seed grid and then one block of
+    # them in its evaluation order, its seed grid and then one run of
     # midpoints per depth.  An interval is a pair (lo, hi) of store rows.
     # Pages are touched only as samples are written.  `low` marks a second
     # exponent z3 <= skip_exp: z3 is never NaN (+inf after a first-stage
@@ -314,45 +324,63 @@ def _trace_group(lines, ranges, box_r, budget, h_max):
     s, f = np.empty(n * budget), np.empty((n * budget, 3))
     low, in_box = np.empty(n * budget, dtype=bool), np.empty(n * budget, dtype=bool)
     status = np.empty(n * budget, dtype=np.int8)
+    p = np.array([line.p for line in lines], dtype=float)
+    d = np.array([line.direction() for line in lines])
 
-    def store(writes, new_s, new_f, new_z3, new_status):
-        """Write a batch: its samples `part` go to store rows `rows`, for each (rows, part)."""
-        new_f[new_status == UNRESOLVABLE] = np.nan
-        new_low = new_z3 <= skip_exp
-        near = np.abs(new_f) <= box_r
-        new_in_box = (new_status == OK) & near[:, 0] & near[:, 1] & near[:, 2]
-        for rows, part in writes:
-            s[rows], f[rows], status[rows] = new_s[part], new_f[part], new_status[part]
-            low[rows], in_box[rows] = new_low[part], new_in_box[part]
+    def evaluate(new_s, runs):
+        """Evaluate and store the points of new_s, one _BLOCK at a time.
+
+        runs holds (a, b, k, row): line k's parameters new_s[a:b] go to its
+        store rows row, row + 1, ...; the runs are disjoint.
+        """
+        for c in range(0, len(new_s), _BLOCK):
+            e = min(c + _BLOCK, len(new_s))
+            x = np.empty((e - c, 3))
+            writes = []
+            for a, b, k, row in runs:
+                i, j = max(a, c), min(b, e)
+                if i < j:
+                    # lines[k].point_at(new_s[i:j]), bit for bit
+                    np.add(p[k], np.multiply.outer(new_s[i:j], d[k]), out=x[i - c : j - c])
+                    writes.append((slice(row + i - a, row + j - a), slice(i - c, j - c)))
+            new_f, new_z3, new_status = second_iterate(x)
+            new_f[new_status == UNRESOLVABLE] = np.nan
+            new_low = new_z3 <= skip_exp
+            near = np.abs(new_f) <= box_r
+            new_in_box = (new_status == OK) & near[:, 0] & near[:, 1] & near[:, 2]
+            block_s = new_s[c:e]
+            for rows, part in writes:
+                s[rows], f[rows], status[rows] = block_s[part], new_f[part], new_status[part]
+                low[rows], in_box[rows] = new_low[part], new_in_box[part]
 
     def needs_split(lo, hi):
-        with np.errstate(over="ignore"):
-            gap = _norm3(f.take(lo, axis=0) - f.take(hi, axis=0))
-        left, right = s[lo], s[hi]
-        width_ok = (right - left) > 8.0 * np.spacing(np.maximum(np.abs(left), np.abs(right)))
-        return (
-            (in_box[lo] | in_box[hi])
-            & ~(gap <= h_max)  # a NaN gap counts as too wide
-            & (low[lo] | low[hi])
-            & width_ok
-        )
+        """Whether to bisect each interval (lo[i], hi[i]), one _BLOCK of them at a time."""
+        need = np.empty(len(lo), dtype=bool)
+        for c in range(0, len(lo), _BLOCK):
+            a, b = lo[c : c + _BLOCK], hi[c : c + _BLOCK]
+            with np.errstate(over="ignore"):
+                gap = _norm3(f.take(a, axis=0) - f.take(b, axis=0))
+            left, right = s[a], s[b]
+            width_ok = (right - left) > 8.0 * np.spacing(np.maximum(np.abs(left), np.abs(right)))
+            need[c : c + _BLOCK] = (
+                (in_box[a] | in_box[b])
+                & ~(gap <= h_max)  # a NaN gap counts as too wide
+                & (low[a] | low[b])
+                & width_ok
+            )
+        return need
 
     # depth 0, line by line: the seed grid and the intervals it splits; its
     # n0 - 1 < budget - n0 intervals leave the budget unbound
     split = []
-    for k, (line, (s_lo, s_hi)) in enumerate(zip(lines, ranges)):
-        seed_s = np.linspace(s_lo, s_hi, n0)
-        new_f, new_z3, new_status = second_iterate(line.point_at(seed_s))
-        rows = slice(k * budget, k * budget + n0)
-        store([(rows, slice(None))], seed_s, new_f, new_z3, new_status)
-        lo = np.arange(rows.start, rows.stop - 1)
+    for k, (s_lo, s_hi) in enumerate(ranges):
+        evaluate(np.linspace(s_lo, s_hi, n0), [(0, n0, k, k * budget)])
+        lo = np.arange(k * budget, k * budget + n0 - 1)
         split.append(lo[np.flatnonzero(needs_split(lo, lo + 1))])
     lo = np.concatenate(split)
     hi = lo + 1
     counts = np.array([len(c) for c in split])
     evals = np.full(n, n0)  # rows line k has filled
-    p = np.array([line.p for line in lines], dtype=float)
-    d = np.array([line.direction() for line in lines])
 
     for depth in range(1, MAX_DEPTH + 1):
         if len(lo) == 0:
@@ -361,26 +389,19 @@ def _trace_group(lines, ranges, box_r, budget, h_max):
         spans = list(zip(edges, edges[1:]))  # line k splits lo[a:b], hi[a:b]
         new_s = 0.5 * (s[lo] + s[hi])
         mid = np.empty(len(lo), dtype=np.intp)
-        x = np.empty((len(lo), 3))
-        writes = []
+        runs = []
         for k, (a, b) in enumerate(spans):
             if b > a:
-                # lines[k].point_at(new_s[a:b]), bit for bit
-                np.add(p[k], np.multiply.outer(new_s[a:b], d[k]), out=x[a:b])
                 first = k * budget + evals[k]
                 mid[a:b] = np.arange(first, first + b - a)
-                writes.append((slice(first, first + b - a), slice(a, b)))
+                runs.append((a, b, k, first))
         evals += counts
         # children replace their parents line by line, left halves first; a
         # line that spends its budget at this depth is done
         spans = [(a, b) if evals[k] < budget else (a, a) for k, (a, b) in enumerate(spans)]
         lo = np.concatenate([c for a, b in spans for c in (lo[a:b], mid[a:b])])
         hi = np.concatenate([c for a, b in spans for c in (mid[a:b], hi[a:b])])
-        # the kernel's outputs stay bound until the next depth: freed at once,
-        # the allocator returned the heap top and each depth faulted the
-        # kernel's temporaries in again (+30% page faults on a 10^6 trace)
-        new_f, new_z3, new_status = second_iterate(x)
-        store(writes, new_s, new_f, new_z3, new_status)
+        evaluate(new_s, runs)
         if depth == MAX_DEPTH:
             break
         idx = np.flatnonzero(needs_split(lo, hi))
@@ -398,22 +419,36 @@ def _trace_group(lines, ranges, box_r, budget, h_max):
 
 def _finish(s, f, in_box, status, h_max) -> TraceResult:
     """The TraceResult of one line's samples, given in evaluation order."""
-    order = np.argsort(s, kind="stable")
-    order = order[status[order] == OK]  # the store keeps a row finite iff it is OK
-    s_kept, f_kept, box_kept = s[order], f.take(order, axis=0), in_box[order]
+    # the sort order as 4-byte row indices when they fit: the gathers below
+    # hold it next to their results
+    order = np.argsort(s, kind="stable").astype(np.int32 if len(s) < 2**31 else np.intp)
     counts = np.bincount(status, minlength=4)
+    kept = int(counts[OK])
+    s_kept, f_kept, box_kept = np.empty(kept), np.empty((kept, 3)), np.empty(kept, dtype=bool)
+    done = 0
+    for c in range(0, len(s), _BLOCK):
+        block = order[c : c + _BLOCK].astype(np.intp)
+        block = block[status[block] == OK]  # the store keeps a row finite iff it is OK
+        rows = slice(done, done + len(block))
+        s_kept[rows], f_kept[rows], box_kept[rows] = s[block], f.take(block, axis=0), in_box[block]
+        done += len(block)
 
-    both = box_kept[:-1] & box_kept[1:]
-    with np.errstate(over="ignore"):
-        pair_gap = _norm3(f_kept[:-1] - f_kept[1:])
-    cap_hits = int(np.count_nonzero(both & (pair_gap > h_max * (1 + 1e-9))))
+    # the pairs (i, i + 1) of kept samples, one _BLOCK of them at a time
+    pairs_in_box = cap_hits = 0
+    for c in range(0, kept - 1, _BLOCK):
+        e = min(c + _BLOCK, kept - 1)
+        both = box_kept[c:e] & box_kept[c + 1 : e + 1]
+        with np.errstate(over="ignore"):
+            pair_gap = _norm3(f_kept[c:e] - f_kept[c + 1 : e + 1])
+        pairs_in_box += int(np.count_nonzero(both))
+        cap_hits += int(np.count_nonzero(both & (pair_gap > h_max * (1 + 1e-9))))
 
     audit = TraceAudit(
         evals=len(s),
         dropped_overflow=int(counts[OVERFLOW_FIRST] + counts[OVERFLOW_SECOND]),
         dropped_unresolvable=int(counts[UNRESOLVABLE]),
         in_box_points=int(np.count_nonzero(box_kept)),
-        pairs_in_box=int(np.count_nonzero(both)),
+        pairs_in_box=pairs_in_box,
         cap_hits=cap_hits,
     )
     return TraceResult(s=s_kept, points=f_kept, in_box=box_kept, audit=audit)
@@ -490,9 +525,10 @@ def mark_and_coverage(grid: VoxelGrid, points) -> list[tuple[int, float]]:
     consumed = 0
     checkpoint = _CHECKPOINT_BASE
     while consumed < len(pts):
-        take = min(checkpoint - consumed, len(pts) - consumed)
-        grid.mark(pts[consumed : consumed + take])
-        consumed += take
+        end = min(checkpoint, len(pts))
+        for c in range(consumed, end, _BLOCK):
+            grid.mark(pts[c : min(c + _BLOCK, end)])
+        consumed = end
         if consumed == checkpoint:
             series.append((consumed, grid.coverage()))
             checkpoint *= 10
@@ -638,12 +674,12 @@ def coverage_experiment(
     h_max: float | None = None,
 ) -> list[CoverageRun]:
     """Trace each line and mark a fresh grid per line (h_max defaults to its voxel edge)."""
-    runs = []
-    for line in lines:
-        grid = VoxelGrid(box_r, grid_n)
-        trace = adaptive_trace(line, box_r, budget, grid.voxel if h_max is None else h_max)
-        series = mark_and_coverage(grid, trace.points)
-        runs.append(
-            CoverageRun(line=line, series=series, audit=trace.audit, coverage=grid.coverage())
-        )
-    return runs
+    return [_coverage_run(line, box_r, grid_n, budget, h_max) for line in lines]
+
+
+def _coverage_run(line, box_r, grid_n, budget, h_max) -> CoverageRun:
+    """One line of coverage_experiment; its trace is freed before the next line is traced."""
+    grid = VoxelGrid(box_r, grid_n)
+    trace = adaptive_trace(line, box_r, budget, grid.voxel if h_max is None else h_max)
+    series = mark_and_coverage(grid, trace.points)
+    return CoverageRun(line=line, series=series, audit=trace.audit, coverage=grid.coverage())

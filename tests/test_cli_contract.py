@@ -215,6 +215,13 @@ COUNT_FLAGS = [
     ("distortion", "--samples", "samples", "0"),
     ("distortion", "--grid-n", "grid_n", "-1"),
 ]
+FLOORED_COUNTS = [
+    ("trace", "--budget", "budget", "500", 1000),
+    ("coverage", "--budget", "budget", "999", 1000),
+    ("density", "--budget", "budget", "999", 1000),
+    ("density", "--grid-n", "grid_n", "1", 2),
+    ("distortion", "--grid-n", "grid_n", "63", 64),
+]
 
 
 @pytest.mark.parametrize(
@@ -242,6 +249,17 @@ COUNT_FLAGS = [
         *[
             (argv, config, f"need {key} >= 1")
             for command, flag, key, value in COUNT_FLAGS
+            for quick in ([], ["--quick"])
+            for argv, config in [
+                ([command, f"{flag}={value}", *quick], None),
+                ([command, *quick], f"{key}={value}\n"),
+            ]
+        ],
+        # a positive count below the library's minimum, which --quick would
+        # otherwise lift to its floor
+        *[
+            (argv, config, f"{key} must be >= {least}, not {value!r}")
+            for command, flag, key, value, least in FLOORED_COUNTS
             for quick in ([], ["--quick"])
             for argv, config in [
                 ([command, f"{flag}={value}", *quick], None),

@@ -242,8 +242,40 @@ class TestMarkAndCoverage:
         half2.mark(trace.points[n:])
         np.testing.assert_array_equal(half1.occupancy | half2.occupancy, full.occupancy)
 
+    def test_blocked_marking_is_one_pass_marking(self, monkeypatch):
+        # each checkpoint chunk marked in blocks of a small prime gives the
+        # series and occupancy of marking each chunk whole
+        trace = adaptive_trace(LineSpec(YPoint("+x1", 0.37, 0.002)), 12.0, 40_000, 0.3125)
+        pts = trace.points
+        assert len(pts) > 10_000
+        whole = VoxelGrid(10.0, 32)
+        want = []
+        for a, b in [(0, 1000), (1000, 10_000), (10_000, len(pts))]:
+            whole.mark(pts[a:b])
+            want.append((b, whole.coverage()))
+        monkeypatch.setattr(density, "_BLOCK", 997)
+        grid = VoxelGrid(10.0, 32)
+        sizes = []
+        mark = grid.mark
+        grid.mark = lambda chunk: sizes.append(len(chunk)) or mark(chunk)
+        assert mark_and_coverage(grid, pts) == want
+        np.testing.assert_array_equal(grid.occupancy, whole.occupancy)
+        assert max(sizes) == 997 and sum(sizes) == len(pts)
+
 
 class TestAdaptiveTrace:
+    def test_memory_is_bounded(self):
+        # the store is 35 MB at this budget; the result and block-sized
+        # temporaries fit beside it in 85 MB, whole-batch temporaries do not
+        line = LineSpec(YPoint("+x1", 0.37, 1.3e-4))
+        tracemalloc.start()
+        try:
+            adaptive_trace(line, 10.0, 1_000_000, 0.3125)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 85 * 10**6
+
     def test_deterministic(self):
         line = LineSpec(YPoint("+x1", -0.61, 0.004))
         a = adaptive_trace(line, 10.0, 30_000, 0.5)
@@ -438,3 +470,17 @@ class TestCoverageExperiment:
         cov = [c for _, c in runs[0].series]
         assert all(b >= a for a, b in zip(cov, cov[1:]))
         assert 0.0 <= runs[0].coverage <= 1.0
+
+    def test_lines_are_traced_one_at_a_time(self):
+        # a line's trace is freed before the next line is traced, so two
+        # lines peak where one does (a trace result here is about 7 MB)
+        lines = [LineSpec(YPoint("+x1", 0.37, 1.3e-4))] * 2
+        peaks = []
+        for n in (1, 2):
+            tracemalloc.start()
+            try:
+                coverage_experiment(lines[:n], budget=300_000)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] < peaks[0] + 2**20

@@ -413,6 +413,37 @@ def test_budget_truncation_keeps_the_first_needed_children(budget):
         assert_same_trace(trace, want)
 
 
+@pytest.mark.parametrize("group_samples", [density._GROUP_SAMPLES, 12_000])
+def test_blocked_trace_is_the_unblocked_trace(monkeypatch, group_samples):
+    # blocks of a small prime straddle the seed grids (2000 points), the line
+    # regions of a group's midpoints and the groups' interval lists
+    ball = base_sequence(1)
+    box_r, budget = ball.center_norm + ball.radius, 6000
+    bound = [
+        LineSpec(YPoint("+x1", 0.37, 0.002)),
+        LineSpec(YPoint("-x2", -0.61, 0.01)),
+        LineSpec(YPoint("+x2", 0.2, 0.05)),
+    ]
+    lines = [*bound, LineSpec(YPoint("+x1", 0.4, 0.35)), LineSpec(YPoint("+x1", 0.5, 0.3))]
+    lone = [adaptive_trace(line, box_r, budget, ball.radius) for line in lines]
+    want = [reference_trace(line, box_r, budget, ball.radius) for line in bound]
+    sizes = []
+
+    def kernel(x, _real=density.second_iterate):
+        sizes.append(len(x))
+        return _real(x)
+
+    monkeypatch.setattr(density, "_BLOCK", 997)
+    monkeypatch.setattr(density, "_GROUP_SAMPLES", group_samples)
+    monkeypatch.setattr(density, "second_iterate", kernel)
+    traces = list(_trace_lines(lines, box_r, budget, ball.radius))
+    assert max(sizes) == 997 and sum(sizes) == sum(t.audit.evals for t in traces)
+    for trace, alone in zip(traces, lone):
+        assert_same_trace(trace, alone)
+    for trace, reference in zip(traces, want):
+        assert_same_trace(trace, reference)
+
+
 
 ELEMENTS = st.builds(GroupElement, st.integers(-50, 50), st.integers(-50, 50), st.booleans())
 GROUP_POINTS = st.lists(
