@@ -3,7 +3,9 @@
 Every command validates its arguments, calls the library (no computation
 lives here), writes its declared output files plus a JSON manifest, and
 exits 0 on success, 1 when a verify check fails, 2 on a validation error,
-3 on a numeric failure.
+3 on a numeric failure.  The rules it applies are the library's: the
+minimum counts, the default trace step (``density.voxel_edge``) and the
+excluded-family notes of trace and coverage (``density.confinement_notes``).
 
 Every default is written once, in the parser.  An optional KEY=VALUE config
 file replaces the defaults of its command: a key names any argument of the
@@ -16,8 +18,9 @@ replaces ``face``, ``u2`` and ``u3``; ``q`` replaces ``ball_n``.  So is
 ``ball_r`` without ``q``: it is the radius of the explicit ball only.
 The counts that ``--quick`` scales down (``budget``, ``grid_n`` of
 ``density`` and ``distortion``, ``samples``) take integers no smaller than
-the library's minimum for them (1000, 2, 64 and 1), and are checked before
-the scaling, so ``--quick`` never lifts a value the library would reject.
+the library's minimum for them (``density.MIN_BUDGET``, ``density.MIN_GRID_N``,
+``distortion.MIN_CHART_GRID_N`` and 1), and are checked before the scaling,
+so ``--quick`` never lifts a value the library would reject.
 
 A value that starts with ``-`` must be joined to its flag with ``=``
 (``--x=-1,0,0``, ``--face=-x1``); as a separate word argparse reads it as an
@@ -36,7 +39,7 @@ import numpy as np
 from . import __version__, density, distortion, preimage, verify
 from .errors import DomainError
 from .group import GroupElement
-from .manifest import RunManifest
+from .manifest import write_manifest
 from .output import write_csv, write_point_cloud, write_report, write_triangle_soup
 from .zorich import zorich, zorich_inverse, zorich_second
 
@@ -151,14 +154,8 @@ def _scaled(args, name, divisor, floor) -> int:
 
 
 def _manifest(args, name, params, outputs, **extra):
-    man = RunManifest(command=name, parameters=params, extra=extra)
-    if args.config:
-        man.add_input(args.config)
-    for path in outputs:
-        man.add_output(path)
-    man_path = Path(args.out) / f"{name}_manifest.json"
-    man.write(man_path)
-    return man_path
+    inputs = [args.config] if args.config else []
+    write_manifest(Path(args.out) / f"{name}_manifest.json", name, params, inputs, outputs, **extra)
 
 
 def _ensure_out(args):
@@ -235,32 +232,22 @@ def cmd_cone(args) -> int:
     return 0
 
 
-def _line_from_args(args):
+def _line_run(args):
+    """The start of trace and coverage: the line (its notes printed), the
+    output directory and the scaled budget."""
     if args.direction is not None:
-        return density.LineSpec(p=args.p, d=args.direction)
-    return density.LineSpec(density.YPoint(args.face, args.u2, args.u3), args.p)
-
-
-def _confinement_notes(line) -> list[str]:
-    d = line.direction()
-    notes = []
-    if d[2] == 0.0:
-        notes.append("bounded image: line lies in a horizontal plane, the image stays in a bounded set")
-    if d[0] == 0.0 or d[1] == 0.0:
-        notes.append("planar image: line lies in a preserved coordinate plane")
-    if abs(d[0]) == abs(d[1]) and d[0] != 0.0:
-        notes.append("planar image: line lies in a preserved diagonal plane")
-    return notes
+        line = density.LineSpec(p=args.p, d=args.direction)
+    else:
+        line = density.LineSpec(density.YPoint(args.face, args.u2, args.u3), args.p)
+    for note in density.confinement_notes(line.d):
+        print(f"note: {note}")
+    return line, _ensure_out(args), _scaled(args, "budget", 10, density.MIN_BUDGET)
 
 
 def cmd_trace(args) -> int:
-    out = _ensure_out(args)
-    line = _line_from_args(args)
-    budget = _scaled(args, "budget", 10, 1000)
-    h_max = 2.0 * args.box_r / density.COVERAGE_GRID_N if args.h_max is None else args.h_max
+    line, out, budget = _line_run(args)
+    h_max = density.voxel_edge(args.box_r) if args.h_max is None else args.h_max
     trace = density.adaptive_trace(line, args.box_r, budget, h_max)
-    for note in _confinement_notes(line):
-        print(f"note: {note}")
     path = out / "trace_points.txt"
     write_point_cloud(path, trace.points[trace.in_box])
     a = trace.audit
@@ -290,25 +277,14 @@ def cmd_trace(args) -> int:
 def _line_params(line):
     if line.alpha is None:
         return {"p": list(line.p), "direction": list(line.d)}
-    return {
-        "p": list(line.p),
-        "face": line.alpha.face,
-        "u2": line.alpha.u2,
-        "u3": line.alpha.u3,
-    }
+    return {"p": list(line.p), "face": line.alpha.face, "u2": line.alpha.u2, "u3": line.alpha.u3}
 
 
 def cmd_coverage(args) -> int:
-    out = _ensure_out(args)
-    line = _line_from_args(args)
-    budget = _scaled(args, "budget", 10, 1000)
-    for note in _confinement_notes(line):
-        print(f"note: {note}")
-    runs = density.coverage_experiment(
+    line, out, budget = _line_run(args)
+    (run,) = density.coverage_experiment(
         [line], box_r=args.box_r, grid_n=args.grid_n, budget=budget, h_max=args.h_max
     )
-    run = runs[0]
-    h_max = 2.0 * args.box_r / args.grid_n if args.h_max is None else args.h_max
     path = out / "coverage.csv"
     write_csv(
         path,
@@ -324,7 +300,7 @@ def cmd_coverage(args) -> int:
             "box_r": args.box_r,
             "grid_n": args.grid_n,
             "budget": budget,
-            "h_max": h_max,
+            "h_max": run.h_max,
             "coverage": run.coverage,
         },
         [path],
@@ -334,7 +310,7 @@ def cmd_coverage(args) -> int:
 
 def cmd_density(args) -> int:
     out = _ensure_out(args)
-    grid_n, budget = _scaled(args, "grid_n", 2, 4), _scaled(args, "budget", 10, 1000)
+    grid_n, budget = _scaled(args, "grid_n", 2, 4), _scaled(args, "budget", 10, density.MIN_BUDGET)
     if args.q is not None:
         ball = density.BallSpec(args.q, args.ball_r)
     else:
@@ -366,7 +342,8 @@ def cmd_density(args) -> int:
 
 def cmd_distortion(args) -> int:
     out = _ensure_out(args)
-    samples, grid_n = _scaled(args, "samples", 10, 50), _scaled(args, "grid_n", 2, 64)
+    samples = _scaled(args, "samples", 10, 50)
+    grid_n = _scaled(args, "grid_n", 2, distortion.MIN_CHART_GRID_N)
     lam = distortion.lambda_h_estimate(grid_n)
     rep = distortion.verify_slab_bound(
         distortion.Slab(args.t1, args.t2), samples, lam=lam, radius=args.radius, n_dirs=args.dirs
@@ -464,7 +441,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--direction", type=_triple, default=None, action=_Given,
                        help="raw line direction (for excluded families); replaces --face/--u2/--u3")
         p.add_argument("--box-r", dest="box_r", type=_real, default=density.COVERAGE_BOX)
-        p.add_argument("--budget", type=_count("budget", 1000), default=budget)
+        p.add_argument("--budget", type=_count("budget", density.MIN_BUDGET), default=budget)
         p.add_argument("--h-max", dest="h_max", type=_real, default=None)
 
     p = sub.add_parser("trace", help="adaptive second-iterate trace of one line")
@@ -479,8 +456,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("density", help="hit-fraction ladder over a patch of lines")
     line_flags(p, 0.4, 0.35)
     p.add_argument("--delta", type=_real, default=0.08)
-    p.add_argument("--grid-n", dest="grid_n", type=_count("grid_n", 2), default=16)
-    p.add_argument("--budget", type=_count("budget", 1000), default=20_000)
+    p.add_argument("--grid-n", dest="grid_n", type=_count("grid_n", density.MIN_GRID_N), default=16)
+    p.add_argument("--budget", type=_count("budget", density.MIN_BUDGET), default=20_000)
     p.add_argument("--rungs", type=int, default=4)
     p.add_argument("--ball-n", dest="ball_n", type=int, default=1, action=_Given,
                    help="index into the countable ball base")
@@ -496,7 +473,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--samples", type=_count("samples"), default=1000)
     p.add_argument("--radius", type=_real, default=distortion.DEFAULT_RADIUS)
     p.add_argument("--dirs", type=int, default=distortion.DEFAULT_DIRECTIONS)
-    p.add_argument("--grid-n", dest="grid_n", type=_count("grid_n", 64), default=128)
+    p.add_argument("--grid-n", dest="grid_n", type=_count("grid_n", distortion.MIN_CHART_GRID_N),
+                   default=128)
     common(p, cmd_distortion, quick=True)
 
     p = sub.add_parser("verify", help="run the aggregated verification suite")

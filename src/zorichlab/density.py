@@ -45,6 +45,8 @@ _BLOCK = 1 << 16  # points or intervals per kernel call, test, gather and mark
 X3_WINDOW = (-1.0, 27.0)
 MAX_DEPTH = 48  # bisection depths of adaptive_trace
 MAX_SKIP_FRACTION = 0.05  # excluded crossings a density patch may contain
+MIN_BUDGET = 1000  # least evaluation budget of a trace
+MIN_GRID_N = 2  # least crossings per side of a density patch grid
 
 # thresholds enshrined by the pilot runs documented in the README; the
 # experiment configurations that produced them are the defaults of
@@ -84,9 +86,24 @@ class YPoint:
         return np.array([self.u2, -1.0, self.u3])
 
 
+def confinement_notes(d) -> list[str]:
+    """One note per excluded family that lines of direction d belong to.  The
+    horizontal test is exact, d3 == 0.0, while default_s_range gives any line
+    with |d3| < 1e-12 its horizontal window; both rules are kept as they are,
+    since changing either changes a printed note or a traced window."""
+    notes = []
+    if d[2] == 0.0:
+        notes.append("bounded image: line lies in a horizontal plane, the image stays in a bounded set")
+    if d[0] == 0.0 or d[1] == 0.0:
+        notes.append("planar image: line lies in a preserved coordinate plane")
+    if abs(d[0]) == abs(d[1]) and d[0] != 0.0:
+        notes.append("planar image: line lies in a preserved diagonal plane")
+    return notes
+
+
 def y_point_valid(alpha: YPoint) -> bool:
-    """Exclusions for line crossings: u3 > 0 and u2 not in {-1, 0, 1}."""
-    return alpha.u3 > 0.0 and 0.0 < abs(alpha.u2) < 1.0
+    """Exclusions for line crossings: u3 > 0, |u2| < 1 and no confinement note."""
+    return alpha.u3 > 0.0 and abs(alpha.u2) < 1.0 and not confinement_notes(alpha.offset())
 
 
 @dataclass(frozen=True)
@@ -107,6 +124,8 @@ class LineSpec:
             raise DomainError("LineSpec: give exactly one of alpha and d")
         if self.alpha is not None:
             object.__setattr__(self, "d", tuple(float(v) for v in self.alpha.offset()))
+        if not (np.isfinite(np.concatenate([self.p, self.d], dtype=float)).all() and any(self.d)):
+            raise DomainError("LineSpec: need a finite p and a finite, nonzero d")
 
     def direction(self) -> np.ndarray:
         return np.asarray(self.d, dtype=float)
@@ -286,8 +305,8 @@ def _trace_lines(lines, box_r: float, budget: int, h_max: float, s_ranges=None):
     lines (a larger budget traces alone); every result is bit-identical to
     tracing its line alone.
     """
-    if budget < 1000:
-        raise DomainError("adaptive_trace: budget must be >= 1000")
+    if budget < MIN_BUDGET:
+        raise DomainError(f"adaptive_trace: budget must be >= {MIN_BUDGET}")
     if not (h_max > 0.0 and box_r > 0.0):
         raise DomainError("adaptive_trace: box_r and h_max must be positive")
     ranges = [
@@ -458,6 +477,11 @@ def _finish(s, f, in_box, status, h_max) -> TraceResult:
 # voxel occupancy
 
 
+def voxel_edge(half_extent: float, n: int = COVERAGE_GRID_N) -> float:
+    """Voxel edge of an n^3 grid over [-half_extent, half_extent]^3 (the default trace step)."""
+    return 2.0 * half_extent / n
+
+
 class VoxelGrid:
     """Occupancy grid over [-half_extent, half_extent]^3 with exclusions.
 
@@ -471,7 +495,7 @@ class VoxelGrid:
             raise DomainError("VoxelGrid: need n >= 2 and a positive extent")
         self.half_extent = float(half_extent)
         self.n = int(n)
-        self.voxel = 2.0 * self.half_extent / self.n
+        self.voxel = voxel_edge(self.half_extent, self.n)
         self.occupancy = np.zeros((self.n,) * 3, dtype=bool)
         self.excluded = self._exclusion_mask()
 
@@ -612,8 +636,8 @@ def epsilon_density(
     are skipped and counted, and the patch is rejected as degenerate when
     they exceed MAX_SKIP_FRACTION of the grid.
     """
-    if grid_n < 2 or rungs < 1:
-        raise DomainError("epsilon_density: need grid_n >= 2 and rungs >= 1")
+    if grid_n < MIN_GRID_N or rungs < 1:
+        raise DomainError(f"epsilon_density: need grid_n >= {MIN_GRID_N} and rungs >= 1")
     box_r = ball.center_norm + ball.radius
     out = []
     for r in range(rungs):
@@ -663,6 +687,7 @@ class CoverageRun:
     series: list[tuple[int, float]]
     audit: TraceAudit
     coverage: float
+    h_max: float  # the trace step
 
 
 def coverage_experiment(
@@ -680,6 +705,7 @@ def coverage_experiment(
 def _coverage_run(line, box_r, grid_n, budget, h_max) -> CoverageRun:
     """One line of coverage_experiment; its trace is freed before the next line is traced."""
     grid = VoxelGrid(box_r, grid_n)
-    trace = adaptive_trace(line, box_r, budget, grid.voxel if h_max is None else h_max)
+    h_max = grid.voxel if h_max is None else h_max
+    trace = adaptive_trace(line, box_r, budget, h_max)
     series = mark_and_coverage(grid, trace.points)
-    return CoverageRun(line=line, series=series, audit=trace.audit, coverage=grid.coverage())
+    return CoverageRun(line, series, trace.audit, grid.coverage(), h_max)

@@ -26,6 +26,7 @@ DEFAULT_DIRECTIONS = 64
 BRANCH_MARGIN_FACTOR = 10.0
 # finite-difference radius of the chart constant lambda_h_estimate
 CHART_RADIUS = 1e-6
+MIN_CHART_GRID_N = 64  # least grid side of lambda_h_estimate
 # grid-counting slack: lam is inflated by this fraction in the transport check
 AREA_INFLATE = 0.02
 
@@ -121,8 +122,8 @@ def lambda_h_estimate(grid_n: int = 128) -> float:
     max(upper, 1/lower); the true constant is the supremum, so refinement
     can only increase the estimate (the sup sits at the square corners).
     """
-    if grid_n < 64:
-        raise DomainError("lambda_h_estimate: grid_n must be >= 64")
+    if grid_n < MIN_CHART_GRID_N:
+        raise DomainError(f"lambda_h_estimate: grid_n must be >= {MIN_CHART_GRID_N}")
     from .zorich import h_square
 
     g = -HALF_PI + (np.arange(grid_n) + 0.5) * math.pi / grid_n

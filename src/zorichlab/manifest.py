@@ -1,11 +1,11 @@
 """Reproducible run manifests.
 
-A manifest records the command, the full parameter set, the tool version and
-SHA-256 digests of every input and output file.  All computations are
-deterministic, so re-running a command with the manifest's parameters must
-reproduce the recorded output digests bit for bit.  A command may add records
-that vary from run to run, such as verify's per-check wall seconds; they stay
-out of the output files.
+A manifest records the command, the full parameter set, the tool and Python
+versions, a UTC timestamp and the SHA-256 of every input and output file.
+All computations are deterministic, so re-running a command with the
+manifest's parameters must reproduce the recorded output digests bit for
+bit.  A command may add records that vary from run to run, such as verify's
+per-check wall seconds; they stay out of the output files.
 """
 
 from __future__ import annotations
@@ -13,7 +13,6 @@ from __future__ import annotations
 import hashlib
 import json
 import sys
-from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -28,29 +27,17 @@ def sha256_of(path) -> str:
     return h.hexdigest()
 
 
-@dataclass
-class RunManifest:
-    command: str
-    parameters: dict
-    inputs: dict = field(default_factory=dict)
-    outputs: dict = field(default_factory=dict)
-    extra: dict = field(default_factory=dict)  # more top-level records, e.g. verify's seconds
-
-    def add_input(self, path) -> None:
-        self.inputs[Path(path).name] = sha256_of(path)
-
-    def add_output(self, path) -> None:
-        self.outputs[Path(path).name] = sha256_of(path)
-
-    def write(self, path) -> None:
-        record = {
-            "command": self.command,
-            "parameters": self.parameters,
-            "version": __version__,
-            "python": sys.version.split()[0],
-            "timestamp_utc": datetime.now(timezone.utc).isoformat(timespec="seconds"),
-            "inputs": self.inputs,
-            "outputs": self.outputs,
-            **self.extra,
-        }
-        Path(path).write_text(json.dumps(record, indent=2, sort_keys=True) + "\n")
+def write_manifest(path, command, parameters, inputs, outputs, **extra) -> None:
+    """Write a run's manifest to path.  inputs and outputs are file paths, recorded
+    by name and SHA-256; extra holds more top-level records (verify's seconds)."""
+    record = {
+        "command": command,
+        "parameters": parameters,
+        "version": __version__,
+        "python": sys.version.split()[0],
+        "timestamp_utc": datetime.now(timezone.utc).isoformat(timespec="seconds"),
+        "inputs": {Path(p).name: sha256_of(p) for p in inputs},
+        "outputs": {Path(p).name: sha256_of(p) for p in outputs},
+        **extra,
+    }
+    Path(path).write_text(json.dumps(record, indent=2, sort_keys=True) + "\n")

@@ -1,6 +1,7 @@
 """The CLI exit-code contract: 0 success, 1 a verify check failed,
 2 validation error, 3 numeric failure."""
 
+import hashlib
 import json
 
 import pytest
@@ -266,6 +267,15 @@ FLOORED_COUNTS = [
                 ([command, *quick], f"{key}={value}\n"),
             ]
         ],
+        # a zero direction names no line
+        *[
+            (argv, config, "nonzero d")
+            for command in ("trace", "coverage")
+            for argv, config in [
+                ([command, "--direction", "0,0,0", "--budget", "1000"], None),
+                ([command, "--budget", "1000"], "direction=0,-0.0,0\n"),
+            ]
+        ],
     ],
 )
 def test_non_finite_or_empty_exits_2(tmp_path, capsys, argv, config, message):
@@ -288,3 +298,49 @@ def test_coverage_grid_size_exits_2_before_tracing(tmp_path, capsys, monkeypatch
     assert main(["coverage", f"--grid-n={grid_n}", "--out", str(tmp_path)]) == 2
     assert "VoxelGrid" in capsys.readouterr().err
     assert not list(tmp_path.glob("*_manifest.json"))
+
+
+# Every manifest has the same records; inputs and outputs are file digests.
+
+MANIFEST_KEYS = {"command", "parameters", "version", "python", "timestamp_utc", "inputs", "outputs"}
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["eval", "--x", "0.3,-0.2,1.5"],
+        ["invert", "--y", "0,0,-1", "--beam", "1,0"],
+        ["cone", "--n-height", "4", "--n-width", "4"],
+        ["trace", "--budget", "1000"],
+        ["coverage", "--budget", "1000", "--grid-n", "8"],
+        RUNG,
+        ["distortion", "--samples", "10", "--grid-n", "64", "--dirs", "32"],
+        ["verify", "--level", "quick"],
+    ],
+)
+def test_manifest_records(tmp_path, monkeypatch, argv):
+    passing = CheckResult("norm_law", "norm-law", 0.0, 1.0, 0.0, True)
+    monkeypatch.setattr(
+        verify, "run_checks",
+        lambda level: VerificationReport(level, [passing], {"norm_law": 0.5}),
+    )
+    assert main(argv + ["--out", str(tmp_path)]) == 0
+    record = json.loads((tmp_path / f"{argv[0]}_manifest.json").read_text())
+    assert set(record) == MANIFEST_KEYS | ({"seconds"} if argv[0] == "verify" else set())
+    assert record["command"] == argv[0]
+    assert record["inputs"] == {}
+    outputs = [path for path in tmp_path.iterdir() if not path.name.endswith("_manifest.json")]
+    assert record["outputs"] == {
+        path.name: hashlib.sha256(path.read_bytes()).hexdigest() for path in outputs
+    }
+
+
+def test_manifest_records_config_digest(tmp_path):
+    cfg = _config(tmp_path, "face=-x1\nbudget=1000\n")
+    out = tmp_path / "run"
+    assert main(["trace", "--config", cfg, "--out", str(out)]) == 0
+    record = json.loads((out / "trace_manifest.json").read_text())
+    digest = hashlib.sha256((tmp_path / "run.cfg").read_bytes()).hexdigest()
+    assert record["inputs"] == {"run.cfg": digest}
+    points = hashlib.sha256((out / "trace_points.txt").read_bytes()).hexdigest()
+    assert record["outputs"] == {"trace_points.txt": points}

@@ -17,6 +17,7 @@ from zorichlab.density import (
     adaptive_trace,
     base_prefix,
     base_sequence,
+    confinement_notes,
     coverage_experiment,
     default_s_range,
     epsilon_density,
@@ -61,6 +62,73 @@ class TestYPoints:
         np.testing.assert_allclose(line.point_at(0.0), [1.0, 2.0, 3.0])
         np.testing.assert_allclose(line.point_at(1.0), [2.0, 2.5, 4.0])
         assert line.point_at(np.array([0.0, 2.0])).shape == (2, 3)
+
+    @pytest.mark.parametrize(
+        "alpha, p, d",
+        [
+            (None, (0.0, 0.0, 0.0), (0.0, 0.0, 0.0)),
+            (None, (0.0, 0.0, 0.0), (-0.0, 0.0, -0.0)),
+            (None, (0.0, 0.0, 0.0), (math.nan, 0.0, 1.0)),
+            (None, (0.0, 0.0, 0.0), (1.0, math.inf, 0.0)),
+            (None, (0.0, math.nan, 0.0), (1.0, 0.4, 0.0)),
+            (YPoint("+x1", 0.5, 1.0), (-math.inf, 0.0, 0.0), None),
+            (YPoint("+x1", math.nan, 1.0), (0.0, 0.0, 0.0), None),
+        ],
+    )
+    def test_line_must_be_a_line(self, alpha, p, d):
+        with pytest.raises(DomainError, match="finite p and a finite, nonzero d"):
+            LineSpec(alpha, p, d)
+
+
+def _parent_confinement_notes(line) -> list[str]:
+    """The command line's own copy of the excluded-family notes before
+    density owned them, frozen as the oracle of confinement_notes."""
+    d = line.direction()
+    notes = []
+    if d[2] == 0.0:
+        notes.append("bounded image: line lies in a horizontal plane, the image stays in a bounded set")
+    if d[0] == 0.0 or d[1] == 0.0:
+        notes.append("planar image: line lies in a preserved coordinate plane")
+    if abs(d[0]) == abs(d[1]) and d[0] != 0.0:
+        notes.append("planar image: line lies in a preserved diagonal plane")
+    return notes
+
+
+def _parent_y_point_valid(alpha: YPoint) -> bool:
+    """y_point_valid before it was written with confinement_notes, frozen as its oracle."""
+    return alpha.u3 > 0.0 and 0.0 < abs(alpha.u2) < 1.0
+
+
+class TestConfinementNotes:
+    @pytest.mark.parametrize("face", density.Y_FACES)
+    @pytest.mark.parametrize("u2", [0.0, -0.0, 0.5, -0.5, 1.0, -1.0, 1.5, -1.5])
+    @pytest.mark.parametrize("u3", [0.0, 1e-4, -1.0])
+    def test_crossings_match_the_oracle(self, face, u2, u3):
+        alpha = YPoint(face, u2, u3)
+        line = LineSpec(alpha)
+        assert confinement_notes(line.d) == _parent_confinement_notes(line)
+        assert y_point_valid(alpha) == _parent_y_point_valid(alpha)
+
+    @pytest.mark.parametrize(
+        "d, families",
+        [
+            ((1.0, 0.4, 0.0), ["horizontal"]),
+            ((-3.0, 0.2, -0.0), ["horizontal"]),
+            ((0.0, 0.7, 1.4e-4), ["coordinate"]),
+            ((0.3, -0.0, 1.0), ["coordinate"]),
+            ((1.0, 1.0, 0.003), ["diagonal"]),
+            ((-2.0, 2.0, -1.0), ["diagonal"]),
+            ((1.0, -1.0, 0.0), ["horizontal", "diagonal"]),
+            ((0.0, 1.0, 0.0), ["horizontal", "coordinate"]),
+            ((0.0, 0.0, 1.0), ["coordinate"]),
+            ((0.3, 0.2, 1.0), []),
+            ((1.0, 0.4, 1e-13), []),  # default_s_range's horizontal window, but no note
+        ],
+    )
+    def test_directions_match_the_oracle(self, d, families):
+        notes = confinement_notes(d)
+        assert notes == _parent_confinement_notes(LineSpec(d=d))
+        assert [n.split(" plane")[0].split()[-1] for n in notes] == families
 
 
 class TestBallBase:
