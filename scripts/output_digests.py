@@ -35,6 +35,8 @@ COMMANDS = [
     ("cone", ["cone"]),
     ("distortion", ["distortion"]),
     ("eval", ["eval", "--x", "0.3,-0.2,1.5"]),
+    ("invert", ["invert", "--y", "0.3,-0.2,1.5"]),
+    ("invert-odd", ["invert", "--y=0.3,-0.2,-1.5", "--beam", "1,0"]),
     ("verify-quick", ["verify", "--level", "quick"]),
     ("verify-full", ["verify", "--level", "full"]),
 ]

@@ -191,7 +191,8 @@ def cmd_invert(args) -> int:
     y = np.asarray(args.y, dtype=float)
     beam = args.beam
     x = zorich_inverse(y, beam)
-    residual = float(np.linalg.norm(zorich(x) - y) / np.linalg.norm(y))
+    s = np.max(np.abs(y))  # both norms at the scale of y, whose square may overflow
+    residual = float(np.linalg.norm((zorich(x) - y) / s) / np.linalg.norm(y / s))
     print("preimage in beam {}: ({!r}, {!r}, {!r})".format(beam, *map(float, x)))
     print(f"relative residual = {residual:.3e}")
     if args.out:

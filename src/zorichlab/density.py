@@ -33,12 +33,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateError, DomainError
-from .zorich import OK, OVERFLOW_FIRST, OVERFLOW_SECOND, UNRESOLVABLE, second_iterate
+from .zorich import FACE_AXIS, OK, OVERFLOW_FIRST, OVERFLOW_SECOND, UNRESOLVABLE, second_iterate
 
-Y_FACES = ("+x1", "-x1", "+x2", "-x2")
+Y_FACES = tuple(FACE_AXIS)
 
 _CHECKPOINT_BASE = 1000
-_BALL_CHUNK = 1 << 21  # ball centres generated per chunk of a dyadic stage
+# last index of the ball base: past it the schedule radius 2^-ceil(n^(1/3)) is
+# at most 2^-53, below the float spacing at 1 (and dyadic stage 4 has 135M centres)
+MAX_BALL_N = 52**3
 _GROUP_SAMPLES = 1 << 17  # combined budget of the lines one group traces together
 _BLOCK = 1 << 16  # points or intervals per kernel call, test, gather and mark
 # first-stage x3 window of a traced line: exp(27) ~ 5e11 < zorich.PHASE_CAP
@@ -77,13 +79,10 @@ class YPoint:
             raise DomainError(f"YPoint: unknown face {self.face!r}")
 
     def offset(self) -> np.ndarray:
-        if self.face == "+x1":
-            return np.array([1.0, self.u2, self.u3])
-        if self.face == "-x1":
-            return np.array([-1.0, self.u2, self.u3])
-        if self.face == "+x2":
-            return np.array([self.u2, 1.0, self.u3])
-        return np.array([self.u2, -1.0, self.u3])
+        sign, axis = FACE_AXIS[self.face]
+        out = np.array([self.u2, self.u2, self.u3], dtype=float)
+        out[axis] = sign
+        return out
 
 
 def confinement_notes(d) -> list[str]:
@@ -180,26 +179,17 @@ def _norm3(v) -> np.ndarray:
 # countable ball base of R^3 minus the unit sphere and the origin
 
 
-def _stage_balls(k: int):
-    """Dyadic stage k: grid step 2^-k over [-2^k, 2^k]^3, filtered.
-
-    Yields (q, norm) array chunks in deterministic lexicographic order.
-    """
-    step = 2.0**-k
-    imax = 4**k
-    coords = np.arange(-imax, imax + 1, dtype=float) * step
-    n = len(coords)
-    rows_per_chunk = max(1, _BALL_CHUNK // (n * n))
-    for start in range(0, n, rows_per_chunk):
-        c0 = coords[start : start + rows_per_chunk]
-        q = np.stack(np.meshgrid(c0, coords, coords, indexing="ij"), axis=-1).reshape(-1, 3)
-        norm = _norm3(q)
-        keep = (norm > 0.0) & (np.abs(norm - 1.0) > 2.0**-k)
-        yield q[keep], norm[keep]
+def _stage_balls(k: int) -> tuple[np.ndarray, np.ndarray]:
+    """Centres of dyadic stage k (step 2^-k over [-2^k, 2^k]^3, filtered) and their norms."""
+    coords = np.arange(-(4**k), 4**k + 1, dtype=float) * 2.0**-k
+    q = np.stack(np.meshgrid(coords, coords, coords, indexing="ij"), axis=-1).reshape(-1, 3)
+    norm = _norm3(q)
+    keep = (norm > 0.0) & (np.abs(norm - 1.0) > 2.0**-k)
+    return q[keep], norm[keep]
 
 
 def base_prefix(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """First n balls of the enumeration as (centers, radii) arrays.
+    """First n balls of the enumeration as (centers, radii) arrays, n <= MAX_BALL_N.
 
     Radii combine the schedule bound 2^-ceil(index^(1/3)) with the clearance
     to the origin and to the unit sphere, then take a running minimum so the
@@ -207,28 +197,15 @@ def base_prefix(n: int) -> tuple[np.ndarray, np.ndarray]:
     """
     if n < 1:
         raise DomainError("base_prefix: need n >= 1")
-    qs, ds = [], []
-    count = 0
-    running = math.inf
-    k = 0
-    while count < n:
-        for q, norm in _stage_balls(k):
-            if len(q) == 0:
-                continue
-            idx = count + 1 + np.arange(len(q))
-            sched = np.exp2(-np.ceil(np.cbrt(idx)))
-            delta = np.minimum(sched, np.minimum(norm / 2.0, np.abs(norm - 1.0) / 2.0))
-            delta = np.minimum.accumulate(np.minimum(delta, running))
-            running = float(delta[-1])
-            qs.append(q)
-            ds.append(delta)
-            count += len(q)
-            if count >= n:
-                break
-        k += 1
-    centers = np.concatenate(qs)[:n]
-    radii = np.concatenate(ds)[:n]
-    return centers, radii
+    if n > MAX_BALL_N:
+        raise DomainError(f"base_prefix: need n <= {MAX_BALL_N}; past it radii are below 2^-52")
+    stages = [_stage_balls(0)]
+    while sum(len(q) for q, _ in stages) < n:
+        stages.append(_stage_balls(len(stages)))
+    centers, norm = (np.concatenate(part)[:n] for part in zip(*stages))
+    sched = np.exp2(-np.ceil(np.cbrt(np.arange(1, n + 1))))
+    clearance = np.minimum(norm / 2.0, np.abs(norm - 1.0) / 2.0)
+    return centers, np.minimum.accumulate(np.minimum(sched, clearance))
 
 
 def base_sequence(n: int) -> BallSpec:

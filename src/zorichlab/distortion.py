@@ -162,7 +162,7 @@ class SlabReport:
     sample_count: int
 
 
-def verify_slab_bound(slab: Slab, n_samples: int = 1000, *, lam: float | None = None,
+def verify_slab_bound(slab: Slab, n_samples: int = 1000, *, lam: float,
                       radius: float = DEFAULT_RADIUS, n_dirs: int = DEFAULT_DIRECTIONS,
                       seed: int = 2024) -> SlabReport:
     """Check the measured slab distortion against lam^2 * exp(gap) * 1.01."""
@@ -172,8 +172,6 @@ def verify_slab_bound(slab: Slab, n_samples: int = 1000, *, lam: float | None = 
         raise DomainError("verify_slab_bound: need samples")
     if not (radius > 0.0 and math.isfinite(radius)):
         raise DomainError("verify_slab_bound: radius must be positive and finite")
-    if lam is None:
-        lam = lambda_h_estimate()
     pts = sample_slab(slab, n_samples, seed, radius)
     est = relative_distortion(zorich, pts, radius, n_dirs)
     bound = lam * lam * math.exp(slab.gap) * 1.01

@@ -62,15 +62,10 @@ def inverse(g: GroupElement) -> GroupElement:
 
 def from_word(word) -> GroupElement:
     """Fold a generator word (left-to-right product) into canonical form."""
-    elems = []
     for sym in word:
-        if isinstance(sym, GroupElement):
-            elems.append(sym)
-        elif sym in GENERATORS:
-            elems.append(GENERATORS[sym])
-        else:
+        if sym not in GENERATORS:
             raise DomainError(f"from_word: unknown generator {sym!r}")
-    return reduce(compose, elems, IDENTITY)
+    return reduce(compose, (GENERATORS[sym] for sym in word), IDENTITY)
 
 
 def find_g(x, y) -> GroupElement:

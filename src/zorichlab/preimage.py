@@ -18,19 +18,15 @@ area comparison, and the voxel-independent coverage constant.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DegenerateError, DomainError, NoIntersectionError
 from .group import IDENTITY, GroupElement, apply, inverse
-from .zorich import EXP_CAP, HALF_PI, Beam
+from .zorich import EXP_CAP, FACE_AXIS, HALF_PI, Beam
 
-FACE_IDS = ("+x1", "-x1", "+x2", "-x2")
-
-# parameter-square quadrant masks, as (sign, axis): face "+x1" selects
-# sign*p[axis] >= |p[other]|
-_FACE_AXIS = {"+x1": (1.0, 0), "-x1": (-1.0, 0), "+x2": (1.0, 1), "-x2": (-1.0, 1)}
+FACE_IDS = tuple(FACE_AXIS)
 
 # ray_cone_intersect: points of the bracketing scan, the most bisection
 # steps per bracket, and rays scanned at once (about 16 MB of temporaries)
@@ -218,23 +214,6 @@ def _check_coverage_inputs(r0, radius, lam):
         raise DomainError("coverage inputs: lam must be >= 1")
 
 
-@dataclass(frozen=True)
-class CoverageConstants:
-    """Bundle of the derived constants for one ball configuration."""
-
-    radius: float
-    r0: float
-    lam: float
-    a: float = field(init=False)
-    c: float = field(init=False)
-    eps: float = field(init=False)
-
-    def __post_init__(self):
-        object.__setattr__(self, "a", separation_constant(self.radius))
-        object.__setattr__(self, "c", coverage_constant(self.r0, self.radius, self.lam))
-        object.__setattr__(self, "eps", self.c / 16.0)
-
-
 def project_to_plane(p, u, plane_index: int) -> np.ndarray:
     """Central projection of a point of the unit wall onto a far wall.
 
@@ -318,13 +297,13 @@ def _solve_rays(p, through, cones, faces):
     faces = [faces] * n if isinstance(faces, str) else list(faces)
     cones = [cones] * n if isinstance(cones, ConeSurface) else list(cones)
     for face in faces:
-        if face not in _FACE_AXIS:
+        if face not in FACE_AXIS:
             raise DomainError(f"ray_cone_intersect: unknown face {face!r}")
     p = np.broadcast_to(np.asarray(p, dtype=float), through.shape)
     d = through - p
     if not np.all(np.isfinite(d)) or np.any(np.linalg.norm(d, axis=-1) == 0.0):
         raise DomainError("ray_cone_intersect: degenerate ray")
-    sign, axis = np.array([_FACE_AXIS[face] for face in faces]).reshape(n, 2).T
+    sign, axis = np.array([FACE_AXIS[face] for face in faces]).reshape(n, 2).T
     level_abs = np.array([abs(cone.level) for cone in cones])
 
     # both ends of each ray into its cone's base frame, one apply per cone
@@ -472,7 +451,7 @@ def face_mesh(region: FaceRegion, n_height: int, n_width: int) -> np.ndarray:
     if n_height < 1 or n_width < 1:
         raise DomainError("face_mesh: need at least one cell per direction")
     level_abs = abs(region.cone.level)
-    sign, axis = _FACE_AXIS[region.face]
+    sign, axis = FACE_AXIS[region.face]
     h = np.linspace(region.t1, region.t2, n_height + 1)
     half = np.arccos(np.clip(level_abs * np.exp(-h), -1.0, 1.0))
     v = np.linspace(-1.0, 1.0, n_width + 1)

@@ -17,7 +17,7 @@ from functools import lru_cache
 import numpy as np
 
 from . import density, distortion, preimage
-from .group import GroupElement, apply, find_g, from_word
+from .group import GENERATORS, GroupElement, apply, find_g, from_word
 from .zorich import Beam, branch_distance, zorich, zorich_inverse
 
 PI = math.pi
@@ -49,6 +49,12 @@ class VerificationReport:
 # individual checks
 
 
+def _at_most(name: str, claim: str, value: float, bound: float, tolerance=None) -> CheckResult:
+    """A check that passes at value <= bound; its tolerance is the bound unless given."""
+    tolerance = bound if tolerance is None else tolerance
+    return CheckResult(name, claim, float(value), bound, tolerance, float(value) <= bound)
+
+
 def check_norm_law(n: int) -> CheckResult:
     rng = np.random.default_rng(101)
     x = np.column_stack(
@@ -56,7 +62,7 @@ def check_norm_law(n: int) -> CheckResult:
     )
     r = np.linalg.norm(zorich(x), axis=-1)
     err = float(np.max(np.abs(r - np.exp(x[:, 2])) / np.exp(x[:, 2])))
-    return CheckResult("norm_law", "plane-to-sphere", err, 1e-12, 1e-12, err <= 1e-12)
+    return _at_most("norm_law", "plane-to-sphere", err, 1e-12)
 
 
 def check_group_invariance(n: int) -> CheckResult:
@@ -66,16 +72,14 @@ def check_group_invariance(n: int) -> CheckResult:
     )
     zx = zorich(x)
     scale = np.maximum(1.0, np.exp(x[:, 2]))
-    syms = ["g1", "g1_inv", "g2", "g2_inv", "g3"]
+    syms = list(GENERATORS)
     worst = 0.0
     for _ in range(32):
         word = [syms[i] for i in rng.integers(0, len(syms), rng.integers(0, 9))]
         g = from_word(word)
         err = np.linalg.norm(zorich(apply(g, x)) - zx, axis=-1) / scale
         worst = max(worst, float(np.max(err)))
-    return CheckResult(
-        "group_invariance", "group-invariance", worst, 1e-9, 1e-9, worst <= 1e-9
-    )
+    return _at_most("group_invariance", "group-invariance", worst, 1e-9)
 
 
 def check_fiber_transitivity(n: int) -> CheckResult:
@@ -89,9 +93,7 @@ def check_fiber_transitivity(n: int) -> CheckResult:
         xb = zorich_inverse(y, Beam(*beams[rng.integers(0, len(beams))]))
         g = find_g(xa, xb)
         worst = max(worst, float(np.max(np.abs(apply(g, xa) - xb))))
-    return CheckResult(
-        "fiber_transitivity", "fiber-transitivity", worst, 1e-9, 1e-9, worst <= 1e-9
-    )
+    return _at_most("fiber_transitivity", "fiber-transitivity", worst, 1e-9)
 
 
 def check_inverse_roundtrip(n: int) -> CheckResult:
@@ -110,9 +112,7 @@ def check_inverse_roundtrip(n: int) -> CheckResult:
         back = zorich_inverse(zorich(x), b)
         err = np.linalg.norm(back - x, axis=-1) / np.maximum(1.0, np.linalg.norm(x, axis=-1))
         worst = max(worst, float(np.max(err)))
-    return CheckResult(
-        "inverse_roundtrip", "branch-roundtrip", worst, 1e-9, 1e-9, worst <= 1e-9
-    )
+    return _at_most("inverse_roundtrip", "branch-roundtrip", worst, 1e-9)
 
 
 def _square_points(rng, n: int) -> np.ndarray:
@@ -137,7 +137,7 @@ def check_cone_level(n: int) -> CheckResult:
         z3 = zorich(preimage.cone_point(cone, p))[:, 2]
         err = float(np.max(np.abs(z3 - level))) / max(1.0, abs(level))
         worst = max(worst, err)
-    return CheckResult("cone_level", "cone-onto-plane", worst, 1e-9, 1e-9, worst <= 1e-9)
+    return _at_most("cone_level", "cone-onto-plane", worst, 1e-9)
 
 
 def check_face_flatness(n: int) -> CheckResult:
@@ -148,9 +148,7 @@ def check_face_flatness(n: int) -> CheckResult:
     x = np.column_stack([np.full(n, PI / 2) + shift, edge, x3])
     z = zorich(x)
     worst = float(np.max(np.abs(z[:, 2]) / np.exp(x3)))
-    return CheckResult(
-        "face_flatness", "beam-face-flatness", worst, 1e-12, 1e-12, worst <= 1e-12
-    )
+    return _at_most("face_flatness", "beam-face-flatness", worst, 1e-12)
 
 
 def check_boundary_distance(n: int) -> CheckResult:
@@ -161,9 +159,7 @@ def check_boundary_distance(n: int) -> CheckResult:
     formula = preimage.beam_boundary_distance(level, x3)
     geometric = PI / 2 - np.maximum(np.abs(p[:, 0]), np.abs(p[:, 1]))
     worst = float(np.max(np.abs(formula - geometric)))
-    return CheckResult(
-        "boundary_distance", "face-boundary-gap", worst, 1e-9, 1e-9, worst <= 1e-9
-    )
+    return _at_most("boundary_distance", "face-boundary-gap", worst, 1e-9)
 
 
 def _radii(rng, n: int):
@@ -187,9 +183,7 @@ def check_separation_gap(n: int) -> CheckResult:
             violations += 1
         if not math.exp(2 * a) > 3.0:
             violations += 1
-    return CheckResult(
-        "separation_gap", "height-gap-constant", float(violations), 0.0, 0.0, violations == 0
-    )
+    return _at_most("separation_gap", "height-gap-constant", violations, 0.0)
 
 
 def _gauss_piece(fn, a, b, nodes, weights):
@@ -281,9 +275,7 @@ def check_width_window(n: int) -> CheckResult:
         bound = math.sqrt(2.0) * (1.0 + 4.0 * PI / big_l)
         if math.exp(t2 - t1) > bound * (1.0 + 1e-12):
             violations += 1
-    return CheckResult(
-        "width_window", "width-window-bound", float(violations), 0.0, 0.0, violations == 0
-    )
+    return _at_most("width_window", "width-window-bound", violations, 0.0)
 
 
 def check_preimage_disk(n_cfg: int) -> CheckResult:
@@ -470,10 +462,7 @@ def check_face_projection_distortion(n_cfg: int) -> CheckResult:
     worst = 0.0
     for cfg in FACE_CONFIGS[:n_cfg]:
         worst = max(worst, measure_face_projection_distortion(cfg))
-    return CheckResult(
-        "face_projection_distortion", "face-projection-bound", worst, 2.1, 0.05,
-        worst <= 2.1,
-    )
+    return _at_most("face_projection_distortion", "face-projection-bound", worst, 2.1, 0.05)
 
 
 def check_strip_intersection(n: int) -> CheckResult:
@@ -497,10 +486,7 @@ def check_strip_intersection(n: int) -> CheckResult:
     levels = np.array([cone.level for cone in cones])[found]
     off = np.abs(zorich(hits[found])[:, 2] - levels) > 1e-9 * np.maximum(1.0, np.abs(levels))
     misses = np.count_nonzero(~found) + np.count_nonzero(off)
-    return CheckResult(
-        "strip_intersection", "strip-face-intersection", float(misses), 0.0, 0.0,
-        misses == 0,
-    )
+    return _at_most("strip_intersection", "strip-face-intersection", misses, 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -643,9 +629,7 @@ def check_density_trend(grid_n: int, budget: int, rungs: int) -> CheckResult:
     ladder = density.epsilon_density(patch, ball, grid_n, budget, rungs=rungs)
     worst = min(r.fraction for r in ladder)
     lam = distortion.lambda_h_estimate()
-    eps = preimage.CoverageConstants(
-        radius=ball.center_norm, r0=ball.radius, lam=lam
-    ).eps
+    eps = preimage.coverage_constant(ball.radius, ball.center_norm, lam) / 16.0
     return CheckResult(
         "density_trend", "hit-density-trend", worst, density.DENSITY_FRACTION_MIN, 0.0,
         worst >= density.DENSITY_FRACTION_MIN,

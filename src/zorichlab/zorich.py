@@ -41,6 +41,10 @@ OVERFLOW_FIRST = 1
 OVERFLOW_SECOND = 2
 UNRESOLVABLE = 3
 
+# the faces of the base square (so of each beam and cone), as (sign, axis):
+# face "+x1" is the side x1 = pi/2, its quadrant sign*p[axis] >= |p[other]|
+FACE_AXIS = {"+x1": (1.0, 0), "-x1": (-1.0, 0), "+x2": (1.0, 1), "-x2": (-1.0, 1)}
+
 _SQUARE_TOL = 1e-12
 _UNIT_TOL = 1e-9
 _POLE_TOL = 1e-12
@@ -241,13 +245,23 @@ def zorich_inverse(y, beam):
     x3 = ln|y|; the unit direction is reflected to the upper hemisphere when
     the beam parity is odd, inverted through h_inverse and unfolded into the
     beam.  The sign of y3 must match the beam parity (y3 = 0 is accepted by
-    both parities and resolves to the shared face).
+    both parities and resolves to the shared face).  |y| runs over the map's
+    range, 0 < |y| <= exp(EXP_CAP); a row whose |y|^2 overflows or is not a
+    normal float (|y| < 2^-511) is normed after dividing it by max |y_i|.
     """
     y = np.asarray(y, dtype=float)
     beam = Beam(*beam)
-    norm = np.sqrt(np.sum(y * y, axis=-1))
-    if np.any(norm < 1e-300):
-        raise DomainError("zorich_inverse: zero input has no preimage")
+    with np.errstate(over="ignore"):
+        norm = np.sqrt(np.sum(y * y, axis=-1))
+    if norm.size and not 2.0**-511 <= norm.min() <= norm.max() < np.inf:
+        big = np.max(np.abs(y), axis=-1)
+        scale = np.where(((norm >= 2.0**-511) & (norm < np.inf)) | (big == 0.0), 1.0, big)
+        with np.errstate(over="ignore"):
+            norm = scale * np.sqrt(np.sum(np.square(y / scale[..., None]), axis=-1))
+        if np.any(norm == 0.0):
+            raise DomainError("zorich_inverse: zero input has no preimage")
+        if not math.log(norm.max()) <= EXP_CAP:
+            raise DomainError(f"zorich_inverse: need 0 < |y| <= exp({EXP_CAP:g}), the map's range")
     y3 = y[..., 2]
     if beam.parity == 0 and np.any(y3 < 0.0):
         raise ParityMismatchError("zorich_inverse: y3 < 0 needs an odd-parity beam")

@@ -41,6 +41,13 @@ class TestEvalInvert:
         manifest = json.loads((tmp_path / "invert_manifest.json").read_text())
         assert manifest["parameters"] == {"y": [0.0, 0.0, -1.0], "beam": [1, 0]}
 
+    def test_invert_far_point(self, capsys):
+        # |y|^2 overflows; the preimage's x3 = ln(1e200) is inside the domain
+        assert main(["invert", "--y", "1e200,0,0"]) == 0
+        out = capsys.readouterr().out
+        assert ", 460.517" in out
+        assert float(out.split("relative residual = ")[1]) <= 1e-9
+
     def test_invert_zero_exits_2(self, capsys):
         assert main(["invert", "--y", "0,0,0"]) == 2
         assert "no preimage" in capsys.readouterr().err

@@ -276,6 +276,8 @@ FLOORED_COUNTS = [
                 ([command, "--budget", "1000"], "direction=0,-0.0,0\n"),
             ]
         ],
+        # |y| above exp(EXP_CAP) is outside the map's range; |y|^2 overflows
+        (["invert", "--y", "1e308,1e308,1e308"], None, "need 0 < |y| <= exp(700)"),
     ],
 )
 def test_non_finite_or_empty_exits_2(tmp_path, capsys, argv, config, message):
@@ -297,6 +299,25 @@ def test_coverage_grid_size_exits_2_before_tracing(tmp_path, capsys, monkeypatch
     monkeypatch.setattr(density, "adaptive_trace", no_trace)
     assert main(["coverage", f"--grid-n={grid_n}", "--out", str(tmp_path)]) == 2
     assert "VoxelGrid" in capsys.readouterr().err
+    assert not list(tmp_path.glob("*_manifest.json"))
+
+
+# A ball index past the base is rejected before any line is traced.
+
+
+@pytest.mark.parametrize(
+    "argv, config", [(["density", "--ball-n", "140609"], None), (["density"], "ball_n=140609\n")]
+)
+def test_ball_index_past_the_base_exits_2_before_tracing(tmp_path, capsys, monkeypatch,
+                                                         argv, config):
+    def no_trace(*args, **kwargs):
+        raise AssertionError("a line was traced")
+
+    monkeypatch.setattr(density, "_trace_lines", no_trace)
+    if config is not None:
+        argv = argv + ["--config", _config(tmp_path, config)]
+    assert main(argv + ["--out", str(tmp_path)]) == 2
+    assert f"need n <= {density.MAX_BALL_N}" in capsys.readouterr().err
     assert not list(tmp_path.glob("*_manifest.json"))
 
 

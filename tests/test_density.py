@@ -152,6 +152,13 @@ class TestBallBase:
         np.testing.assert_array_equal(c1, c2[:500])
         np.testing.assert_array_equal(r1, r2[:500])
 
+    def test_base_ends_at_max_ball_n(self):
+        # past 52^3 the schedule radius 2^-ceil(n^(1/3)) is below the float spacing at 1
+        centers, radii = base_prefix(density.MAX_BALL_N)
+        assert len(centers) == density.MAX_BALL_N and radii[-1] <= 2.0**-52
+        with pytest.raises(DomainError, match=f"need n <= {density.MAX_BALL_N}"):
+            base_prefix(density.MAX_BALL_N + 1)
+
     def test_base_property_on_test_open_set(self):
         # the open ball B((3,0,0), 0.5) must contain some enumerated ball
         centers, radii = base_prefix(40000)

@@ -284,6 +284,28 @@ def test_inverse_branch_inverts_the_map_in_its_beam(beam, rows):
 
 
 @PROPERTY
+@given(
+    st.sampled_from(BEAMS),
+    st.lists(
+        st.tuples(
+            st.floats(-INNER, INNER), st.floats(-INNER, INNER), st.floats(-EXP_CAP, EXP_CAP)
+        ),
+        min_size=1,
+        max_size=40,
+    ),
+)
+def test_inverse_branch_covers_the_whole_range(beam, rows):
+    # |y| = exp(x3) runs from exp(-EXP_CAP) to exp(EXP_CAP): |y|^2 overflows
+    # above x3 ~ 354.9 and leaves the normal floats below x3 ~ -354
+    u = np.array(rows)
+    x = u + [beam[0] * math.pi, beam[1] * math.pi, 0.0]
+    x = x[branch_distance(x) > 1e-3]
+    back = zorich_inverse(zorich(x), beam)
+    err = np.linalg.norm(back - x, axis=-1) / np.maximum(1.0, np.linalg.norm(x, axis=-1))
+    assert np.all(err <= 1e-9)
+
+
+@PROPERTY
 @given(st.lists(st.tuples(st.floats(-PHASE_CAP, PHASE_CAP), st.floats(-PHASE_CAP, PHASE_CAP)),
                 min_size=1, max_size=50))
 def test_h_extended_unit_norm_and_parity(rows):
@@ -362,18 +384,19 @@ def test_grouped_trace_truncates_per_line(monkeypatch, group_samples, at_budget)
         assert_same_trace(trace, adaptive_trace(line, box_r, budget, ball.radius))
 
 
-def reference_trace(line, box_r, budget, h_max):
+def reference_trace(line, box_r, budget, h_max, depths=MAX_DEPTH):
     """adaptive_trace of one line, written as a plain loop over depths.
 
     Children of the intervals split at one depth come left halves first,
     then right halves; at the budget a line keeps its first needed children.
+    At most `depths` runs of midpoints are evaluated (the tracer's MAX_DEPTH).
     """
     skip_exp = math.log(2.0 * box_r) + 1.0
     s = np.linspace(*default_s_range(line), budget // 3)
     f, z3, status = second_iterate(line.point_at(s))
     lo = np.arange(len(s) - 1)
     hi = lo + 1
-    for _ in range(MAX_DEPTH):
+    for _ in range(depths):
         f[status == UNRESOLVABLE] = np.nan
         in_box = (status == OK) & np.all(np.abs(f) <= box_r, axis=-1)
         with np.errstate(over="ignore"):
@@ -411,6 +434,27 @@ def test_budget_truncation_keeps_the_first_needed_children(budget):
         assert want.audit.evals == budget
         assert_same_trace(adaptive_trace(line, box_r, budget, ball.radius), want)
         assert_same_trace(trace, want)
+
+
+@pytest.mark.parametrize("depths", [2, 3])
+def test_depth_cap_stops_the_trace(monkeypatch, depths):
+    # lines that would refine deeper stop after `depths` runs of midpoints,
+    # alone and grouped, with budget to spare
+    ball = base_sequence(1)
+    box_r, budget = ball.center_norm + ball.radius, 20_000
+    lines = [
+        LineSpec(YPoint("+x1", 0.4, 0.35)),
+        LineSpec(YPoint("+x1", 0.37, 0.002)),
+        LineSpec(YPoint("-x2", -0.61, 0.01)),
+    ]
+    deeper = [reference_trace(line, box_r, budget, ball.radius, depths + 1) for line in lines]
+    want = [reference_trace(line, box_r, budget, ball.radius, depths) for line in lines]
+    monkeypatch.setattr(density, "MAX_DEPTH", depths)
+    traces = list(_trace_lines(lines, box_r, budget, ball.radius))
+    for line, trace, capped, more in zip(lines, traces, want, deeper):
+        assert capped.audit.evals < more.audit.evals <= budget
+        assert_same_trace(adaptive_trace(line, box_r, budget, ball.radius), capped)
+        assert_same_trace(trace, capped)
 
 
 @pytest.mark.parametrize("group_samples", [density._GROUP_SAMPLES, 12_000])

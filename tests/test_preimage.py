@@ -8,7 +8,6 @@ from zorichlab.group import GroupElement
 from zorichlab.preimage import (
     FACE_IDS,
     ConeSurface,
-    CoverageConstants,
     FaceRegion,
     SectorAreas,
     StripSpec,
@@ -244,12 +243,6 @@ class TestCoverageConstant:
             r0 = rng.uniform(1e-3, radius * 0.99)
             lam = rng.uniform(1.0, 3.0)
             assert coverage_constant(r0, radius, lam) <= trapezoid_fill_bound(r0, radius, lam)
-
-    def test_bundle_invariants(self):
-        cc = CoverageConstants(radius=3.0, r0=0.4, lam=1.5)
-        assert math.exp(2 * cc.a) > 3.0
-        assert cc.c > 0.0
-        assert cc.eps == pytest.approx(cc.c / 16.0)
 
     def test_invalid(self):
         with pytest.raises(DomainError):
