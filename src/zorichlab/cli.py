@@ -3,9 +3,11 @@
 Every command validates its arguments, calls the library (no computation
 lives here), writes its declared output files plus a JSON manifest, and
 exits 0 on success, 1 when a verify check fails, 2 on a validation error,
-3 on a numeric failure.  The rules it applies are the library's: the
-minimum counts, the default trace step (``density.voxel_edge``) and the
-excluded-family notes of trace and coverage (``density.confinement_notes``).
+3 on a numeric failure.  The output directory is made only once the results
+are computed, so a run rejected or failed before it writes leaves none
+behind.  The rules it applies are the library's: the minimum counts, the
+default trace step (``density.voxel_edge``) and the excluded-family notes of
+trace and coverage (``density.confinement_notes``).
 
 Every default is written once, in the parser.  An optional KEY=VALUE config
 file replaces the defaults of its command: a key names any argument of the
@@ -159,6 +161,7 @@ def _manifest(args, name, params, outputs, **extra):
 
 
 def _ensure_out(args):
+    """The --out directory, made if missing; called once the outputs are computed."""
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     return out
@@ -174,8 +177,7 @@ def cmd_eval(args) -> int:
     print("map(x) = ({!r}, {!r}, {!r})".format(*map(float, z)))
     print("map^2(x) = ({!r}, {!r}, {!r})".format(*map(float, f)))
     if args.out:
-        out = _ensure_out(args)
-        path = out / "eval.csv"
+        path = _ensure_out(args) / "eval.csv"
         write_csv(
             path,
             ["stage", "x1", "x2", "x3"],
@@ -196,8 +198,7 @@ def cmd_invert(args) -> int:
     print("preimage in beam {}: ({!r}, {!r}, {!r})".format(beam, *map(float, x)))
     print(f"relative residual = {residual:.3e}")
     if args.out:
-        out = _ensure_out(args)
-        path = out / "invert.csv"
+        path = _ensure_out(args) / "invert.csv"
         write_csv(
             path,
             ["quantity", "x1", "x2", "x3"],
@@ -208,13 +209,12 @@ def cmd_invert(args) -> int:
 
 
 def cmd_cone(args) -> int:
-    out = _ensure_out(args)
     element = GroupElement(args.m, args.n, args.flip)
     cone = preimage.ConeSurface(args.level, element)
     t1 = cone.vertex_height + 0.25 if args.t1 is None else args.t1
     t2 = cone.vertex_height + 2.5 if args.t2 is None else args.t2
     tris = preimage.cone_mesh(cone, t1, t2, args.n_height, args.n_width)
-    path = out / "cone.txt"
+    path = _ensure_out(args) / "cone.txt"
     write_triangle_soup(path, tris)
     print(f"wrote {len(tris)} triangles to {path}")
     _manifest(
@@ -234,22 +234,22 @@ def cmd_cone(args) -> int:
 
 
 def _line_run(args):
-    """The start of trace and coverage: the line (its notes printed), the
-    output directory and the scaled budget."""
+    """The start of trace and coverage: the line (its notes printed) and the
+    scaled budget."""
     if args.direction is not None:
         line = density.LineSpec(p=args.p, d=args.direction)
     else:
         line = density.LineSpec(density.YPoint(args.face, args.u2, args.u3), args.p)
     for note in density.confinement_notes(line.d):
         print(f"note: {note}")
-    return line, _ensure_out(args), _scaled(args, "budget", 10, density.MIN_BUDGET)
+    return line, _scaled(args, "budget", 10, density.MIN_BUDGET)
 
 
 def cmd_trace(args) -> int:
-    line, out, budget = _line_run(args)
+    line, budget = _line_run(args)
     h_max = density.voxel_edge(args.box_r) if args.h_max is None else args.h_max
     trace = density.adaptive_trace(line, args.box_r, budget, h_max)
-    path = out / "trace_points.txt"
+    path = _ensure_out(args) / "trace_points.txt"
     write_point_cloud(path, trace.points[trace.in_box])
     a = trace.audit
     print(
@@ -282,11 +282,11 @@ def _line_params(line):
 
 
 def cmd_coverage(args) -> int:
-    line, out, budget = _line_run(args)
+    line, budget = _line_run(args)
     (run,) = density.coverage_experiment(
         [line], box_r=args.box_r, grid_n=args.grid_n, budget=budget, h_max=args.h_max
     )
-    path = out / "coverage.csv"
+    path = _ensure_out(args) / "coverage.csv"
     write_csv(
         path,
         ["points_consumed", "coverage", "cap_hit_fraction"],
@@ -310,7 +310,6 @@ def cmd_coverage(args) -> int:
 
 
 def cmd_density(args) -> int:
-    out = _ensure_out(args)
     grid_n, budget = _scaled(args, "grid_n", 2, 4), _scaled(args, "budget", 10, density.MIN_BUDGET)
     if args.q is not None:
         ball = density.BallSpec(args.q, args.ball_r)
@@ -318,7 +317,7 @@ def cmd_density(args) -> int:
         ball = density.base_sequence(args.ball_n)
     patch = density.PatchSpec(density.YPoint(args.face, args.u2, args.u3), args.delta)
     ladder = density.epsilon_density(patch, ball, grid_n, budget, rungs=args.rungs, p=args.p)
-    path = out / "density.csv"
+    path = _ensure_out(args) / "density.csv"
     write_csv(
         path,
         ["delta", "grid_n", "valid_points", "hits", "fraction"],
@@ -342,7 +341,6 @@ def cmd_density(args) -> int:
 
 
 def cmd_distortion(args) -> int:
-    out = _ensure_out(args)
     samples = _scaled(args, "samples", 10, 50)
     grid_n = _scaled(args, "grid_n", 2, distortion.MIN_CHART_GRID_N)
     lam = distortion.lambda_h_estimate(grid_n)
@@ -357,7 +355,7 @@ def cmd_distortion(args) -> int:
         tolerance=0.01,
         passed=rep.passed,
     )
-    path = out / "distortion_report.txt"
+    path = _ensure_out(args) / "distortion_report.txt"
     write_report(path, [result], result.passed)
     print(
         f"lambda_hat={lam:.6f} measured_distortion={rep.d_est:.6f} "
@@ -381,9 +379,8 @@ def cmd_distortion(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    out = _ensure_out(args)
     report = verify.run_checks(args.level)
-    path = out / "verify_report.txt"
+    path = _ensure_out(args) / "verify_report.txt"
     write_report(path, report.results, report.overall)
     for r in report.results:
         print(

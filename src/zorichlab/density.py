@@ -19,7 +19,12 @@ The tracer works in fixed blocks of _BLOCK points: each kernel call, each
 pass of the split test, the final gathers and pair gaps and each voxel mark
 take at most one block.  Every step is elementwise, so the blocks change no
 output bit; they bound the working set beside the store and the result (a
-10^6 trace peaks near 69 MB of arrays, 35 MB of them the store).
+10^6 trace peaks near 69 MB of arrays, 35 MB of them the store).  The
+kernel's blocks and the split test's blocks run on the calling thread and
+one worker (_blocks), each block writing only its own rows, so the threads
+change no output bit either.  The final pass, most of whose time is one
+sort, and the marking, whose blocks all write the one occupancy grid, stay
+on one thread.
 
 Everything is deterministic for fixed inputs; traces from one run can be
 marked into occupancy grids in any chunking (marking is idempotent).
@@ -27,7 +32,10 @@ marked into occupancy grids in any chunking (marking is idempotent).
 
 from __future__ import annotations
 
+import contextvars
 import math
+import os
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -298,6 +306,46 @@ def _trace_lines(lines, box_r: float, budget: int, h_max: float, s_ranges=None):
         yield from _trace_group(lines[group], ranges[group], box_r, budget, h_max)
 
 
+def _cpus() -> int:
+    """The CPUs this process may run on (all of them where the OS cannot say)."""
+    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+
+
+def _blocks(fn, n: int) -> None:
+    """Call fn(c) for each block start c in range(0, n, _BLOCK), on this thread and one worker.
+
+    Both threads take starts from one iterator, so fn(c) may write only what
+    block c owns.  One block, or a process allowed one CPU, runs inline.  The
+    worker runs in a copy of the caller's context, so a caller's np.errstate
+    holds in it too.  After an exception in either thread the other takes no
+    further block; the worker is joined before this returns or raises.
+    """
+    starts = iter(range(0, n, _BLOCK))
+    if n <= _BLOCK or _cpus() < 2:
+        for c in starts:
+            fn(c)
+        return
+    take, failed = threading.Lock(), []
+
+    def drain():
+        try:
+            while not failed:
+                with take:
+                    c = next(starts, None)
+                if c is None:
+                    return
+                fn(c)
+        except BaseException as exc:  # raised again below, in the calling thread
+            failed.append(exc)
+
+    worker = threading.Thread(target=contextvars.copy_context().run, args=(drain,))
+    worker.start()
+    drain()
+    worker.join()
+    if failed:
+        raise failed[0]
+
+
 def _trace_group(lines, ranges, box_r, budget, h_max):
     """The tracer of adaptive_trace, run on a group of lines at once.
 
@@ -322,14 +370,16 @@ def _trace_group(lines, ranges, box_r, budget, h_max):
     status = np.empty(n * budget, dtype=np.int8)
     p = np.array([line.p for line in lines], dtype=float)
     d = np.array([line.direction() for line in lines])
+    row_type = _row_type(n * budget)  # of the interval ends lo, hi and the midpoints' rows
 
     def evaluate(new_s, runs):
-        """Evaluate and store the points of new_s, one _BLOCK at a time.
+        """Evaluate and store the points of new_s, one _BLOCK at a time (see _blocks).
 
         runs holds (a, b, k, row): line k's parameters new_s[a:b] go to its
         store rows row, row + 1, ...; the runs are disjoint.
         """
-        for c in range(0, len(new_s), _BLOCK):
+
+        def block(c):
             e = min(c + _BLOCK, len(new_s))
             x = np.empty((e - c, 3))
             writes = []
@@ -349,11 +399,15 @@ def _trace_group(lines, ranges, box_r, budget, h_max):
                 s[rows], f[rows], status[rows] = block_s[part], new_f[part], new_status[part]
                 low[rows], in_box[rows] = new_low[part], new_in_box[part]
 
+        _blocks(block, len(new_s))
+
     def needs_split(lo, hi):
         """Whether to bisect each interval (lo[i], hi[i]), one _BLOCK of them at a time."""
         need = np.empty(len(lo), dtype=bool)
-        for c in range(0, len(lo), _BLOCK):
-            a, b = lo[c : c + _BLOCK], hi[c : c + _BLOCK]
+
+        def block(c):
+            # intp row indices: each is used four times, and a gather casts int32 ones
+            a, b = lo[c : c + _BLOCK].astype(np.intp), hi[c : c + _BLOCK].astype(np.intp)
             with np.errstate(over="ignore"):
                 gap = _norm3(f.take(a, axis=0) - f.take(b, axis=0))
             left, right = s[a], s[b]
@@ -364,6 +418,8 @@ def _trace_group(lines, ranges, box_r, budget, h_max):
                 & (low[a] | low[b])
                 & width_ok
             )
+
+        _blocks(block, len(lo))
         return need
 
     # depth 0, line by line: the seed grid and the intervals it splits; its
@@ -371,7 +427,7 @@ def _trace_group(lines, ranges, box_r, budget, h_max):
     split = []
     for k, (s_lo, s_hi) in enumerate(ranges):
         evaluate(np.linspace(s_lo, s_hi, n0), [(0, n0, k, k * budget)])
-        lo = np.arange(k * budget, k * budget + n0 - 1)
+        lo = np.arange(k * budget, k * budget + n0 - 1, dtype=row_type)
         split.append(lo[np.flatnonzero(needs_split(lo, lo + 1))])
     lo = np.concatenate(split)
     hi = lo + 1
@@ -384,7 +440,7 @@ def _trace_group(lines, ranges, box_r, budget, h_max):
         edges = [0, *np.cumsum(counts).tolist()]
         spans = list(zip(edges, edges[1:]))  # line k splits lo[a:b], hi[a:b]
         new_s = 0.5 * (s[lo] + s[hi])
-        mid = np.empty(len(lo), dtype=np.intp)
+        mid = np.empty(len(lo), dtype=row_type)
         runs = []
         for k, (a, b) in enumerate(spans):
             if b > a:
@@ -413,11 +469,16 @@ def _trace_group(lines, ranges, box_r, budget, h_max):
         yield _finish(s[rows], f[rows], in_box[rows], status[rows], h_max)
 
 
+def _row_type(rows: int):
+    """The index type of rows below `rows`: int32 when they fit, else intp."""
+    return np.int32 if rows < 2**31 else np.intp
+
+
 def _finish(s, f, in_box, status, h_max) -> TraceResult:
     """The TraceResult of one line's samples, given in evaluation order."""
     # the sort order as 4-byte row indices when they fit: the gathers below
     # hold it next to their results
-    order = np.argsort(s, kind="stable").astype(np.int32 if len(s) < 2**31 else np.intp)
+    order = np.argsort(s, kind="stable").astype(_row_type(len(s)))
     counts = np.bincount(status, minlength=4)
     kept = int(counts[OK])
     s_kept, f_kept, box_kept = np.empty(kept), np.empty((kept, 3)), np.empty(kept, dtype=bool)

@@ -8,6 +8,7 @@ import pytest
 
 from zorichlab import density, verify
 from zorichlab.cli import main
+from zorichlab.errors import DomainError
 from zorichlab.verify import CheckResult, VerificationReport
 
 
@@ -319,6 +320,31 @@ def test_ball_index_past_the_base_exits_2_before_tracing(tmp_path, capsys, monke
     assert main(argv + ["--out", str(tmp_path)]) == 2
     assert f"need n <= {density.MAX_BALL_N}" in capsys.readouterr().err
     assert not list(tmp_path.glob("*_manifest.json"))
+
+
+# A rejected run creates no output directory.
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["trace", "--h-max=0"],
+        ["coverage", "--grid-n", "1"],
+        ["density", "--ball-n", "140609"],
+        ["density", "--rungs", "0"],
+        ["cone", "--n-height", "0"],
+        ["distortion", "--radius", "0", "--samples", "10", "--grid-n", "64"],
+        ["verify", "--level", "quick"],
+    ],
+)
+def test_rejected_run_creates_no_directory(tmp_path, monkeypatch, argv):
+    def rejected(level):
+        raise DomainError("rejected")
+
+    monkeypatch.setattr(verify, "run_checks", rejected)
+    out = tmp_path / "out"
+    assert main(argv + ["--out", str(out)]) == 2
+    assert not out.exists()
 
 
 # Every manifest has the same records; inputs and outputs are file digests.

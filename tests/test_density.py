@@ -1,5 +1,8 @@
 import ast
 import math
+import sys
+import threading
+import time
 import tracemalloc
 from pathlib import Path
 
@@ -336,6 +339,84 @@ class TestMarkAndCoverage:
         assert mark_and_coverage(grid, pts) == want
         np.testing.assert_array_equal(grid.occupancy, whole.occupancy)
         assert max(sizes) == 997 and sum(sizes) == len(pts)
+
+
+class TestBlocks:
+    """density._blocks, the loop of the tracer's kernel and split test over blocks."""
+
+    @pytest.fixture(autouse=True)
+    def two_cpus(self, monkeypatch):
+        # the threaded path on any host, over 100 blocks of 10
+        monkeypatch.setattr(density, "_cpus", lambda: 2)
+        monkeypatch.setattr(density, "_BLOCK", 10)
+
+    @staticmethod
+    def both_threads(fn):
+        """fn, with each thread's first call waiting until the other thread has made one."""
+        meet, seen = threading.Barrier(2, timeout=30), set()
+
+        def call(c):
+            if threading.get_ident() not in seen:
+                seen.add(threading.get_ident())
+                meet.wait()
+            return fn(c)
+
+        return call
+
+    def test_each_block_once(self):
+        # a short switch interval lets the threads interleave almost anywhere
+        before, interval = threading.active_count(), sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(20):
+                starts = []
+                density._blocks(self.both_threads(starts.append), 1000)
+                assert sorted(starts) == list(range(0, 1000, 10))
+        finally:
+            sys.setswitchinterval(interval)
+        assert threading.active_count() == before
+
+    def test_worker_exception_reaches_the_caller(self):
+        before, caller = threading.active_count(), threading.get_ident()
+
+        def fn(c):
+            if threading.get_ident() != caller:
+                raise ValueError(f"block {c}")
+
+        with pytest.raises(ValueError, match="block"):
+            density._blocks(self.both_threads(fn), 1000)
+        assert threading.active_count() == before
+
+    def test_caller_exception_stops_the_worker(self):
+        before, caller, starts = threading.active_count(), threading.get_ident(), []
+
+        def fn(c):
+            if threading.get_ident() == caller:
+                raise ValueError(f"block {c}")
+            starts.append(c)
+            time.sleep(0.001)
+
+        with pytest.raises(ValueError, match="block"):
+            density._blocks(self.both_threads(fn), 1000)
+        assert threading.active_count() == before
+        assert len(starts) < 99  # the worker stopped taking blocks
+
+    def test_caller_errstate_holds_in_both_threads(self):
+        seen = {}
+
+        def fn(c):
+            seen.setdefault(threading.get_ident(), set()).add(np.geterr()["over"])
+
+        with np.errstate(over="ignore"):
+            density._blocks(self.both_threads(fn), 1000)
+        assert len(seen) == 2 and all(modes == {"ignore"} for modes in seen.values())
+
+    @pytest.mark.parametrize("cpus, n", [(1, 1000), (2, 10)])
+    def test_one_cpu_or_one_block_runs_inline(self, monkeypatch, cpus, n):
+        monkeypatch.setattr(density, "_cpus", lambda: cpus)
+        threads = []
+        density._blocks(lambda c: threads.append(threading.get_ident()), n)
+        assert set(threads) == {threading.get_ident()} and len(threads) == len(range(0, n, 10))
 
 
 class TestAdaptiveTrace:
