@@ -3,7 +3,8 @@
     python3 scripts/output_digests.py
 
 Runs each command below as ``python -m zorichlab`` on the ``src`` tree next
-to this script, in a temporary directory, and prints one ``sha256  name``
+to this script, in a temporary directory that also holds the config file
+``run.cfg`` (``CONFIG`` below), and prints one ``sha256  name``
 line per data file and per manifest ``parameters`` block (as JSON with
 sorted keys).  The manifests' other records (timestamp, versions, verify's
 seconds) are left out, since they vary from run to run.  Checking that a
@@ -27,11 +28,19 @@ from pathlib import Path
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
-# (name, argv): each command writes into its own directory, named after it
+# (name, argv): each command writes into its own directory, named after it.
+# The defaults first, then the non-default paths: a horizontal line, a base
+# point off the origin, an explicit ball, --quick and config keys.
 COMMANDS = [
     ("trace", ["trace"]),
     ("coverage", ["coverage"]),
     ("density", ["density"]),
+    ("trace-direction", ["trace", "--direction", "1,0.4,0"]),
+    ("trace-off-origin", ["trace", "--p", "0.3,-0.2,0.1", "--u2=-0.5", "--u3", "0.2"]),
+    ("density-ball", ["density", "--q", "1.2,0.4,0.9", "--ball-r", "0.3", "--grid-n", "4",
+                      "--rungs", "1"]),
+    ("coverage-quick", ["coverage", "--quick"]),
+    ("trace-config", ["trace", "--config", "run.cfg"]),
     ("cone", ["cone"]),
     ("distortion", ["distortion"]),
     ("eval", ["eval", "--x", "0.3,-0.2,1.5"]),
@@ -40,6 +49,7 @@ COMMANDS = [
     ("verify-quick", ["verify", "--level", "quick"]),
     ("verify-full", ["verify", "--level", "full"]),
 ]
+CONFIG = "face=-x2\nu2=-0.5\nu3=0.001\nbudget=20000\nquick=true\n"
 
 
 def _sha256(data: bytes) -> str:
@@ -49,11 +59,12 @@ def _sha256(data: bytes) -> str:
 def main() -> int:
     env = dict(os.environ, PYTHONPATH=str(SRC))
     with tempfile.TemporaryDirectory() as tmp:
+        (Path(tmp) / "run.cfg").write_text(CONFIG)
         for name, argv in COMMANDS:
             out = Path(tmp) / name
             run = subprocess.run(
                 [sys.executable, "-m", "zorichlab", *argv, "--out", str(out)],
-                env=env, capture_output=True, text=True,
+                env=env, capture_output=True, text=True, cwd=tmp,
             )
             if run.returncode != 0:
                 sys.stderr.write(run.stderr)

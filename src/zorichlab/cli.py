@@ -10,14 +10,16 @@ default trace step (``density.voxel_edge``) and the excluded-family notes of
 trace and coverage (``density.confinement_notes``).
 
 Every default is written once, in the parser.  An optional KEY=VALUE config
-file replaces the defaults of its command: a key names any argument of the
-command (``budget=5000``, ``face=-x1``), its value is cast and checked like
-the flag's own, the switches (``flip``, ``quick``) take ``true`` or ``false``,
-and a flag on the command line still wins.  A key that names no argument of
-the command is a validation error, and so is a value given (as a flag or a
-key) for an argument that another given argument replaces: ``direction``
-replaces ``face``, ``u2`` and ``u3``; ``q`` replaces ``ball_n``.  So is
-``ball_r`` without ``q``: it is the radius of the explicit ball only.
+file names arguments of its command, and each key is read as the flag it
+names: ``budget=5000`` as ``--budget=5000``, a switch's ``flip=true`` as
+``--flip`` and ``flip=false`` as nothing.  These flags are parsed ahead of
+the command line's own, so a flag on the command line still wins, and a bad
+value exits 2 with argparse's message, which names the flag.  A key that
+names no argument of the command is a validation error, and so is a value
+given (as a flag or a key) for an argument that another given argument
+replaces: ``direction`` replaces ``face``, ``u2`` and ``u3``; ``q`` replaces
+``ball_n``.  So is ``ball_r`` without ``q``: it is the radius of the explicit
+ball only.
 The counts that ``--quick`` scales down (``budget``, ``grid_n`` of
 ``density`` and ``distortion``, ``samples``) take integers no smaller than
 the library's minimum for them (``density.MIN_BUDGET``, ``density.MIN_GRID_N``,
@@ -102,7 +104,7 @@ _NEEDS = {"ball_r": "q"}
 
 
 class _Given(argparse.Action):
-    """Stores the value and notes that it came from the command line."""
+    """Stores the value and notes that it was given, as a flag or a config key."""
 
     def __call__(self, parser, namespace, values, option_string=None):
         setattr(namespace, self.dest, values)
@@ -132,21 +134,22 @@ class _Parser(argparse.ArgumentParser):
         raise DomainError(f"{self.prog}: {message}")
 
 
-def _apply_config(parser, command, config: dict) -> None:
-    """Make the config values the defaults of the command's parser."""
+def _config_flags(parser, command, config: dict) -> list[str]:
+    """The config keys as the flags they name: KEY=VALUE is --key=VALUE, and a
+    switch's true is the bare flag and its false nothing.  Keys are matched by
+    name first, since argparse would take a key that abbreviates a flag."""
     actions = {a.dest: a for a in parser._actions if a.dest not in ("help", "config")}
     unknown = sorted(set(config) - set(actions))
     if unknown:
         raise DomainError(f"config: unknown key(s) for {command}: {', '.join(unknown)}")
+    flags = []
     for key, value in config.items():
-        action = actions[key]
-        if isinstance(action.default, bool):
-            if value not in ("true", "false"):
-                raise DomainError(f"config: {key} takes true or false, not {value!r}")
-            value = value == "true"
-        elif action.choices is not None and value not in action.choices:
-            raise DomainError(f"config: {key} must be one of {', '.join(action.choices)}")
-        parser.set_defaults(**{key: value})
+        flag = actions[key].option_strings[0]
+        if actions[key].nargs != 0 or value not in ("true", "false"):
+            flags.append(f"{flag}={value}")
+        elif value == "true":
+            flags.append(flag)
+    return flags
 
 
 def _scaled(args, name, divisor, floor) -> int:
@@ -347,14 +350,7 @@ def cmd_distortion(args) -> int:
     rep = distortion.verify_slab_bound(
         distortion.Slab(args.t1, args.t2), samples, lam=lam, radius=args.radius, n_dirs=args.dirs
     )
-    result = verify.CheckResult(
-        name="slab_distortion",
-        claim="slab-bound",
-        value=rep.d_est,
-        bound=rep.bound,
-        tolerance=0.01,
-        passed=rep.passed,
-    )
+    result = verify.at_most("slab_distortion", "slab-bound", rep.d_est, rep.bound, 0.01)
     path = _ensure_out(args) / "distortion_report.txt"
     write_report(path, [result], result.passed)
     print(
@@ -386,6 +382,7 @@ def cmd_verify(args) -> int:
         print(
             f"{'PASS' if r.passed else 'FAIL'}  {r.name}: value={r.value:.6g} "
             f"bound={r.bound:.6g} ({report.seconds.get(r.name, 0.0):.2f} s)"
+            + (f"  {r.note}" if r.note else "")
         )
     print(f"overall: {'PASS' if report.overall else 'FAIL'} ({len(report.results)} checks)")
     # wall seconds per check: in the manifest only, so the report stays reproducible
@@ -484,13 +481,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     parser = build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
     try:
         args = parser.parse_args(argv)
-        config = read_config(args.config) if args.config else {}
-        if config:
-            _apply_config(args.parser, args.command, config)
-            args = parser.parse_args(argv)
-        _check_given(set(config) | getattr(args, "given", frozenset()))
+        if args.config:
+            # the command comes first; its config flags go before its own, which win
+            flags = _config_flags(args.parser, args.command, read_config(args.config))
+            args = parser.parse_args([argv[0], *flags, *argv[1:]])
+        _check_given(getattr(args, "given", frozenset()))
         return args.func(args)
     except (DomainError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -16,15 +16,17 @@ evaluation order, so its trace is bit-identical to tracing it alone and the
 outputs are unchanged.
 
 The tracer works in fixed blocks of _BLOCK points: each kernel call, each
-pass of the split test, the final gathers and pair gaps and each voxel mark
+pass of the split test, each step of the final walk (a block of sorted kept
+samples, gathered, and the pair gaps that end in it) and each voxel mark
 take at most one block.  Every step is elementwise, so the blocks change no
 output bit; they bound the working set beside the store and the result (a
 10^6 trace peaks near 69 MB of arrays, 35 MB of them the store).  The
 kernel's blocks and the split test's blocks run on the calling thread and
 one worker (_blocks), each block writing only its own rows, so the threads
-change no output bit either.  The final pass, most of whose time is one
+change no output bit either.  The final walk, most of whose time is one
 sort, and the marking, whose blocks all write the one occupancy grid, stay
-on one thread.
+on one thread.  A line is traced only if one seed step moves each coordinate
+its direction moves: a line the float grid cannot resolve raises DomainError.
 
 Everything is deterministic for fixed inputs; traces from one run can be
 marked into occupancy grids in any chunking (marking is idempotent).
@@ -37,6 +39,7 @@ import math
 import os
 import threading
 from dataclasses import dataclass
+from itertools import count, pairwise, takewhile
 
 import numpy as np
 
@@ -300,6 +303,11 @@ def _trace_lines(lines, box_r: float, budget: int, h_max: float, s_ranges=None):
     ]
     if not all(s_lo < s_hi for s_lo, s_hi in ranges):
         raise DomainError("adaptive_trace: empty parameter range")
+    for line, (s_lo, s_hi) in zip(lines, ranges):
+        x, y = line.point_at([s_lo, s_lo + (s_hi - s_lo) / (budget // 3 - 1)])  # one seed step
+        if np.any((x == y) & (line.direction() != 0.0)):
+            raise DomainError(f"adaptive_trace: one seed step over s in [{s_lo:g}, {s_hi:g}] "
+                              "leaves a coordinate of the line unresolved")
     per_group = max(1, _GROUP_SAMPLES // budget)
     for first in range(0, len(lines), per_group):
         group = slice(first, first + per_group)
@@ -482,23 +490,23 @@ def _finish(s, f, in_box, status, h_max) -> TraceResult:
     counts = np.bincount(status, minlength=4)
     kept = int(counts[OK])
     s_kept, f_kept, box_kept = np.empty(kept), np.empty((kept, 3)), np.empty(kept, dtype=bool)
-    done = 0
+    pairs_in_box = cap_hits = done = 0
     for c in range(0, len(s), _BLOCK):
         block = order[c : c + _BLOCK].astype(np.intp)
         block = block[status[block] == OK]  # the store keeps a row finite iff it is OK
         rows = slice(done, done + len(block))
         s_kept[rows], f_kept[rows], box_kept[rows] = s[block], f.take(block, axis=0), in_box[block]
-        done += len(block)
-
-    # the pairs (i, i + 1) of kept samples, one _BLOCK of them at a time
-    pairs_in_box = cap_hits = 0
-    for c in range(0, kept - 1, _BLOCK):
-        e = min(c + _BLOCK, kept - 1)
-        both = box_kept[c:e] & box_kept[c + 1 : e + 1]
+        del block  # 8 bytes a row, freed before the pair gaps' temporaries
+        # the kept pairs (i, i + 1) whose i + 1 this block gathered: one row is
+        # carried across the block edge, and none is read before it is written
+        i = slice(max(done - 1, 0), max(rows.stop - 1, 0))
+        j = slice(i.start + 1, i.stop + 1)
+        both = box_kept[i] & box_kept[j]
         with np.errstate(over="ignore"):
-            pair_gap = _norm3(f_kept[c:e] - f_kept[c + 1 : e + 1])
+            pair_gap = _norm3(f_kept[i] - f_kept[j])
         pairs_in_box += int(np.count_nonzero(both))
         cap_hits += int(np.count_nonzero(both & (pair_gap > h_max * (1 + 1e-9))))
+        done = rows.stop
 
     audit = TraceAudit(
         evals=len(s),
@@ -583,19 +591,12 @@ def mark_and_coverage(grid: VoxelGrid, points) -> list[tuple[int, float]]:
     end of the stream; coverage is nondecreasing in points consumed.
     """
     pts = np.atleast_2d(np.asarray(points, dtype=float))
+    checkpoints = takewhile(lambda e: e < len(pts), (_CHECKPOINT_BASE * 10**k for k in count()))
     series = []
-    consumed = 0
-    checkpoint = _CHECKPOINT_BASE
-    while consumed < len(pts):
-        end = min(checkpoint, len(pts))
-        for c in range(consumed, end, _BLOCK):
+    for start, end in pairwise([0, *checkpoints, len(pts)]):
+        for c in range(start, end, _BLOCK):
             grid.mark(pts[c : min(c + _BLOCK, end)])
-        consumed = end
-        if consumed == checkpoint:
-            series.append((consumed, grid.coverage()))
-            checkpoint *= 10
-    if not series or series[-1][0] != consumed:
-        series.append((consumed, grid.coverage()))
+        series.append((end, grid.coverage()))
     return series
 
 
@@ -721,7 +722,6 @@ def random_valid_line(rng: np.random.Generator) -> LineSpec:
 
 @dataclass(frozen=True)
 class CoverageRun:
-    line: LineSpec
     series: list[tuple[int, float]]
     audit: TraceAudit
     coverage: float
@@ -746,4 +746,4 @@ def _coverage_run(line, box_r, grid_n, budget, h_max) -> CoverageRun:
     h_max = grid.voxel if h_max is None else h_max
     trace = adaptive_trace(line, box_r, budget, h_max)
     series = mark_and_coverage(grid, trace.points)
-    return CoverageRun(line, series, trace.audit, grid.coverage(), h_max)
+    return CoverageRun(series, trace.audit, grid.coverage(), h_max)

@@ -53,7 +53,6 @@ class DistortionEstimate:
     inf_lower: float
     ratio: float
     sample_count: int
-    radius: float
 
 
 def sphere_directions(n: int) -> np.ndarray:
@@ -110,7 +109,6 @@ def relative_distortion(f, points, radius: float = DEFAULT_RADIUS,
         inf_lower=lower,
         ratio=upper / lower,
         sample_count=len(points),
-        radius=radius,
     )
 
 
@@ -154,12 +152,9 @@ def sample_slab(slab: Slab, n: int, seed: int, radius: float = DEFAULT_RADIUS) -
 
 @dataclass(frozen=True)
 class SlabReport:
-    slab: Slab
     d_est: float
-    lam: float
     bound: float
     passed: bool
-    sample_count: int
 
 
 def verify_slab_bound(slab: Slab, n_samples: int = 1000, *, lam: float,
@@ -175,26 +170,13 @@ def verify_slab_bound(slab: Slab, n_samples: int = 1000, *, lam: float,
     pts = sample_slab(slab, n_samples, seed, radius)
     est = relative_distortion(zorich, pts, radius, n_dirs)
     bound = lam * lam * math.exp(slab.gap) * 1.01
-    return SlabReport(
-        slab=slab,
-        d_est=est.ratio,
-        lam=lam,
-        bound=bound,
-        passed=est.ratio <= bound,
-        sample_count=n_samples,
-    )
+    return SlabReport(d_est=est.ratio, bound=bound, passed=est.ratio <= bound)
 
 
 @dataclass(frozen=True)
 class AreaTransportReport:
     """Both sides of the measure-transport sandwich for one configuration."""
 
-    m_e: float
-    m_u: float
-    m_fe: float
-    m_fu: float
-    lam: float
-    n_dim: int
     lower: float
     middle: float
     upper: float
@@ -215,18 +197,7 @@ def verify_area_transport(measures, lam: float, n_dim: int) -> AreaTransportRepo
     image_ratio = m_fu / m_fe
     lower = ratio / lam_n
     upper = ratio * lam_n
-    return AreaTransportReport(
-        m_e=m_e,
-        m_u=m_u,
-        m_fe=m_fe,
-        m_fu=m_fu,
-        lam=lam,
-        n_dim=n_dim,
-        lower=lower,
-        middle=image_ratio,
-        upper=upper,
-        passed=lower <= image_ratio <= upper,
-    )
+    return AreaTransportReport(lower, image_ratio, upper, lower <= image_ratio <= upper)
 
 
 def cube_membership(lo, hi):

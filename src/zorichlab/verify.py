@@ -49,7 +49,7 @@ class VerificationReport:
 # individual checks
 
 
-def _at_most(name: str, claim: str, value: float, bound: float, tolerance=None) -> CheckResult:
+def at_most(name: str, claim: str, value: float, bound: float, tolerance=None) -> CheckResult:
     """A check that passes at value <= bound; its tolerance is the bound unless given."""
     tolerance = bound if tolerance is None else tolerance
     return CheckResult(name, claim, float(value), bound, tolerance, float(value) <= bound)
@@ -62,7 +62,7 @@ def check_norm_law(n: int) -> CheckResult:
     )
     r = np.linalg.norm(zorich(x), axis=-1)
     err = float(np.max(np.abs(r - np.exp(x[:, 2])) / np.exp(x[:, 2])))
-    return _at_most("norm_law", "plane-to-sphere", err, 1e-12)
+    return at_most("norm_law", "plane-to-sphere", err, 1e-12)
 
 
 def check_group_invariance(n: int) -> CheckResult:
@@ -79,7 +79,7 @@ def check_group_invariance(n: int) -> CheckResult:
         g = from_word(word)
         err = np.linalg.norm(zorich(apply(g, x)) - zx, axis=-1) / scale
         worst = max(worst, float(np.max(err)))
-    return _at_most("group_invariance", "group-invariance", worst, 1e-9)
+    return at_most("group_invariance", "group-invariance", worst, 1e-9)
 
 
 def check_fiber_transitivity(n: int) -> CheckResult:
@@ -93,7 +93,7 @@ def check_fiber_transitivity(n: int) -> CheckResult:
         xb = zorich_inverse(y, Beam(*beams[rng.integers(0, len(beams))]))
         g = find_g(xa, xb)
         worst = max(worst, float(np.max(np.abs(apply(g, xa) - xb))))
-    return _at_most("fiber_transitivity", "fiber-transitivity", worst, 1e-9)
+    return at_most("fiber_transitivity", "fiber-transitivity", worst, 1e-9)
 
 
 def check_inverse_roundtrip(n: int) -> CheckResult:
@@ -112,7 +112,7 @@ def check_inverse_roundtrip(n: int) -> CheckResult:
         back = zorich_inverse(zorich(x), b)
         err = np.linalg.norm(back - x, axis=-1) / np.maximum(1.0, np.linalg.norm(x, axis=-1))
         worst = max(worst, float(np.max(err)))
-    return _at_most("inverse_roundtrip", "branch-roundtrip", worst, 1e-9)
+    return at_most("inverse_roundtrip", "branch-roundtrip", worst, 1e-9)
 
 
 def _square_points(rng, n: int) -> np.ndarray:
@@ -137,7 +137,7 @@ def check_cone_level(n: int) -> CheckResult:
         z3 = zorich(preimage.cone_point(cone, p))[:, 2]
         err = float(np.max(np.abs(z3 - level))) / max(1.0, abs(level))
         worst = max(worst, err)
-    return _at_most("cone_level", "cone-onto-plane", worst, 1e-9)
+    return at_most("cone_level", "cone-onto-plane", worst, 1e-9)
 
 
 def check_face_flatness(n: int) -> CheckResult:
@@ -148,7 +148,7 @@ def check_face_flatness(n: int) -> CheckResult:
     x = np.column_stack([np.full(n, PI / 2) + shift, edge, x3])
     z = zorich(x)
     worst = float(np.max(np.abs(z[:, 2]) / np.exp(x3)))
-    return _at_most("face_flatness", "beam-face-flatness", worst, 1e-12)
+    return at_most("face_flatness", "beam-face-flatness", worst, 1e-12)
 
 
 def check_boundary_distance(n: int) -> CheckResult:
@@ -159,7 +159,7 @@ def check_boundary_distance(n: int) -> CheckResult:
     formula = preimage.beam_boundary_distance(level, x3)
     geometric = PI / 2 - np.maximum(np.abs(p[:, 0]), np.abs(p[:, 1]))
     worst = float(np.max(np.abs(formula - geometric)))
-    return _at_most("boundary_distance", "face-boundary-gap", worst, 1e-9)
+    return at_most("boundary_distance", "face-boundary-gap", worst, 1e-9)
 
 
 def _radii(rng, n: int):
@@ -183,7 +183,7 @@ def check_separation_gap(n: int) -> CheckResult:
             violations += 1
         if not math.exp(2 * a) > 3.0:
             violations += 1
-    return _at_most("separation_gap", "height-gap-constant", violations, 0.0)
+    return at_most("separation_gap", "height-gap-constant", violations, 0.0)
 
 
 def _gauss_piece(fn, a, b, nodes, weights):
@@ -275,7 +275,7 @@ def check_width_window(n: int) -> CheckResult:
         bound = math.sqrt(2.0) * (1.0 + 4.0 * PI / big_l)
         if math.exp(t2 - t1) > bound * (1.0 + 1e-12):
             violations += 1
-    return _at_most("width_window", "width-window-bound", violations, 0.0)
+    return at_most("width_window", "width-window-bound", violations, 0.0)
 
 
 def check_preimage_disk(n_cfg: int) -> CheckResult:
@@ -462,7 +462,7 @@ def check_face_projection_distortion(n_cfg: int) -> CheckResult:
     worst = 0.0
     for cfg in FACE_CONFIGS[:n_cfg]:
         worst = max(worst, measure_face_projection_distortion(cfg))
-    return _at_most("face_projection_distortion", "face-projection-bound", worst, 2.1, 0.05)
+    return at_most("face_projection_distortion", "face-projection-bound", worst, 2.1, 0.05)
 
 
 def check_strip_intersection(n: int) -> CheckResult:
@@ -486,7 +486,7 @@ def check_strip_intersection(n: int) -> CheckResult:
     levels = np.array([cone.level for cone in cones])[found]
     off = np.abs(zorich(hits[found])[:, 2] - levels) > 1e-9 * np.maximum(1.0, np.abs(levels))
     misses = np.count_nonzero(~found) + np.count_nonzero(off)
-    return _at_most("strip_intersection", "strip-face-intersection", misses, 0.0)
+    return at_most("strip_intersection", "strip-face-intersection", misses, 0.0)
 
 
 # ---------------------------------------------------------------------------

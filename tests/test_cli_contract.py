@@ -101,6 +101,35 @@ def test_bad_config_value_exits_2(tmp_path, command, text):
     assert not list(tmp_path.glob("*_manifest.json"))
 
 
+def test_config_switch_false_and_flag_given(tmp_path):
+    # a switch's false adds no flag, so --flip on the command line still sets it
+    cfg = _config(tmp_path, "flip=false\n")
+    argv = ["cone", "--config", cfg, "--n-height", "4", "--n-width", "4"]
+    assert main(argv + ["--out", str(tmp_path / "a")]) == 0
+    assert _parameters(tmp_path / "a", "cone")["element"][2] is False
+    assert main(argv + ["--flip", "--out", str(tmp_path / "b")]) == 0
+    assert _parameters(tmp_path / "b", "cone")["element"][2] is True
+
+
+def test_config_key_abbreviating_a_flag_exits_2(tmp_path, capsys):
+    # argparse would read --bud as --budget; a key must name its argument in full
+    cfg = _config(tmp_path, "bud=5000\n")
+    assert main(["trace", "--config", cfg, "--out", str(tmp_path)]) == 2
+    assert "unknown key(s) for trace: bud\n" in capsys.readouterr().err
+    assert not list(tmp_path.glob("*_manifest.json"))
+
+
+@pytest.mark.parametrize(
+    "command, text, flag",
+    [("trace", "quick=maybe\n", "--quick"), ("trace", "face=+x3\n", "--face"),
+     ("verify", "level=medium\n", "--level"), ("cone", "n_height=two\n", "--n-height")],
+)
+def test_bad_config_value_names_its_flag(tmp_path, capsys, command, text, flag):
+    cfg = _config(tmp_path, text)
+    assert main([command, "--config", cfg, "--out", str(tmp_path)]) == 2
+    assert f"argument {flag}" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize(
     "argv", [["eval", "--x", "0,0,0", "--quick"], ["verify", "--quick"]]
 )
@@ -175,6 +204,20 @@ def test_distortion_zero_radius_exits_2(tmp_path, capsys):
     assert main(argv + ["--out", str(tmp_path)]) == 2
     assert "radius" in capsys.readouterr().err
     assert not (tmp_path / "distortion_report.txt").exists()
+
+
+def test_verify_prints_check_notes(tmp_path, monkeypatch, capsys):
+    # a check's note goes to stdout only: the report and manifest keep their records
+    results = [CheckResult("coverage_trend", "line-image-coverage", 0.97, 0.95, 0.0, True,
+                           note="excluded_line_coverage=0.1234"),
+               CheckResult("norm_law", "norm-law", 0.0, 1.0, 0.0, True)]
+    monkeypatch.setattr(verify, "run_checks", lambda level: VerificationReport(level, results))
+    assert main(["verify", "--level", "quick", "--out", str(tmp_path)]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0].endswith("(0.00 s)  excluded_line_coverage=0.1234")
+    assert lines[1].endswith("(0.00 s)")
+    assert "excluded_line_coverage" not in (tmp_path / "verify_report.txt").read_text()
+    assert "excluded_line_coverage" not in (tmp_path / "verify_manifest.json").read_text()
 
 
 def test_verify_prints_check_seconds(tmp_path, monkeypatch, capsys):
@@ -344,6 +387,15 @@ def test_rejected_run_creates_no_directory(tmp_path, monkeypatch, argv):
     monkeypatch.setattr(verify, "run_checks", rejected)
     out = tmp_path / "out"
     assert main(argv + ["--out", str(out)]) == 2
+    assert not out.exists()
+
+
+def test_unresolved_line_exits_2(tmp_path, capsys):
+    # every point_at(s) of this line over its window has x1 = 1e308
+    out = tmp_path / "out"
+    assert main(["trace", "--p", "1e308,0,0", "--budget", "1000", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "one seed step over s in [-7692.31, 207692] leaves a coordinate" in err
     assert not out.exists()
 
 

@@ -31,7 +31,7 @@ from zorichlab.density import (
     y_point_valid,
 )
 from zorichlab.errors import DegenerateError, DomainError
-from zorichlab.zorich import OK, second_iterate
+from zorichlab.zorich import OK, OVERFLOW_FIRST, OVERFLOW_SECOND, UNRESOLVABLE, second_iterate
 
 PI = math.pi
 
@@ -640,3 +640,172 @@ class TestCoverageExperiment:
             finally:
                 tracemalloc.stop()
         assert peaks[1] < peaks[0] + 2**20
+
+
+# _finish and mark_and_coverage each make one pass; frozen copies of the
+# two-pass forms they replaced are the references.
+
+
+def two_loop_finish(s, f, in_box, status, h_max):
+    """_finish as it was with its pair gaps in a second loop after the gathers."""
+    order = np.argsort(s, kind="stable")
+    counts = np.bincount(status, minlength=4)
+    kept = int(counts[OK])
+    s_kept, f_kept, box_kept = np.empty(kept), np.empty((kept, 3)), np.empty(kept, dtype=bool)
+    done = 0
+    for c in range(0, len(s), density._BLOCK):
+        block = order[c : c + density._BLOCK]
+        block = block[status[block] == OK]
+        rows = slice(done, done + len(block))
+        s_kept[rows], f_kept[rows], box_kept[rows] = s[block], f[block], in_box[block]
+        done += len(block)
+    pairs_in_box = cap_hits = 0
+    for c in range(0, kept - 1, density._BLOCK):
+        e = min(c + density._BLOCK, kept - 1)
+        both = box_kept[c:e] & box_kept[c + 1 : e + 1]
+        with np.errstate(over="ignore"):
+            pair_gap = np.linalg.norm(f_kept[c:e] - f_kept[c + 1 : e + 1], axis=-1)
+        pairs_in_box += int(np.count_nonzero(both))
+        cap_hits += int(np.count_nonzero(both & (pair_gap > h_max * (1 + 1e-9))))
+    audit = density.TraceAudit(
+        evals=len(s),
+        dropped_overflow=int(counts[OVERFLOW_FIRST] + counts[OVERFLOW_SECOND]),
+        dropped_unresolvable=int(counts[UNRESOLVABLE]),
+        in_box_points=int(np.count_nonzero(box_kept)),
+        pairs_in_box=pairs_in_box,
+        cap_hits=cap_hits,
+    )
+    return density.TraceResult(s=s_kept, points=f_kept, in_box=box_kept, audit=audit)
+
+
+def hand_made_store(sorted_status, seed, ties=False):
+    """A store whose rows, taken in sorted s order, have the given statuses.
+
+    Rows are stored in a shuffled order; an OK row has a finite f (some
+    consecutive gaps above 1) and a random in_box, any other row a NaN f.
+    With ties, pairs of rows share an s, so the stable sort's order counts.
+    """
+    rng = np.random.default_rng(seed)
+    n = len(sorted_status)
+    position = rng.permutation(n)  # sorted position of each stored row
+    s = (position // 2 if ties else position).astype(float)
+    status = np.asarray(sorted_status, dtype=np.int8)[position]
+    ok = status == OK
+    scale = rng.choice([0.1, 3.0], (n, 1))
+    f = np.where(ok[:, None], rng.uniform(-1.0, 1.0, (n, 3)) * scale, np.nan)
+    in_box = ok & (rng.random(n) < 0.7)
+    return s, f, in_box, status
+
+
+BAD = [OVERFLOW_FIRST, OVERFLOW_SECOND, UNRESOLVABLE]
+
+
+def assert_finish_is_two_loop_finish(store):
+    got, want = density._finish(*store, 1.0), two_loop_finish(*store, 1.0)
+    for name in ("s", "points", "in_box"):
+        assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), name
+    assert got.audit == want.audit
+    return want.audit
+
+
+class TestFinishInOneWalk:
+    @pytest.mark.parametrize(
+        "sorted_status",
+        [
+            # the first sorted block of 4 has no OK row
+            BAD + [OVERFLOW_FIRST] + [OK] * 9 + [UNRESOLVABLE, OK, OK],
+            # the second block has exactly one OK row, the last block a lone row
+            [OK] * 4 + [OVERFLOW_SECOND, OK, UNRESOLVABLE, OVERFLOW_FIRST] + [OK] * 5,
+            # kept == 0 and kept == 1, in one block and over several
+            BAD,
+            BAD * 3,
+            [OK],
+            BAD + [OK] + BAD * 2,
+            # blocks with no OK row between blocks with some
+            [OK, OK] + BAD * 3 + [OK] * 3 + BAD * 2 + [OK],
+        ],
+    )
+    @pytest.mark.parametrize("ties", [False, True])
+    def test_one_walk_is_the_two_loops(self, monkeypatch, sorted_status, ties):
+        monkeypatch.setattr(density, "_BLOCK", 4)
+        for seed in range(8):
+            assert_finish_is_two_loop_finish(hand_made_store(sorted_status, seed, ties))
+
+    @pytest.mark.parametrize("block", [3, 7, 1 << 16])
+    def test_random_stores(self, monkeypatch, block):
+        monkeypatch.setattr(density, "_BLOCK", block)
+        rng = np.random.default_rng(block)
+        for seed in range(6):
+            sorted_status = rng.choice([OK, OK, OK, *BAD], size=int(rng.integers(1, 200)))
+            audit = assert_finish_is_two_loop_finish(
+                hand_made_store(sorted_status, seed, ties=bool(seed % 2)))
+            assert audit.pairs_in_box > 0 or len(sorted_status) < 20  # the store has pairs
+
+
+def parent_mark_and_coverage(grid, points):
+    """mark_and_coverage as it was, with the end of the stream added after its loop."""
+    pts = np.atleast_2d(np.asarray(points, dtype=float))
+    series = []
+    consumed = 0
+    checkpoint = 1000
+    while consumed < len(pts):
+        end = min(checkpoint, len(pts))
+        for c in range(consumed, end, density._BLOCK):
+            grid.mark(pts[c : min(c + density._BLOCK, end)])
+        consumed = end
+        if consumed == checkpoint:
+            series.append((consumed, grid.coverage()))
+            checkpoint *= 10
+    if not series or series[-1][0] != consumed:
+        series.append((consumed, grid.coverage()))
+    return series
+
+
+def recorded_marks(run, points):
+    """run(grid, points) on a fresh grid: its series, the bytes of each mark call's points
+    in call order, and the final occupancy."""
+    grid = VoxelGrid(10.0, 8)
+    calls = []
+    mark = grid.mark
+    grid.mark = lambda chunk: calls.append(chunk.tobytes()) or mark(chunk)
+    return run(grid, points), calls, grid.occupancy
+
+
+class TestCheckpointsInOneLoop:
+    @pytest.mark.parametrize("n", [0, 1, 999, 1000, 1001, 10_000, 10_001])
+    @pytest.mark.parametrize("block", [7, 1 << 16])
+    def test_one_loop_is_the_parent_loop(self, monkeypatch, n, block):
+        monkeypatch.setattr(density, "_BLOCK", block)
+        pts = np.random.default_rng(n).uniform(-11.0, 11.0, (n, 3))
+        got = recorded_marks(mark_and_coverage, pts)
+        want = recorded_marks(parent_mark_and_coverage, pts)
+        assert got[0] == want[0]
+        assert got[1] == want[1]
+        np.testing.assert_array_equal(got[2], want[2])
+        assert [c for c, _ in got[0]][-1] == n
+
+
+class TestResolution:
+    """A line whose points one seed step apart share a coordinate that its
+    direction moves cannot be traced: the float grid cannot resolve it."""
+
+    FAR = LineSpec(YPoint("+x1", 0.37, 1.3e-4), p=(1e308, 0.0, 0.0))
+
+    def test_lone_line_exits_before_tracing(self):
+        with pytest.raises(DomainError, match=r"one seed step over s in \[-7692.31, 207692\]"):
+            adaptive_trace(self.FAR, 10.0, 1000, 0.3125)
+
+    def test_grouped_line_stops_the_group_before_tracing(self, monkeypatch):
+        def no_trace(*args):
+            raise AssertionError("a line was traced")
+
+        monkeypatch.setattr(density, "_trace_group", no_trace)
+        near = LineSpec(YPoint("+x1", 0.37, 1.3e-4))
+        with pytest.raises(DomainError, match="unresolved"):
+            next(density._trace_lines([near, self.FAR, near], 10.0, 1000, 0.3125))
+
+    def test_resolved_lines_trace(self):
+        # far but resolved, and a coordinate the direction does not move
+        for line in [LineSpec(YPoint("+x1", 0.37, 1.3e-4), p=(1e15, 0.0, 0.0)),
+                     LineSpec(p=(0.0, 0.0, 1e308), d=(1.0, 0.3, 0.0))]:
+            assert adaptive_trace(line, 10.0, 1000, 0.3125).audit.evals > 0
