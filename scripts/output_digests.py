@@ -13,7 +13,7 @@ output before and after the change, on one machine.  It stores no hashes.
 
 A command that exits non-zero stops the script with its stderr.  The whole
 list takes about a minute on a 2-core Xeon VM; the full verify run peaks near
-720 MB.
+490 MB.
 """
 
 from __future__ import annotations
@@ -30,7 +30,8 @@ SRC = Path(__file__).resolve().parents[1] / "src"
 
 # (name, argv): each command writes into its own directory, named after it.
 # The defaults first, then the non-default paths: a horizontal line, a base
-# point off the origin, an explicit ball, --quick and config keys.
+# point off the origin, an explicit ball, --quick, two coverage budgets and
+# config keys.
 COMMANDS = [
     ("trace", ["trace"]),
     ("coverage", ["coverage"]),
@@ -40,6 +41,9 @@ COMMANDS = [
     ("density-ball", ["density", "--q", "1.2,0.4,0.9", "--ball-r", "0.3", "--grid-n", "4",
                       "--rungs", "1"]),
     ("coverage-quick", ["coverage", "--quick"]),
+    # past three checkpoints over many walk blocks, and a budget-bound line
+    ("coverage-200k", ["coverage", "--budget", "200000"]),
+    ("coverage-budget-bound", ["coverage", "--u3", "0.002", "--budget", "6000"]),
     ("trace-config", ["trace", "--config", "run.cfg"]),
     ("cone", ["cone"]),
     ("distortion", ["distortion"]),

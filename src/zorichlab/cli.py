@@ -85,8 +85,12 @@ def _pair(text: str) -> tuple[int, int]:
 
 def read_config(path) -> dict:
     """KEY=VALUE lines; '#' starts a comment."""
+    try:
+        text = Path(path).read_text()
+    except OSError as exc:
+        raise DomainError(f"config: cannot read {str(path)!r}: {exc.strerror or exc}") from exc
     out = {}
-    for raw in Path(path).read_text().splitlines():
+    for raw in text.splitlines():
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue

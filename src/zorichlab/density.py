@@ -15,18 +15,20 @@ each line fills its own fixed region of the group's sample store in its
 evaluation order, so its trace is bit-identical to tracing it alone and the
 outputs are unchanged.
 
-The tracer works in fixed blocks of _BLOCK points: each kernel call, each
-pass of the split test, each step of the final walk (a block of sorted kept
-samples, gathered, and the pair gaps that end in it) and each voxel mark
-take at most one block.  Every step is elementwise, so the blocks change no
-output bit; they bound the working set beside the store and the result (a
-10^6 trace peaks near 69 MB of arrays, 35 MB of them the store).  The
-kernel's blocks and the split test's blocks run on the calling thread and
-one worker (_blocks), each block writing only its own rows, so the threads
-change no output bit either.  The final walk, most of whose time is one
-sort, and the marking, whose blocks all write the one occupancy grid, stay
-on one thread.  A line is traced only if one seed step moves each coordinate
-its direction moves: a line the float grid cannot resolve raises DomainError.
+The tracer works in fixed blocks of _BLOCK = 2^14 points: each kernel call,
+each pass of the split test, each step of the final walk (_walk: a block of
+sorted samples, its kept rows gathered and handed to a sink, and the pair
+gaps that end in them) and each voxel mark take at most one block.  Every step
+is elementwise, so the blocks change no output bit; they bound the working
+set beside the store (the depth loop of a 10^6 trace peaks near 48 MB of
+arrays, 35 MB of them the store).  The walk's sink builds the TraceResult
+(_finish) or marks a coverage grid (_marker), which then never holds a whole
+result.  The kernel's and the split test's blocks run on the calling thread
+and one worker (_blocks), each block writing only its own rows, so the
+threads change no output bit either.  The walk, most of whose time is one
+sort, and the marking, whose blocks all write the one occupancy grid, stay on
+one thread.  A line is traced only if one seed step moves each coordinate its
+direction moves: a line the float grid cannot resolve raises DomainError.
 
 Everything is deterministic for fixed inputs; traces from one run can be
 marked into occupancy grids in any chunking (marking is idempotent).
@@ -39,6 +41,7 @@ import math
 import os
 import threading
 from dataclasses import dataclass
+from functools import partial
 from itertools import count, pairwise, takewhile
 
 import numpy as np
@@ -53,7 +56,7 @@ _CHECKPOINT_BASE = 1000
 # at most 2^-53, below the float spacing at 1 (and dyadic stage 4 has 135M centres)
 MAX_BALL_N = 52**3
 _GROUP_SAMPLES = 1 << 17  # combined budget of the lines one group traces together
-_BLOCK = 1 << 16  # points or intervals per kernel call, test, gather and mark
+_BLOCK = 1 << 14  # points or intervals per kernel call, test, gather and mark
 # first-stage x3 window of a traced line: exp(27) ~ 5e11 < zorich.PHASE_CAP
 X3_WINDOW = (-1.0, 27.0)
 MAX_DEPTH = 48  # bisection depths of adaptive_trace
@@ -286,12 +289,13 @@ def adaptive_trace(
     return next(_trace_lines([line], box_r, budget, h_max, [s_range]))
 
 
-def _trace_lines(lines, box_r: float, budget: int, h_max: float, s_ranges=None):
+def _trace_lines(lines, box_r: float, budget: int, h_max: float, s_ranges=None, finish=None):
     """adaptive_trace of each line (s_ranges: one range or None per line), in input order.
 
     Lines are traced together in groups of at most _GROUP_SAMPLES // budget
     lines (a larger budget traces alone); every result is bit-identical to
-    tracing its line alone.
+    tracing its line alone.  Each line's result is finish(s, f, in_box,
+    status, h_max) of its samples, _finish's TraceResult by default.
     """
     if budget < MIN_BUDGET:
         raise DomainError(f"adaptive_trace: budget must be >= {MIN_BUDGET}")
@@ -303,6 +307,8 @@ def _trace_lines(lines, box_r: float, budget: int, h_max: float, s_ranges=None):
     ]
     if not all(s_lo < s_hi for s_lo, s_hi in ranges):
         raise DomainError("adaptive_trace: empty parameter range")
+    if not all(math.isfinite(s_hi - s_lo) for s_lo, s_hi in ranges):
+        raise DomainError("adaptive_trace: the parameter range is wider than a float")
     for line, (s_lo, s_hi) in zip(lines, ranges):
         x, y = line.point_at([s_lo, s_lo + (s_hi - s_lo) / (budget // 3 - 1)])  # one seed step
         if np.any((x == y) & (line.direction() != 0.0)):
@@ -311,7 +317,8 @@ def _trace_lines(lines, box_r: float, budget: int, h_max: float, s_ranges=None):
     per_group = max(1, _GROUP_SAMPLES // budget)
     for first in range(0, len(lines), per_group):
         group = slice(first, first + per_group)
-        yield from _trace_group(lines[group], ranges[group], box_r, budget, h_max)
+        yield from _trace_group(lines[group], ranges[group], box_r, budget, h_max,
+                                finish or _finish)
 
 
 def _cpus() -> int:
@@ -354,7 +361,7 @@ def _blocks(fn, n: int) -> None:
         raise failed[0]
 
 
-def _trace_group(lines, ranges, box_r, budget, h_max):
+def _trace_group(lines, ranges, box_r, budget, h_max, finish):
     """The tracer of adaptive_trace, run on a group of lines at once.
 
     Each line's seed grid and its first bisection test run line by line;
@@ -474,7 +481,7 @@ def _trace_group(lines, ranges, box_r, budget, h_max):
 
     for k in range(n):
         rows = slice(k * budget, k * budget + evals[k])
-        yield _finish(s[rows], f[rows], in_box[rows], status[rows], h_max)
+        yield finish(s[rows], f[rows], in_box[rows], status[rows], h_max)
 
 
 def _row_type(rows: int):
@@ -482,41 +489,50 @@ def _row_type(rows: int):
     return np.int32 if rows < 2**31 else np.intp
 
 
-def _finish(s, f, in_box, status, h_max) -> TraceResult:
-    """The TraceResult of one line's samples, given in evaluation order."""
-    # the sort order as 4-byte row indices when they fit: the gathers below
-    # hold it next to their results
+def _walk(s, f, in_box, status, h_max, sink) -> TraceAudit:
+    """The audit of one line's samples, given in evaluation order, in one sorted walk.
+
+    Once the order is sorted, take = sink(kept) is made; each _BLOCK of
+    sorted store rows then hands its OK rows to take(rows, block, points,
+    box): their slice of the kept points, their store rows, f and in_box.
+    """
+    # the sort order in 4-byte row indices when they fit, held beside what the sink keeps
     order = np.argsort(s, kind="stable").astype(_row_type(len(s)))
     counts = np.bincount(status, minlength=4)
-    kept = int(counts[OK])
-    s_kept, f_kept, box_kept = np.empty(kept), np.empty((kept, 3)), np.empty(kept, dtype=bool)
+    take = sink(int(counts[OK]))
     pairs_in_box = cap_hits = done = 0
+    carry = np.empty(0, dtype=np.intp)  # the last kept store row of the blocks before
     for c in range(0, len(s), _BLOCK):
         block = order[c : c + _BLOCK].astype(np.intp)
-        block = block[status[block] == OK]  # the store keeps a row finite iff it is OK
-        rows = slice(done, done + len(block))
-        s_kept[rows], f_kept[rows], box_kept[rows] = s[block], f.take(block, axis=0), in_box[block]
-        del block  # 8 bytes a row, freed before the pair gaps' temporaries
-        # the kept pairs (i, i + 1) whose i + 1 this block gathered: one row is
-        # carried across the block edge, and none is read before it is written
-        i = slice(max(done - 1, 0), max(rows.stop - 1, 0))
-        j = slice(i.start + 1, i.stop + 1)
-        both = box_kept[i] & box_kept[j]
+        # the carried row, then this block's OK rows (the store's finite rows)
+        block = np.concatenate([carry, block[status[block] == OK]])
+        points, box, n = f.take(block, axis=0), in_box[block], len(carry)
+        rows = slice(done, done + len(block) - n)
+        take(rows, block[n:], points[n:], box[n:])
+        # the kept pairs (i, i + 1) whose i + 1 this block gathered
+        both = box[:-1] & box[1:]
         with np.errstate(over="ignore"):
-            pair_gap = _norm3(f_kept[i] - f_kept[j])
+            pair_gap = _norm3(points[:-1] - points[1:])
         pairs_in_box += int(np.count_nonzero(both))
         cap_hits += int(np.count_nonzero(both & (pair_gap > h_max * (1 + 1e-9))))
-        done = rows.stop
+        carry, done = block[-1:], rows.stop
+    dropped = int(counts[OVERFLOW_FIRST] + counts[OVERFLOW_SECOND]), int(counts[UNRESOLVABLE])
+    # the store's in_box holds only at OK rows
+    return TraceAudit(len(s), *dropped, int(np.count_nonzero(in_box)), pairs_in_box, cap_hits)
 
-    audit = TraceAudit(
-        evals=len(s),
-        dropped_overflow=int(counts[OVERFLOW_FIRST] + counts[OVERFLOW_SECOND]),
-        dropped_unresolvable=int(counts[UNRESOLVABLE]),
-        in_box_points=int(np.count_nonzero(box_kept)),
-        pairs_in_box=pairs_in_box,
-        cap_hits=cap_hits,
-    )
-    return TraceResult(s=s_kept, points=f_kept, in_box=box_kept, audit=audit)
+
+def _finish(s, f, in_box, status, h_max) -> TraceResult:
+    """The TraceResult of one line's samples, given in evaluation order."""
+    kept = []
+
+    def sink(n):  # called after the sort, whose transient indices are then freed
+        kept.extend([np.empty(n), np.empty((n, 3)), np.empty(n, dtype=bool)])
+        def take(rows, block, points, box):
+            kept[0][rows], kept[1][rows], kept[2][rows] = s[block], points, box
+        return take
+
+    audit = _walk(s, f, in_box, status, h_max, sink)
+    return TraceResult(*kept, audit=audit)
 
 
 # ---------------------------------------------------------------------------
@@ -584,6 +600,25 @@ class VoxelGrid:
         return float(np.count_nonzero(self.occupancy & active)) / total if total else 0.0
 
 
+def _marker(grid: VoxelGrid, series: list):
+    """A _walk sink marking the kept points into grid in _BLOCK slices, split at
+    each checkpoint: 10^3, 10^4, ... below the kept count, and the kept count.
+    Each checkpoint appends (points marked, coverage) to series."""
+
+    def sink(kept):
+        ends = [*takewhile(lambda e: e < kept, (_CHECKPOINT_BASE * 10**k for k in count())), kept]
+        def take(rows, block, points, box):
+            cuts = [e for e in ends if rows.start < e < rows.stop]
+            for start, end in pairwise([rows.start, *cuts, rows.stop]):
+                for c in range(start, end, _BLOCK):
+                    grid.mark(points[c - rows.start : min(c + _BLOCK, end) - rows.start])
+                if ends and end == ends[0]:
+                    series.append((ends.pop(0), grid.coverage()))
+        return take
+
+    return sink
+
+
 def mark_and_coverage(grid: VoxelGrid, points) -> list[tuple[int, float]]:
     """Mark a point stream and report coverage at geometric checkpoints.
 
@@ -591,12 +626,8 @@ def mark_and_coverage(grid: VoxelGrid, points) -> list[tuple[int, float]]:
     end of the stream; coverage is nondecreasing in points consumed.
     """
     pts = np.atleast_2d(np.asarray(points, dtype=float))
-    checkpoints = takewhile(lambda e: e < len(pts), (_CHECKPOINT_BASE * 10**k for k in count()))
     series = []
-    for start, end in pairwise([0, *checkpoints, len(pts)]):
-        for c in range(start, end, _BLOCK):
-            grid.mark(pts[c : min(c + _BLOCK, end)])
-        series.append((end, grid.coverage()))
+    _marker(grid, series)(len(pts))(slice(0, len(pts)), None, pts, None)
     return series
 
 
@@ -691,15 +722,8 @@ def epsilon_density(
         lines = [LineSpec(a, tuple(p)) for a in valid_pts]
         traces = _trace_lines(lines, box_r, budget_per_line, ball.radius)
         hits = sum(_hit(trace, ball).hit for trace in traces)
-        out.append(
-            DensityRung(
-                delta=delta,
-                grid_n=grid_n,
-                valid=len(valid_pts),
-                skipped=skipped,
-                hits=hits,
-            )
-        )
+        out.append(DensityRung(delta=delta, grid_n=grid_n, valid=len(valid_pts),
+                               skipped=skipped, hits=hits))
     return out
 
 
@@ -741,9 +765,10 @@ def coverage_experiment(
 
 
 def _coverage_run(line, box_r, grid_n, budget, h_max) -> CoverageRun:
-    """One line of coverage_experiment; its trace is freed before the next line is traced."""
+    """One line of coverage_experiment: its sorted walk marks the grid; no TraceResult is made."""
     grid = VoxelGrid(box_r, grid_n)
     h_max = grid.voxel if h_max is None else h_max
-    trace = adaptive_trace(line, box_r, budget, h_max)
-    series = mark_and_coverage(grid, trace.points)
-    return CoverageRun(series, trace.audit, grid.coverage(), h_max)
+    series = []
+    finish = partial(_walk, sink=_marker(grid, series))
+    (audit,) = _trace_lines([line], box_r, budget, h_max, finish=finish)
+    return CoverageRun(series, audit, grid.coverage(), h_max)

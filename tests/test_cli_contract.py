@@ -322,14 +322,21 @@ FLOORED_COUNTS = [
         ],
         # |y| above exp(EXP_CAP) is outside the map's range; |y|^2 overflows
         (["invert", "--y", "1e308,1e308,1e308"], None, "need 0 < |y| <= exp(700)"),
+        # a config file that cannot be read (paths from the test's directory)
+        (["trace", "--budget", "1000", "--config", "no-such.cfg"], None,
+         "config: cannot read 'no-such.cfg': No such file or directory"),
+        (["trace", "--budget", "1000", "--config", "."], None,
+         "config: cannot read '.': Is a directory"),
     ],
 )
-def test_non_finite_or_empty_exits_2(tmp_path, capsys, argv, config, message):
+def test_non_finite_or_empty_exits_2(tmp_path, capsys, monkeypatch, argv, config, message):
+    monkeypatch.chdir(tmp_path)
     if config is not None:
         argv = argv + ["--config", _config(tmp_path, config)]
-    assert main(argv + ["--out", str(tmp_path)]) == 2
+    out = tmp_path / "out"
+    assert main(argv + ["--out", str(out)]) == 2
     assert message in capsys.readouterr().err
-    assert not list(tmp_path.glob("*_manifest.json"))
+    assert not out.exists()
 
 
 # A bad voxel grid size is rejected before the line is traced.

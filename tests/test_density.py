@@ -627,9 +627,12 @@ class TestCoverageExperiment:
         assert all(b >= a for a, b in zip(cov, cov[1:]))
         assert 0.0 <= runs[0].coverage <= 1.0
 
-    def test_lines_are_traced_one_at_a_time(self):
-        # a line's trace is freed before the next line is traced, so two
-        # lines peak where one does (a trace result here is about 7 MB)
+    def test_lines_are_traced_one_at_a_time(self, monkeypatch):
+        # a line's store is freed before the next line is traced, so two
+        # lines peak where one does (the store here is 10.5 MB).  On one
+        # CPU: on two, the peak is set by how the two threads' block
+        # temporaries happen to overlap, which moves it by up to 2 MB
+        monkeypatch.setattr(density, "_cpus", lambda: 1)
         lines = [LineSpec(YPoint("+x1", 0.37, 1.3e-4))] * 2
         peaks = []
         for n in (1, 2):
@@ -783,6 +786,54 @@ class TestCheckpointsInOneLoop:
         assert got[1] == want[1]
         np.testing.assert_array_equal(got[2], want[2])
         assert [c for c, _ in got[0]][-1] == n
+
+
+# coverage_experiment marks its grid from the tracer's sorted walk and makes
+# no TraceResult.  The oracle marks a whole trace result with mark_and_coverage
+# and keeps that trace's audit.  Each line is named for the way its trace ends
+# or for its kept count, which the first assertion pins.
+VOXEL = density.voxel_edge(density.COVERAGE_BOX)
+DROPS_LAST = LineSpec(YPoint("-x1", 0.2, 0.05))
+COVERAGE_LINES = {  # name: (line, budget, MAX_DEPTH, what its trace shows)
+    "converging": (LineSpec(YPoint("+x1", 0.4, 0.35)), 60_000, density.MAX_DEPTH,
+                   lambda trace: trace.audit.evals < 60_000 and len(trace.s) > 10_000),
+    "budget-bound": (LineSpec(YPoint("+x1", 0.37, 0.002)), 6000, density.MAX_DEPTH,
+                     lambda trace: trace.audit.evals == 6000),
+    "depth-capped": (LineSpec(YPoint("+x1", 0.4, 0.35)), 20_000, 3,
+                     lambda trace: trace.audit.evals < 20_000 and len(trace.s) > 1000),
+    # x3 = 800 is above EXP_CAP, so every sample overflows
+    "no kept sample": (LineSpec(p=(0.0, 0.0, 800.0), d=(1.0, 0.3, 0.0)), 3000,
+                       density.MAX_DEPTH, lambda trace: len(trace.s) == 0),
+    # its last samples in s order are dropped, so small blocks follow the
+    # block that ends at the last checkpoint
+    "1000 kept": (DROPS_LAST, 1376, density.MAX_DEPTH,
+                  lambda trace: len(trace.s) == 1000
+                  and trace.s[-1] < density.default_s_range(DROPS_LAST)[1]),
+}
+
+
+class TestCoverageFromTheWalk:
+    @pytest.mark.parametrize("block", [7, 1 << 14, 1 << 16])
+    @pytest.mark.parametrize("name", list(COVERAGE_LINES))
+    def test_walk_marks_what_the_trace_result_marks(self, monkeypatch, name, block):
+        line, budget, max_depth, shows = COVERAGE_LINES[name]
+        monkeypatch.setattr(density, "_BLOCK", block)
+        monkeypatch.setattr(density, "MAX_DEPTH", max_depth)
+        trace = adaptive_trace(line, density.COVERAGE_BOX, budget, VOXEL)
+        assert shows(trace)
+        grid = VoxelGrid()
+        want = mark_and_coverage(grid, trace.points), trace.audit, grid.coverage()
+        (run,) = coverage_experiment([line], budget=budget)
+        assert (run.series, run.audit, run.coverage) == want
+        assert run.h_max == VOXEL
+
+    def test_no_trace_result_is_made(self, monkeypatch):
+        def no_result(*args, **kwargs):
+            raise AssertionError("a TraceResult was made")
+
+        monkeypatch.setattr(density, "TraceResult", no_result)
+        (run,) = coverage_experiment([LineSpec(YPoint("+x1", 0.37, 0.002))], budget=6000)
+        assert run.audit.evals == 6000 and run.series[-1][0] > 1000
 
 
 class TestResolution:
