@@ -289,13 +289,63 @@ def adaptive_trace(
     return next(_trace_lines([line], box_r, budget, h_max, [s_range]))
 
 
-def _trace_lines(lines, box_r: float, budget: int, h_max: float, s_ranges=None, finish=None):
+def _row_type(rows: int):
+    """The index type of rows below `rows`: int32 when they fit, else intp."""
+    return np.int32 if rows < 2**31 else np.intp
+
+
+def _walk(s, f, in_box, status, h_max, sink) -> TraceAudit:
+    """The audit of one line's samples, given in evaluation order, in one sorted walk.
+
+    Once the order is sorted, take = sink(kept) is made; each _BLOCK of
+    sorted store rows then hands its OK rows to take(rows, block, points,
+    box): their slice of the kept points, their store rows, f and in_box.
+    """
+    # the sort order in 4-byte row indices when they fit, held beside what the sink keeps
+    order = np.argsort(s, kind="stable").astype(_row_type(len(s)))
+    counts = np.bincount(status, minlength=4)
+    take = sink(int(counts[OK]))
+    pairs_in_box = cap_hits = done = 0
+    carry = np.empty(0, dtype=np.intp)  # the last kept store row of the blocks before
+    for c in range(0, len(s), _BLOCK):
+        block = order[c : c + _BLOCK].astype(np.intp)
+        # the carried row, then this block's OK rows (the store's finite rows)
+        block = np.concatenate([carry, block[status[block] == OK]])
+        points, box, n = f.take(block, axis=0), in_box[block], len(carry)
+        rows = slice(done, done + len(block) - n)
+        take(rows, block[n:], points[n:], box[n:])
+        # the kept pairs (i, i + 1) whose i + 1 this block gathered
+        both = box[:-1] & box[1:]
+        with np.errstate(over="ignore"):
+            pair_gap = _norm3(points[:-1] - points[1:])
+        pairs_in_box += int(np.count_nonzero(both))
+        cap_hits += int(np.count_nonzero(both & (pair_gap > h_max * (1 + 1e-9))))
+        carry, done = block[-1:], rows.stop
+    dropped = int(counts[OVERFLOW_FIRST] + counts[OVERFLOW_SECOND]), int(counts[UNRESOLVABLE])
+    # the store's in_box holds only at OK rows
+    return TraceAudit(len(s), *dropped, int(np.count_nonzero(in_box)), pairs_in_box, cap_hits)
+
+
+def _finish(s, f, in_box, status, h_max) -> TraceResult:
+    """The TraceResult of one line's samples, given in evaluation order."""
+    kept = []
+
+    def sink(n):  # called after the sort, whose transient indices are then freed
+        kept.extend([np.empty(n), np.empty((n, 3)), np.empty(n, dtype=bool)])
+        def take(rows, block, points, box):
+            kept[0][rows], kept[1][rows], kept[2][rows] = s[block], points, box
+        return take
+
+    audit = _walk(s, f, in_box, status, h_max, sink)
+    return TraceResult(*kept, audit=audit)
+
+
+def _trace_lines(lines, box_r: float, budget: int, h_max: float, s_ranges=None, finish=_finish):
     """adaptive_trace of each line (s_ranges: one range or None per line), in input order.
 
     Lines are traced together in groups of at most _GROUP_SAMPLES // budget
     lines (a larger budget traces alone); every result is bit-identical to
-    tracing its line alone.  Each line's result is finish(s, f, in_box,
-    status, h_max) of its samples, _finish's TraceResult by default.
+    tracing its line alone.  A result is finish(s, f, in_box, status, h_max).
     """
     if budget < MIN_BUDGET:
         raise DomainError(f"adaptive_trace: budget must be >= {MIN_BUDGET}")
@@ -317,8 +367,7 @@ def _trace_lines(lines, box_r: float, budget: int, h_max: float, s_ranges=None, 
     per_group = max(1, _GROUP_SAMPLES // budget)
     for first in range(0, len(lines), per_group):
         group = slice(first, first + per_group)
-        yield from _trace_group(lines[group], ranges[group], box_r, budget, h_max,
-                                finish or _finish)
+        yield from _trace_group(lines[group], ranges[group], box_r, budget, h_max, finish)
 
 
 def _cpus() -> int:
@@ -482,57 +531,6 @@ def _trace_group(lines, ranges, box_r, budget, h_max, finish):
     for k in range(n):
         rows = slice(k * budget, k * budget + evals[k])
         yield finish(s[rows], f[rows], in_box[rows], status[rows], h_max)
-
-
-def _row_type(rows: int):
-    """The index type of rows below `rows`: int32 when they fit, else intp."""
-    return np.int32 if rows < 2**31 else np.intp
-
-
-def _walk(s, f, in_box, status, h_max, sink) -> TraceAudit:
-    """The audit of one line's samples, given in evaluation order, in one sorted walk.
-
-    Once the order is sorted, take = sink(kept) is made; each _BLOCK of
-    sorted store rows then hands its OK rows to take(rows, block, points,
-    box): their slice of the kept points, their store rows, f and in_box.
-    """
-    # the sort order in 4-byte row indices when they fit, held beside what the sink keeps
-    order = np.argsort(s, kind="stable").astype(_row_type(len(s)))
-    counts = np.bincount(status, minlength=4)
-    take = sink(int(counts[OK]))
-    pairs_in_box = cap_hits = done = 0
-    carry = np.empty(0, dtype=np.intp)  # the last kept store row of the blocks before
-    for c in range(0, len(s), _BLOCK):
-        block = order[c : c + _BLOCK].astype(np.intp)
-        # the carried row, then this block's OK rows (the store's finite rows)
-        block = np.concatenate([carry, block[status[block] == OK]])
-        points, box, n = f.take(block, axis=0), in_box[block], len(carry)
-        rows = slice(done, done + len(block) - n)
-        take(rows, block[n:], points[n:], box[n:])
-        # the kept pairs (i, i + 1) whose i + 1 this block gathered
-        both = box[:-1] & box[1:]
-        with np.errstate(over="ignore"):
-            pair_gap = _norm3(points[:-1] - points[1:])
-        pairs_in_box += int(np.count_nonzero(both))
-        cap_hits += int(np.count_nonzero(both & (pair_gap > h_max * (1 + 1e-9))))
-        carry, done = block[-1:], rows.stop
-    dropped = int(counts[OVERFLOW_FIRST] + counts[OVERFLOW_SECOND]), int(counts[UNRESOLVABLE])
-    # the store's in_box holds only at OK rows
-    return TraceAudit(len(s), *dropped, int(np.count_nonzero(in_box)), pairs_in_box, cap_hits)
-
-
-def _finish(s, f, in_box, status, h_max) -> TraceResult:
-    """The TraceResult of one line's samples, given in evaluation order."""
-    kept = []
-
-    def sink(n):  # called after the sort, whose transient indices are then freed
-        kept.extend([np.empty(n), np.empty((n, 3)), np.empty(n, dtype=bool)])
-        def take(rows, block, points, box):
-            kept[0][rows], kept[1][rows], kept[2][rows] = s[block], points, box
-        return take
-
-    audit = _walk(s, f, in_box, status, h_max, sink)
-    return TraceResult(*kept, audit=audit)
 
 
 # ---------------------------------------------------------------------------
@@ -722,8 +720,15 @@ def epsilon_density(
         lines = [LineSpec(a, tuple(p)) for a in valid_pts]
         traces = _trace_lines(lines, box_r, budget_per_line, ball.radius)
         hits = sum(_hit(trace, ball).hit for trace in traces)
-        out.append(DensityRung(delta=delta, grid_n=grid_n, valid=len(valid_pts),
-                               skipped=skipped, hits=hits))
+        out.append(
+            DensityRung(
+                delta=delta,
+                grid_n=grid_n,
+                valid=len(valid_pts),
+                skipped=skipped,
+                hits=hits,
+            )
+        )
     return out
 
 

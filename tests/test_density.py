@@ -628,21 +628,32 @@ class TestCoverageExperiment:
         assert 0.0 <= runs[0].coverage <= 1.0
 
     def test_lines_are_traced_one_at_a_time(self, monkeypatch):
-        # a line's store is freed before the next line is traced, so two
-        # lines peak where one does (the store here is 10.5 MB).  On one
-        # CPU: on two, the peak is set by how the two threads' block
-        # temporaries happen to overlap, which moves it by up to 2 MB
-        monkeypatch.setattr(density, "_cpus", lambda: 1)
+        # a line's store (10.5 MB here) is freed before the next line is
+        # traced: each line starts and ends holding what the run started
+        # with, so two lines peak where one does, give or take how two
+        # threads' block temporaries happen to overlap, far less than a store
+        store = 300_000 * 35
+        run, held = density._coverage_run, []
+
+        def traced(*args):
+            held.append(tracemalloc.get_traced_memory()[0])
+            out = run(*args)
+            held.append(tracemalloc.get_traced_memory()[0])
+            return out
+
+        monkeypatch.setattr(density, "_coverage_run", traced)
         lines = [LineSpec(YPoint("+x1", 0.37, 1.3e-4))] * 2
         peaks = []
         for n in (1, 2):
+            held.clear()
             tracemalloc.start()
             try:
                 coverage_experiment(lines[:n], budget=300_000)
                 peaks.append(tracemalloc.get_traced_memory()[1])
             finally:
                 tracemalloc.stop()
-        assert peaks[1] < peaks[0] + 2**20
+            assert len(held) == 2 * n and max(held) < 2**20
+        assert peaks[1] < peaks[0] + store / 2
 
 
 # _finish and mark_and_coverage each make one pass; frozen copies of the
