@@ -47,6 +47,8 @@ COMMANDS = [
     ("trace-config", ["trace", "--config", "run.cfg"]),
     ("cone", ["cone"]),
     ("distortion", ["distortion"]),
+    # 48 directions: 341 points a relative_distortion block, the last one partial
+    ("distortion-blocks", ["distortion", "--dirs", "48", "--samples", "700", "--grid-n", "96"]),
     ("eval", ["eval", "--x", "0.3,-0.2,1.5"]),
     ("invert", ["invert", "--y", "0.3,-0.2,1.5"]),
     ("invert-odd", ["invert", "--y=0.3,-0.2,-1.5", "--beam", "1,0"]),

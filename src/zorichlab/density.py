@@ -579,7 +579,7 @@ class VoxelGrid:
 
     def mark(self, points) -> int:
         """Mark voxels containing the given points; returns in-box count."""
-        pts = np.atleast_2d(np.asarray(points, dtype=float))
+        pts = np.asarray(points, dtype=float).reshape(-1, 3)
         if pts.shape[0] == 0:
             return 0
         h = self.half_extent
@@ -623,7 +623,7 @@ def mark_and_coverage(grid: VoxelGrid, points) -> list[tuple[int, float]]:
     Returns (points_consumed, coverage) pairs at 10^3, 10^4, ... and at the
     end of the stream; coverage is nondecreasing in points consumed.
     """
-    pts = np.atleast_2d(np.asarray(points, dtype=float))
+    pts = np.asarray(points, dtype=float).reshape(-1, 3)
     series = []
     _marker(grid, series)(len(pts))(slice(0, len(pts)), None, pts, None)
     return series

@@ -4,7 +4,8 @@ The map handles passed in here must be vectorized callables: they accept
 arrays of points with shape (..., k) and return arrays of image points with
 a matching leading shape.  Direction sets are deterministic (Fibonacci
 sphere in 3-D, uniform angles in 2-D), so every estimate is reproducible
-without seeds.
+without seeds.  Both estimators work in blocks of density._BLOCK (2^14) probes
+or cells; for maps computed point by point, the results do not depend on them.
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ from functools import lru_cache
 
 import numpy as np
 
+from . import density
 from .errors import DegenerateError, DomainError
 from .zorich import HALF_PI, branch_distance, zorich
 
@@ -97,11 +99,18 @@ def relative_distortion(f, points, radius: float = DEFAULT_RADIUS,
     if len(points) == 0:
         raise DomainError("relative_distortion: need at least one sample point")
     dirs = _directions_for(points[0], n_dirs, directions)
-    fx = np.asarray(f(points))
-    fy = np.asarray(f(points[:, None, :] + radius * dirs[None, :, :]))
-    q = np.linalg.norm(fy - fx[:, None, :], axis=-1) / radius
-    lower = float(np.min(q))
-    upper = float(np.max(q))
+    step = max(1, density._BLOCK // len(dirs))
+    lows, highs = [], []
+    for c in range(0, len(points), step):
+        x = points[c : c + step]
+        fx = np.asarray(f(x))
+        fy = np.asarray(f(x[:, None, :] + radius * dirs[None, :, :]))
+        q = np.linalg.norm(fy - fx[:, None, :], axis=-1) / radius
+        lows.append(np.min(q))
+        highs.append(np.max(q))
+    # np.min/np.max, not the builtins: a NaN quotient in any block gives NaN
+    lower = float(np.min(lows))
+    upper = float(np.max(highs))
     if lower < 1e-14:
         raise DegenerateError("relative_distortion: map is locally constant")
     return DistortionEstimate(
@@ -217,8 +226,9 @@ def grid_count_measures(membership_e, membership_u, box_lo, box_hi,
     """Estimate the measures of two nested sets by counting cell centers.
 
     Returns (m_e, m_u) in absolute units of the box volume; works in any
-    dimension (len(box_lo) axes).  With a pullback, both memberships test
-    pullback(centers), computed once, instead of the centers.
+    dimension (len(box_lo) axes).  The cells are taken in C order, one
+    density._BLOCK at a time.  With a pullback, both memberships test
+    pullback(centers), computed once per block, instead of the centers.
     """
     box_lo = np.asarray(box_lo, dtype=float)
     box_hi = np.asarray(box_hi, dtype=float)
@@ -227,10 +237,14 @@ def grid_count_measures(membership_e, membership_u, box_lo, box_hi,
         box_lo[a] + (np.arange(cells_per_axis) + 0.5) * (box_hi[a] - box_lo[a]) / cells_per_axis
         for a in range(dim)
     ]
-    centers = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, dim)
     cell = float(np.prod((box_hi - box_lo) / cells_per_axis))
-    if pullback is not None:
-        centers = pullback(centers)
-    in_e = np.asarray(membership_e(centers), dtype=bool)
-    in_u = np.asarray(membership_u(centers), dtype=bool)
-    return float(np.count_nonzero(in_e)) * cell, float(np.count_nonzero(in_u)) * cell
+    n_cells, block = cells_per_axis**dim, density._BLOCK
+    n_e = n_u = 0
+    for c in range(0, n_cells, block):
+        index = np.unravel_index(np.arange(c, min(c + block, n_cells)), (cells_per_axis,) * dim)
+        centers = np.column_stack([axis[i] for axis, i in zip(axes, index)])
+        if pullback is not None:
+            centers = pullback(centers)
+        n_e += np.count_nonzero(np.asarray(membership_e(centers), dtype=bool))
+        n_u += np.count_nonzero(np.asarray(membership_u(centers), dtype=bool))
+    return float(n_e) * cell, float(n_u) * cell

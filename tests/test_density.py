@@ -188,6 +188,11 @@ class TestVoxelGrid:
         grid = VoxelGrid(10.0, 16)
         assert grid.mark([(11.0, 0.0, 0.0), (0.0, -10.5, 0.0)]) == 0
 
+    def test_empty_list_marks_nothing(self):
+        grid = VoxelGrid(10.0, 16)
+        assert grid.mark([]) == 0
+        assert not grid.occupancy.any()
+
     def test_exclusions(self):
         grid = VoxelGrid(10.0, 64)
         # origin voxel and a unit-sphere voxel are excluded, a generic one is not
@@ -289,6 +294,10 @@ class TestMarkAndCoverage:
         grid = VoxelGrid(10.0, 16)
         series = mark_and_coverage(grid, np.empty((0, 3)))
         assert series == [(0, 0.0)]
+
+    def test_empty_list_stream(self):
+        # an empty list is an empty stream, not one point with no coordinates
+        assert mark_and_coverage(VoxelGrid(10.0, 16), []) == [(0, 0.0)]
 
     def test_single_point_stream(self):
         grid = VoxelGrid(10.0, 16)

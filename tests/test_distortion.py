@@ -1,10 +1,15 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from zorichlab import density
 from zorichlab.distortion import (
+    CHART_RADIUS,
+    DistortionEstimate,
     Slab,
+    _directions_for,
     cube_membership,
     grid_count_measures,
     lambda_h_estimate,
@@ -16,7 +21,7 @@ from zorichlab.distortion import (
     verify_slab_bound,
 )
 from zorichlab.errors import DegenerateError, DomainError
-from zorichlab.zorich import branch_distance, zorich, zorich_inverse
+from zorichlab.zorich import branch_distance, h_square, zorich, zorich_inverse
 
 PI = math.pi
 
@@ -263,3 +268,155 @@ class TestAreaTransport:
     def test_degenerate_measures_rejected(self):
         with pytest.raises(DegenerateError):
             verify_area_transport((0.0, 0.0, 1.0, 0.5), 1.0, 3)
+
+
+# ---------------------------------------------------------------------------
+# blocked estimators: frozen copies of the one-shot estimators they replaced,
+# which built every probe and every cell center at once
+
+
+def one_shot_distortion(f, points, radius, n_dirs=64, directions=None):
+    points = np.atleast_2d(np.asarray(points, dtype=float))
+    dirs = _directions_for(points[0], n_dirs, directions)
+    fx = np.asarray(f(points))
+    fy = np.asarray(f(points[:, None, :] + radius * dirs[None, :, :]))
+    q = np.linalg.norm(fy - fx[:, None, :], axis=-1) / radius
+    lower, upper = float(np.min(q)), float(np.max(q))
+    return DistortionEstimate(upper, lower, upper / lower, len(points))
+
+
+def one_shot_counts(membership_e, membership_u, box_lo, box_hi, cells_per_axis, pullback=None):
+    box_lo = np.asarray(box_lo, dtype=float)
+    box_hi = np.asarray(box_hi, dtype=float)
+    dim = len(box_lo)
+    axes = [
+        box_lo[a] + (np.arange(cells_per_axis) + 0.5) * (box_hi[a] - box_lo[a]) / cells_per_axis
+        for a in range(dim)
+    ]
+    centers = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, dim)
+    cell = float(np.prod((box_hi - box_lo) / cells_per_axis))
+    if pullback is not None:
+        centers = pullback(centers)
+    in_e = np.asarray(membership_e(centers), dtype=bool)
+    in_u = np.asarray(membership_u(centers), dtype=bool)
+    return float(np.count_nonzero(in_e)) * cell, float(np.count_nonzero(in_u)) * cell
+
+
+def estimate_bits(est):
+    """The estimate's floats as raw bytes (so NaN compares too) and its count."""
+    floats = (est.sup_upper, est.inf_lower, est.ratio)
+    return [np.float64(v).tobytes() for v in floats], est.sample_count
+
+
+def sheared(x):
+    # column by column: a matmul may round a row differently in another batch
+    x1, x2, x3 = np.moveaxis(np.asarray(x), -1, 0)
+    return np.stack([x1 + 0.4 * x2 + 0.5, 2.0 * x2 - 0.3 * x3 - 1.0, 0.2 * x1 + 3.0 * x3 + 2.0],
+                    axis=-1)
+
+
+def distortion_case(name):
+    """(map, points, radius, n_dirs) of one bit-identity case; the zorich
+    points are sorted by height, so both extremes sit in the last block."""
+    rng = np.random.default_rng(83)
+    if name == "h_square":
+        g = -PI / 2 + (np.arange(24) + 0.5) * PI / 24
+        pts = np.stack(np.meshgrid(g, g, indexing="ij"), axis=-1).reshape(-1, 2)
+        return h_square, pts, CHART_RADIUS, 64
+    if name == "affine":
+        return sheared, rng.uniform(-2.0, 2.0, size=(300, 3)), 1e-5, 64
+    pts = sample_slab(Slab(-1.0, 2.0), 700, 31)
+    pts = pts[np.argsort(pts[:, 2], kind="stable")]
+    # 48 directions do not divide a block: 341 points a block at 2^14
+    return zorich, pts, 1e-5, 48 if name == "zorich-48" else 64
+
+
+@pytest.fixture(params=[1, 7, 64, 1 << 14])
+def block(request, monkeypatch):
+    monkeypatch.setattr(density, "_BLOCK", request.param)
+    return request.param
+
+
+class TestBlockedEstimators:
+    @pytest.mark.parametrize("name", ["h_square", "zorich", "affine", "zorich-48"])
+    def test_distortion_is_the_one_shot_distortion(self, block, name):
+        f, pts, radius, n_dirs = distortion_case(name)
+        got = relative_distortion(f, pts, radius, n_dirs)
+        assert estimate_bits(got) == estimate_bits(one_shot_distortion(f, pts, radius, n_dirs))
+        assert got.sample_count == len(pts)
+
+    def test_nan_probe_in_second_block_gives_nan(self, block):
+        pts = np.random.default_rng(89).uniform(-1.0, 1.0, size=(600, 3))
+        dirs = sphere_directions(32)
+        step = max(1, block // len(dirs))
+        # the first point of the second block, probed along its sixth direction
+        target = pts[step] + 1e-5 * dirs[5]
+
+        def f(x):
+            out = np.array(x, dtype=float)
+            out[np.all(out == target, axis=-1)] = np.nan
+            return out
+
+        got = relative_distortion(f, pts, 1e-5, directions=dirs)
+        assert math.isnan(got.sup_upper) and math.isnan(got.inf_lower)
+        assert estimate_bits(got) == estimate_bits(
+            one_shot_distortion(f, pts, 1e-5, directions=dirs))
+
+    @pytest.mark.parametrize("pulled", [False, True])
+    def test_counts_in_the_plane_are_the_one_shot_counts(self, block, pulled):
+        def rotate(y):
+            y = np.asarray(y)
+            return np.column_stack([0.6 * y[:, 0] - 0.8 * y[:, 1], 0.8 * y[:, 0] + 0.6 * y[:, 1]])
+
+        def in_disk(p):
+            return np.hypot(p[:, 0] - 0.2, p[:, 1]) < 0.9
+
+        def in_half(p):
+            return in_disk(p) & (p[:, 0] < 0.1)
+
+        args = (in_disk, in_half, (-1.0, -1.2), (1.3, 1.0), 37)
+        pullback = rotate if pulled else None
+        got = grid_count_measures(*args, pullback=pullback)
+        assert got == one_shot_counts(*args, pullback=pullback)
+        assert 0.0 < got[1] < got[0]
+
+    @pytest.mark.parametrize("pulled", [False, True])
+    def test_counts_in_space_are_the_one_shot_counts(self, block, pulled):
+        # the box spans the images of two corners of E; the last cell in C
+        # order lies in E, so a lost last block changes the count
+        e_lo, e_hi = np.array([0.2, -0.3, 0.0]), np.array([0.4, -0.1, 0.2])
+        u_hi = np.array([0.3, -0.1, 0.2])
+        in_e, in_u = cube_membership(e_lo, e_hi), cube_membership(e_lo, u_hi)
+
+        def pullback(y):
+            return zorich_inverse(y, (0, 0))
+
+        img = zorich(np.array([e_lo, e_hi]))
+        box = img.min(axis=0), img.max(axis=0)
+        if pulled:
+            args, kw = (in_e, in_u, *box, 13), {"pullback": pullback}
+        else:
+            args, kw = (lambda y: in_e(pullback(y)), lambda y: in_u(pullback(y)), *box, 13), {}
+        got = grid_count_measures(*args, **kw)
+        assert got == one_shot_counts(*args, **kw)
+        assert 0.0 < got[1] < got[0]
+
+
+@pytest.mark.parametrize("estimator", ["chart", "transport"])
+def test_estimators_hold_one_block_of_probes(estimator):
+    # one-shot, the 128 chart grid built 16384 x 64 probes and a 100^3
+    # zorich_inverse grid count 10^6 centers (about 146 MB traced)
+    center, half = np.array([0.3, -0.2, 0.1]), 0.1
+    in_e = cube_membership(center - half, center + half)
+    img = zorich(np.array([center - half, center + half]))
+    tracemalloc.start()
+    try:
+        if estimator == "chart":
+            lambda_h_estimate.__wrapped__(128)
+        else:
+            grid_count_measures(in_e, in_e, img.min(axis=0), img.max(axis=0), 100,
+                                pullback=lambda y: zorich_inverse(y, (0, 0)))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2**20

@@ -472,11 +472,11 @@ def test_blocked_trace_is_the_unblocked_trace(monkeypatch, group_samples):
     lines = [*bound, LineSpec(YPoint("+x1", 0.4, 0.35)), LineSpec(YPoint("+x1", 0.5, 0.3))]
     lone = [adaptive_trace(line, box_r, budget, ball.radius) for line in lines]
     want = [reference_trace(line, box_r, budget, ball.radius) for line in bound]
-    sizes, threads = [], set()
+    sizes, on_caller, caller = [], set(), threading.get_ident()
 
     def kernel(x, _real=density.second_iterate):
         sizes.append(len(x))
-        threads.add(threading.get_ident())
+        on_caller.add(threading.get_ident() == caller)
         return _real(x)
 
     monkeypatch.setattr(density, "_BLOCK", 997)
@@ -485,8 +485,9 @@ def test_blocked_trace_is_the_unblocked_trace(monkeypatch, group_samples):
     traces = list(_trace_lines(lines, box_r, budget, ball.radius))
     assert max(sizes) == 997 and sum(sizes) == sum(t.audit.evals for t in traces)
     # with two CPUs the blocks ran on the caller and the worker, so the
-    # asserts below cover the threaded path
-    assert len(threads) == min(2, density._cpus())
+    # asserts below cover the threaded path (a worker's ident can change
+    # from call to call, so only "on the caller or not" is recorded)
+    assert on_caller == ({True, False} if density._cpus() >= 2 else {True})
     for trace, alone in zip(traces, lone):
         assert_same_trace(trace, alone)
     for trace, reference in zip(traces, want):
