@@ -30,8 +30,8 @@ SRC = Path(__file__).resolve().parents[1] / "src"
 
 # (name, argv): each command writes into its own directory, named after it.
 # The defaults first, then the non-default paths: a horizontal line, a base
-# point off the origin, an explicit ball, --quick, two coverage budgets and
-# config keys.
+# point off the origin, an explicit ball, a rung of long lines, --quick, two
+# coverage budgets and config keys.
 COMMANDS = [
     ("trace", ["trace"]),
     ("coverage", ["coverage"]),
@@ -40,6 +40,9 @@ COMMANDS = [
     ("trace-off-origin", ["trace", "--p", "0.3,-0.2,0.1", "--u2=-0.5", "--u3", "0.2"]),
     ("density-ball", ["density", "--q", "1.2,0.4,0.9", "--ball-r", "0.3", "--grid-n", "4",
                       "--rungs", "1"]),
+    # 28k kept points a line: each hit scan crosses a walk block edge
+    ("density-long", ["density", "--u3", "0.002", "--delta", "0.0005", "--grid-n", "2",
+                      "--budget", "40000", "--rungs", "1"]),
     ("coverage-quick", ["coverage", "--quick"]),
     # past three checkpoints over many walk blocks, and a budget-bound line
     ("coverage-200k", ["coverage", "--budget", "200000"]),

@@ -16,18 +16,15 @@ evaluation order, so its trace is bit-identical to tracing it alone and the
 outputs are unchanged.
 
 The tracer works in fixed blocks of _BLOCK = 2^14 points: each kernel call,
-each pass of the split test, each step of the final walk (_walk: a block of
-sorted samples, its kept rows gathered and handed to a sink, and the pair
-gaps that end in them) and each voxel mark take at most one block.  Every step
-is elementwise, so the blocks change no output bit; they bound the working
-set beside the store (the depth loop of a 10^6 trace peaks near 48 MB of
-arrays, 35 MB of them the store).  The walk's sink builds the TraceResult
-(_finish) or marks a coverage grid (_marker), which then never holds a whole
-result.  The kernel's and the split test's blocks run on the calling thread
-and one worker (_blocks), each block writing only its own rows, so the
-threads change no output bit either.  The walk, most of whose time is one
-sort, and the marking, whose blocks all write the one occupancy grid, stay on
-one thread.  A line is traced only if one seed step moves each coordinate its
+each pass of the split test, each step of the final walk and each voxel mark
+take at most one block.  Every step is elementwise, so the blocks change no
+output bit; they bound the working set beside the store.  The kernel's and
+the split test's blocks run on the calling thread and one worker (_blocks),
+each writing only its own rows.  Each line leaves the tracer as a _Walk, its
+samples sorted once and yielded a block of kept rows at a time, on one
+thread.  Its consumers loop over the blocks: _finish builds adaptive_trace's
+TraceResult, _mark marks a coverage grid and _hit keeps the point nearest a
+ball.  A line is traced only if one seed step moves each coordinate its
 direction moves: a line the float grid cannot resolve raises DomainError.
 
 Everything is deterministic for fixed inputs; traces from one run can be
@@ -41,7 +38,6 @@ import math
 import os
 import threading
 from dataclasses import dataclass
-from functools import partial
 from itertools import count, pairwise, takewhile
 
 import numpy as np
@@ -286,7 +282,8 @@ def adaptive_trace(
     MAX_DEPTH bisections; overflow samples are dropped and counted, never
     fatal.
     """
-    return next(_trace_lines([line], box_r, budget, h_max, [s_range]))
+    (walk,) = _trace_lines([line], box_r, budget, h_max, [s_range])
+    return _finish(walk)
 
 
 def _row_type(rows: int):
@@ -294,58 +291,60 @@ def _row_type(rows: int):
     return np.int32 if rows < 2**31 else np.intp
 
 
-def _walk(s, f, in_box, status, h_max, sink) -> TraceAudit:
-    """The audit of one line's samples, given in evaluation order, in one sorted walk.
+class _Walk:
+    """One line's samples, given in evaluation order, sorted once and walked once.
 
-    Once the order is sorted, take = sink(kept) is made; each _BLOCK of
-    sorted store rows then hands its OK rows to take(rows, block, points,
-    box): their slice of the kept points, their store rows, f and in_box.
+    Iterating yields (rows, s, points, in_box) for each _BLOCK of sorted store
+    rows: the slice of the `kept` points its OK rows fill, and their s, f and
+    in_box.  Exhausted, it holds `audit` and no longer the store or the order,
+    so a walked walk keeps no group's store alive.
     """
-    # the sort order in 4-byte row indices when they fit, held beside what the sink keeps
-    order = np.argsort(s, kind="stable").astype(_row_type(len(s)))
-    counts = np.bincount(status, minlength=4)
-    take = sink(int(counts[OK]))
-    pairs_in_box = cap_hits = done = 0
-    carry = np.empty(0, dtype=np.intp)  # the last kept store row of the blocks before
-    for c in range(0, len(s), _BLOCK):
-        block = order[c : c + _BLOCK].astype(np.intp)
-        # the carried row, then this block's OK rows (the store's finite rows)
-        block = np.concatenate([carry, block[status[block] == OK]])
-        points, box, n = f.take(block, axis=0), in_box[block], len(carry)
-        rows = slice(done, done + len(block) - n)
-        take(rows, block[n:], points[n:], box[n:])
-        # the kept pairs (i, i + 1) whose i + 1 this block gathered
-        both = box[:-1] & box[1:]
-        with np.errstate(over="ignore"):
-            pair_gap = _norm3(points[:-1] - points[1:])
-        pairs_in_box += int(np.count_nonzero(both))
-        cap_hits += int(np.count_nonzero(both & (pair_gap > h_max * (1 + 1e-9))))
-        carry, done = block[-1:], rows.stop
-    dropped = int(counts[OVERFLOW_FIRST] + counts[OVERFLOW_SECOND]), int(counts[UNRESOLVABLE])
-    # the store's in_box holds only at OK rows
-    return TraceAudit(len(s), *dropped, int(np.count_nonzero(in_box)), pairs_in_box, cap_hits)
+
+    def __init__(self, s, f, in_box, status, h_max):
+        # the sort order in 4-byte row indices when they fit
+        self._order = np.argsort(s, kind="stable").astype(_row_type(len(s)))
+        self._store, self._h_max = (s, f, in_box, status), h_max
+        self._counts = np.bincount(status, minlength=4)
+        self.kept, self.audit = int(self._counts[OK]), None
+
+    def __iter__(self):
+        (s, f, in_box, status), order, counts = self._store, self._order, self._counts
+        self._store = self._order = None
+        pairs_in_box = cap_hits = done = 0
+        carry = np.empty(0, dtype=np.intp)  # the last kept store row of the blocks before
+        for c in range(0, len(s), _BLOCK):
+            block = order[c : c + _BLOCK].astype(np.intp)
+            # the carried row, then this block's OK rows (the store's finite rows)
+            block = np.concatenate([carry, block[status[block] == OK]])
+            points, box, n = f.take(block, axis=0), in_box[block], len(carry)
+            rows = slice(done, done + len(block) - n)
+            yield rows, s[block[n:]], points[n:], box[n:]
+            # the kept pairs (i, i + 1) whose i + 1 this block gathered
+            both = box[:-1] & box[1:]
+            with np.errstate(over="ignore"):
+                pair_gap = _norm3(points[:-1] - points[1:])
+            pairs_in_box += int(np.count_nonzero(both))
+            cap_hits += int(np.count_nonzero(both & (pair_gap > self._h_max * (1 + 1e-9))))
+            carry, done = block[-1:], rows.stop
+        dropped = int(counts[OVERFLOW_FIRST] + counts[OVERFLOW_SECOND]), int(counts[UNRESOLVABLE])
+        in_box_points = int(np.count_nonzero(in_box))  # the store's in_box holds only at OK rows
+        self.audit = TraceAudit(len(s), *dropped, in_box_points, pairs_in_box, cap_hits)
 
 
-def _finish(s, f, in_box, status, h_max) -> TraceResult:
-    """The TraceResult of one line's samples, given in evaluation order."""
-    kept = []
-
-    def sink(n):  # called after the sort, whose transient indices are then freed
-        kept.extend([np.empty(n), np.empty((n, 3)), np.empty(n, dtype=bool)])
-        def take(rows, block, points, box):
-            kept[0][rows], kept[1][rows], kept[2][rows] = s[block], points, box
-        return take
-
-    audit = _walk(s, f, in_box, status, h_max, sink)
-    return TraceResult(*kept, audit=audit)
+def _finish(walk: _Walk) -> TraceResult:
+    """The TraceResult of a walk, allocated after its sort."""
+    s, f, box = np.empty(walk.kept), np.empty((walk.kept, 3)), np.empty(walk.kept, dtype=bool)
+    for rows, *block in walk:
+        s[rows], f[rows], box[rows] = block
+    return TraceResult(s, f, box, walk.audit)
 
 
-def _trace_lines(lines, box_r: float, budget: int, h_max: float, s_ranges=None, finish=_finish):
-    """adaptive_trace of each line (s_ranges: one range or None per line), in input order.
+def _trace_lines(lines, box_r: float, budget: int, h_max: float, s_ranges=None):
+    """The _Walk of each line (s_ranges: one range or None per line), in input order.
 
     Lines are traced together in groups of at most _GROUP_SAMPLES // budget
-    lines (a larger budget traces alone); every result is bit-identical to
-    tracing its line alone.  A result is finish(s, f, in_box, status, h_max).
+    lines (a larger budget traces alone); every walk is bit-identical to
+    tracing its line alone.
     """
     if budget < MIN_BUDGET:
         raise DomainError(f"adaptive_trace: budget must be >= {MIN_BUDGET}")
@@ -367,7 +366,7 @@ def _trace_lines(lines, box_r: float, budget: int, h_max: float, s_ranges=None, 
     per_group = max(1, _GROUP_SAMPLES // budget)
     for first in range(0, len(lines), per_group):
         group = slice(first, first + per_group)
-        yield from _trace_group(lines[group], ranges[group], box_r, budget, h_max, finish)
+        yield from _trace_group(lines[group], ranges[group], box_r, budget, h_max)
 
 
 def _cpus() -> int:
@@ -410,7 +409,7 @@ def _blocks(fn, n: int) -> None:
         raise failed[0]
 
 
-def _trace_group(lines, ranges, box_r, budget, h_max, finish):
+def _trace_group(lines, ranges, box_r, budget, h_max):
     """The tracer of adaptive_trace, run on a group of lines at once.
 
     Each line's seed grid and its first bisection test run line by line;
@@ -530,7 +529,7 @@ def _trace_group(lines, ranges, box_r, budget, h_max, finish):
 
     for k in range(n):
         rows = slice(k * budget, k * budget + evals[k])
-        yield finish(s[rows], f[rows], in_box[rows], status[rows], h_max)
+        yield _Walk(s[rows], f[rows], in_box[rows], status[rows], h_max)
 
 
 # ---------------------------------------------------------------------------
@@ -579,17 +578,14 @@ class VoxelGrid:
 
     def mark(self, points) -> int:
         """Mark voxels containing the given points; returns in-box count."""
-        pts = np.asarray(points, dtype=float).reshape(-1, 3)
-        if pts.shape[0] == 0:
-            return 0
+        pts = _points(points)
         h = self.half_extent
         x, y, z = pts[:, 0], pts[:, 1], pts[:, 2]
         inside = (x >= -h) & (x < h) & (y >= -h) & (y < h) & (z >= -h) & (z < h)
         pts = pts.take(np.flatnonzero(inside), axis=0)
-        if len(pts):
-            idx = ((pts + h) / self.voxel).astype(np.int64)
-            idx = np.clip(idx, 0, self.n - 1)
-            self.occupancy[idx[:, 0], idx[:, 1], idx[:, 2]] = True
+        idx = ((pts + h) / self.voxel).astype(np.int64)
+        idx = np.clip(idx, 0, self.n - 1)
+        self.occupancy[idx[:, 0], idx[:, 1], idx[:, 2]] = True
         return int(np.count_nonzero(inside))
 
     def coverage(self) -> float:
@@ -598,23 +594,28 @@ class VoxelGrid:
         return float(np.count_nonzero(self.occupancy & active)) / total if total else 0.0
 
 
-def _marker(grid: VoxelGrid, series: list):
-    """A _walk sink marking the kept points into grid in _BLOCK slices, split at
-    each checkpoint: 10^3, 10^4, ... below the kept count, and the kept count.
-    Each checkpoint appends (points marked, coverage) to series."""
+def _points(points) -> np.ndarray:
+    """points as rows of 3 floats; a non-empty input whose last axis is not 3 raises."""
+    pts = np.asarray(points, dtype=float)
+    if pts.size and pts.shape[-1:] != (3,):
+        raise DomainError(f"points need 3 coordinates, got an array of shape {pts.shape}")
+    return pts.reshape(-1, 3)
 
-    def sink(kept):
-        ends = [*takewhile(lambda e: e < kept, (_CHECKPOINT_BASE * 10**k for k in count())), kept]
-        def take(rows, block, points, box):
-            cuts = [e for e in ends if rows.start < e < rows.stop]
-            for start, end in pairwise([rows.start, *cuts, rows.stop]):
-                for c in range(start, end, _BLOCK):
-                    grid.mark(points[c - rows.start : min(c + _BLOCK, end) - rows.start])
-                if ends and end == ends[0]:
-                    series.append((ends.pop(0), grid.coverage()))
-        return take
 
-    return sink
+def _mark(grid: VoxelGrid, blocks, kept: int) -> list[tuple[int, float]]:
+    """Mark blocks of kept points, (rows, s, points, in_box) as a _Walk yields them,
+    into grid in _BLOCK slices split at each checkpoint: 10^3, 10^4, ... below
+    kept, and kept.  Returns (points marked, coverage) at each checkpoint."""
+    ends = [*takewhile(lambda e: e < kept, (_CHECKPOINT_BASE * 10**k for k in count())), kept]
+    series = []
+    for rows, _, points, _ in blocks:
+        cuts = [e for e in ends if rows.start < e < rows.stop]
+        for start, end in pairwise([rows.start, *cuts, rows.stop]):
+            for c in range(start, end, _BLOCK):
+                grid.mark(points[c - rows.start : min(c + _BLOCK, end) - rows.start])
+            if ends and end == ends[0]:
+                series.append((ends.pop(0), grid.coverage()))
+    return series
 
 
 def mark_and_coverage(grid: VoxelGrid, points) -> list[tuple[int, float]]:
@@ -623,10 +624,8 @@ def mark_and_coverage(grid: VoxelGrid, points) -> list[tuple[int, float]]:
     Returns (points_consumed, coverage) pairs at 10^3, 10^4, ... and at the
     end of the stream; coverage is nondecreasing in points consumed.
     """
-    pts = np.asarray(points, dtype=float).reshape(-1, 3)
-    series = []
-    _marker(grid, series)(len(pts))(slice(0, len(pts)), None, pts, None)
-    return series
+    pts = _points(points)
+    return _mark(grid, [(slice(0, len(pts)), None, pts, None)], len(pts))
 
 
 # ---------------------------------------------------------------------------
@@ -647,21 +646,22 @@ def hits_ball(line: LineSpec, ball: BallSpec, budget: int, *,
 
     The trace step bound is the ball radius.
     """
-    box_r = ball.center_norm + ball.radius
-    return _hit(adaptive_trace(line, box_r, budget, ball.radius, s_range=s_range), ball)
+    (walk,) = _trace_lines([line], ball.center_norm + ball.radius, budget, ball.radius, [s_range])
+    return _hit(walk, ball)
 
 
-def _hit(trace: TraceResult, ball: BallSpec) -> HitResult:
-    """The trace point nearest the ball centre, a hit when inside the ball."""
-    if len(trace.points) == 0:
-        return HitResult(False, None, math.inf, trace.audit.evals)
-    with np.errstate(over="ignore"):
-        dist = _norm3(trace.points - np.asarray(ball.center))
-    k = int(np.argmin(dist))
-    best = float(dist[k])
-    if best < ball.radius:
-        return HitResult(True, float(trace.s[k]), best, trace.audit.evals)
-    return HitResult(False, None, best, trace.audit.evals)
+def _hit(walk: _Walk, ball: BallSpec) -> HitResult:
+    """The first of the walk's kept points nearest the ball centre, a hit when inside the ball."""
+    best, witness = math.inf, None
+    for _, s, points, _ in walk:
+        if len(points):
+            with np.errstate(over="ignore"):
+                dist = _norm3(points - np.asarray(ball.center))
+            k = int(np.argmin(dist))
+            if dist[k] < best:  # strict: a later block's equal distance keeps the first point
+                best, witness = float(dist[k]), float(s[k])
+    hit = best < ball.radius
+    return HitResult(hit, witness if hit else None, best, walk.audit.evals)
 
 
 @dataclass(frozen=True)
@@ -718,8 +718,8 @@ def epsilon_density(
                 f"epsilon_density: {skipped} of {grid_n * grid_n} crossings hit the exclusions"
             )
         lines = [LineSpec(a, tuple(p)) for a in valid_pts]
-        traces = _trace_lines(lines, box_r, budget_per_line, ball.radius)
-        hits = sum(_hit(trace, ball).hit for trace in traces)
+        walks = _trace_lines(lines, box_r, budget_per_line, ball.radius)
+        hits = sum(_hit(walk, ball).hit for walk in walks)
         out.append(
             DensityRung(
                 delta=delta,
@@ -773,7 +773,6 @@ def _coverage_run(line, box_r, grid_n, budget, h_max) -> CoverageRun:
     """One line of coverage_experiment: its sorted walk marks the grid; no TraceResult is made."""
     grid = VoxelGrid(box_r, grid_n)
     h_max = grid.voxel if h_max is None else h_max
-    series = []
-    finish = partial(_walk, sink=_marker(grid, series))
-    (audit,) = _trace_lines([line], box_r, budget, h_max, finish=finish)
-    return CoverageRun(series, audit, grid.coverage(), h_max)
+    (walk,) = _trace_lines([line], box_r, budget, h_max)
+    series = _mark(grid, walk, walk.kept)
+    return CoverageRun(series, walk.audit, grid.coverage(), h_max)

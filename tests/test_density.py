@@ -299,6 +299,18 @@ class TestMarkAndCoverage:
         # an empty list is an empty stream, not one point with no coordinates
         assert mark_and_coverage(VoxelGrid(10.0, 16), []) == [(0, 0.0)]
 
+    @pytest.mark.parametrize("bad", [np.zeros((3, 2)), np.zeros(6), [[1.0, 2.0]], 5.0])
+    def test_points_without_three_coordinates_raise(self, bad):
+        # not read as other points: six numbers are not two points
+        grid = VoxelGrid(10.0, 16)
+        with pytest.raises(DomainError, match="3 coordinates"):
+            grid.mark(bad)
+        with pytest.raises(DomainError, match="3 coordinates"):
+            mark_and_coverage(grid, bad)
+        assert not grid.occupancy.any()
+        assert grid.mark(np.empty((0, 3))) == 0 and grid.mark([]) == 0
+        assert mark_and_coverage(grid, np.empty((0, 3))) == mark_and_coverage(grid, []) == [(0, 0.0)]
+
     def test_single_point_stream(self):
         grid = VoxelGrid(10.0, 16)
         series = mark_and_coverage(grid, [(5.0, 5.0, 5.0)])
@@ -724,7 +736,7 @@ BAD = [OVERFLOW_FIRST, OVERFLOW_SECOND, UNRESOLVABLE]
 
 
 def assert_finish_is_two_loop_finish(store):
-    got, want = density._finish(*store, 1.0), two_loop_finish(*store, 1.0)
+    got, want = density._finish(density._Walk(*store, 1.0)), two_loop_finish(*store, 1.0)
     for name in ("s", "points", "in_box"):
         assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), name
     assert got.audit == want.audit
@@ -854,6 +866,127 @@ class TestCoverageFromTheWalk:
         monkeypatch.setattr(density, "TraceResult", no_result)
         (run,) = coverage_experiment([LineSpec(YPoint("+x1", 0.37, 0.002))], budget=6000)
         assert run.audit.evals == 6000 and run.series[-1][0] > 1000
+
+
+# _hit scans the walk's blocks for the first nearest kept point.  The oracle
+# is _hit as it was: one argmin over a whole TraceResult.
+
+
+def argmin_hit(trace, ball):
+    """_hit as it was, on a whole trace result."""
+    if len(trace.points) == 0:
+        return HitResult(False, None, math.inf, trace.audit.evals)
+    with np.errstate(over="ignore"):
+        dist = density._norm3(trace.points - np.asarray(ball.center))
+    k = int(np.argmin(dist))
+    best = float(dist[k])
+    if best < ball.radius:
+        return HitResult(True, float(trace.s[k]), best, trace.audit.evals)
+    return HitResult(False, None, best, trace.audit.evals)
+
+
+def assert_hit_is_argmin_hit(store, ball):
+    got = density._hit(density._Walk(*store, ball.radius), ball)
+    want = argmin_hit(two_loop_finish(*store, ball.radius), ball)
+    assert got == want
+    return want
+
+
+# a ball of radius VOXEL whose box is the coverage box, so the COVERAGE_LINES
+# traces are the coverage traces: the converging and depth-capped lines pass
+# through it, the others miss it
+NEAR = np.array([-3.646, -4.365, -7.842])
+NEAR_BALL = BallSpec(tuple(NEAR / np.linalg.norm(NEAR) * (density.COVERAGE_BOX - VOXEL)), VOXEL)
+
+
+class TestHitScan:
+    @pytest.mark.parametrize("block", [3, 4, 7])
+    def test_scan_is_one_argmin(self, monkeypatch, block):
+        monkeypatch.setattr(density, "_BLOCK", block)
+        rng = np.random.default_rng(block)
+        centers = [(1.6, 0.5, -0.5), (0.3, 0.2, 2.5), (-2.0, -1.0, 0.1)]
+        hits = set()
+        for seed in range(12):
+            sorted_status = rng.choice([OK, OK, OK, *BAD], size=int(rng.integers(1, 60)))
+            store = hand_made_store(sorted_status, seed, ties=bool(seed % 2))
+            for center in centers:
+                for radius in (0.05, 0.4, 1.5):
+                    hits.add(assert_hit_is_argmin_hit(store, BallSpec(center, radius)).hit)
+        for sorted_status in (BAD, BAD * 3):  # no kept point
+            assert assert_hit_is_argmin_hit(hand_made_store(sorted_status, 0), NEAR_BALL) == \
+                HitResult(False, None, math.inf, len(sorted_status))
+        assert hits == {True, False}
+
+    @pytest.mark.parametrize("block", [3, 4, 7])
+    @pytest.mark.parametrize(
+        "sorted_status",
+        [
+            [OK] * 8,
+            [OK, *BAD, OK, OK, *BAD, OK, OK, OK],
+            BAD + [OK] * 5 + BAD * 3 + [OK, OK],
+        ],
+    )
+    def test_equal_nearest_distances_keep_the_first(self, monkeypatch, block, sorted_status):
+        # the first and the last kept point in s order are one point, nearer
+        # the centre than any other and in different blocks: argmin keeps the
+        # first, and so must the scan across blocks
+        monkeypatch.setattr(density, "_BLOCK", block)
+        s, f, in_box, status = hand_made_store(sorted_status, block)
+        ok = np.flatnonzero(status == OK)
+        first, last = ok[np.argmin(s[ok])], ok[np.argmax(s[ok])]
+        assert s[first] // block < s[last] // block  # s is the sorted position
+        f[first] = f[last] = (5.0, 5.0, 5.0)
+        for radius, witness in [(0.5, s[first]), (0.2, None)]:
+            want = assert_hit_is_argmin_hit((s, f, in_box, status), BallSpec((5.25, 5.0, 5.0), radius))
+            assert (want.witness_param, want.min_distance) == (witness, 0.25)
+
+    @pytest.mark.parametrize("block", [7, 1 << 14])
+    @pytest.mark.parametrize("name", list(COVERAGE_LINES))
+    def test_lone_and_grouped_scans_are_one_argmin(self, monkeypatch, name, block):
+        line, budget, max_depth, shows = COVERAGE_LINES[name]
+        monkeypatch.setattr(density, "_BLOCK", block)
+        monkeypatch.setattr(density, "MAX_DEPTH", max_depth)
+        box_r = NEAR_BALL.center_norm + NEAR_BALL.radius
+        trace = adaptive_trace(line, box_r, budget, NEAR_BALL.radius)
+        assert shows(trace)
+        want = argmin_hit(trace, NEAR_BALL)
+        assert want.hit == (name in ("converging", "depth-capped"))
+        assert hits_ball(line, NEAR_BALL, budget) == want
+        other = LineSpec(YPoint("+x1", 0.5, 0.3))
+        walks = density._trace_lines([other, line], box_r, budget, NEAR_BALL.radius)
+        assert [density._hit(walk, NEAR_BALL) for walk in walks][1] == want
+
+    def test_no_trace_result_is_made(self, monkeypatch):
+        def no_result(*args, **kwargs):
+            raise AssertionError("a TraceResult was made")
+
+        monkeypatch.setattr(density, "TraceResult", no_result)
+        ball = base_sequence(1)
+        assert hits_ball(LineSpec(YPoint("+x1", 0.4, 0.35)), ball, 6000).evals > 0
+        patch = PatchSpec(YPoint("+x1", 0.4, 0.35), 0.04)
+        (rung,) = epsilon_density(patch, ball, grid_n=2, budget_per_line=6000, rungs=1)
+        assert rung.valid == 4
+
+    def test_a_walked_walk_lets_go_of_its_store(self, monkeypatch):
+        # a rung of 16 lines at 20k samples traces groups of 6, 6 and 4
+        # lines, each group's store 4.2 MB: each later group starts holding
+        # less than 1 MiB, so the walk of the group before keeps no store
+        trace_group, held = density._trace_group, []
+
+        def traced(*args):
+            held.append(tracemalloc.get_traced_memory()[0])
+            yield from trace_group(*args)
+
+        monkeypatch.setattr(density, "_trace_group", traced)
+        patch = PatchSpec(YPoint("+x1", 0.4, 0.35), 0.04)
+        tracemalloc.start()
+        try:
+            (rung,) = epsilon_density(patch, base_sequence(1), grid_n=4, budget_per_line=20_000,
+                                      rungs=1)
+        finally:
+            tracemalloc.stop()
+        assert rung.valid == 16 and len(held) == 3
+        assert max(held[1:]) < 2**20
 
 
 class TestResolution:

@@ -361,7 +361,7 @@ VALID_LINES = st.lists(
 @settings(derandomize=True, database=None, max_examples=25, deadline=None)
 @given(VALID_LINES, st.floats(1.0, 12.0), st.floats(0.03, 1.0), st.integers(1000, 20_000))
 def test_grouped_trace_is_the_lone_trace(lines, box_r, h_max, budget):
-    traces = list(_trace_lines(lines, box_r, budget, h_max))
+    traces = list(map(_finish, _trace_lines(lines, box_r, budget, h_max)))
     assert len(traces) == len(lines)
     for line, trace in zip(lines, traces):
         assert_same_trace(trace, adaptive_trace(line, box_r, budget, h_max))
@@ -377,7 +377,7 @@ def test_grouped_trace_truncates_per_line(monkeypatch, group_samples, at_budget)
     box_r, budget = ball.center_norm + ball.radius, 6000
     lines = [LineSpec(YPoint("+x1", 0.4, 0.35)), LineSpec(YPoint("+x1", 0.5, 0.3))]
     lines.insert(at_budget, LineSpec(YPoint("+x1", 0.37, 0.002)))
-    traces = list(_trace_lines(lines, box_r, budget, ball.radius))
+    traces = list(map(_finish, _trace_lines(lines, box_r, budget, ball.radius)))
     evals = [t.audit.evals for t in traces]
     assert evals[at_budget] == budget
     assert max(evals[:at_budget] + evals[at_budget + 1:]) < budget
@@ -416,7 +416,7 @@ def reference_trace(line, box_r, budget, h_max, depths=MAX_DEPTH):
         lo, hi = np.concatenate([lo, mid]), np.concatenate([mid, hi])
     f[status == UNRESOLVABLE] = np.nan
     in_box = (status == OK) & np.all(np.abs(f) <= box_r, axis=-1)
-    return _finish(s, f, in_box, status, h_max)
+    return _finish(density._Walk(s, f, in_box, status, h_max))
 
 
 @pytest.mark.parametrize("budget", [1000, 6000])
@@ -429,7 +429,7 @@ def test_budget_truncation_keeps_the_first_needed_children(budget):
         LineSpec(YPoint("-x2", -0.61, 0.01)),
         LineSpec(YPoint("+x2", 0.2, 0.05)),
     ]
-    traces = list(_trace_lines(lines, box_r, budget, ball.radius))
+    traces = list(map(_finish, _trace_lines(lines, box_r, budget, ball.radius)))
     for line, trace in zip(lines, traces):
         want = reference_trace(line, box_r, budget, ball.radius)
         assert want.audit.evals == budget
@@ -451,7 +451,7 @@ def test_depth_cap_stops_the_trace(monkeypatch, depths):
     deeper = [reference_trace(line, box_r, budget, ball.radius, depths + 1) for line in lines]
     want = [reference_trace(line, box_r, budget, ball.radius, depths) for line in lines]
     monkeypatch.setattr(density, "MAX_DEPTH", depths)
-    traces = list(_trace_lines(lines, box_r, budget, ball.radius))
+    traces = list(map(_finish, _trace_lines(lines, box_r, budget, ball.radius)))
     for line, trace, capped, more in zip(lines, traces, want, deeper):
         assert capped.audit.evals < more.audit.evals <= budget
         assert_same_trace(adaptive_trace(line, box_r, budget, ball.radius), capped)
@@ -482,7 +482,7 @@ def test_blocked_trace_is_the_unblocked_trace(monkeypatch, group_samples):
     monkeypatch.setattr(density, "_BLOCK", 997)
     monkeypatch.setattr(density, "_GROUP_SAMPLES", group_samples)
     monkeypatch.setattr(density, "second_iterate", kernel)
-    traces = list(_trace_lines(lines, box_r, budget, ball.radius))
+    traces = list(map(_finish, _trace_lines(lines, box_r, budget, ball.radius)))
     assert max(sizes) == 997 and sum(sizes) == sum(t.audit.evals for t in traces)
     # with two CPUs the blocks ran on the caller and the worker, so the
     # asserts below cover the threaded path (a worker's ident can change
