@@ -49,6 +49,8 @@ COMMANDS = [
     ("coverage-budget-bound", ["coverage", "--u3", "0.002", "--budget", "6000"]),
     ("trace-config", ["trace", "--config", "run.cfg"]),
     ("cone", ["cone"]),
+    # 32,768 triangles: eight triangle-writer blocks (the default cone fits in one)
+    ("cone-large", ["cone", "--n-height", "128", "--n-width", "32"]),
     ("distortion", ["distortion"]),
     # 48 directions: 341 points a relative_distortion block, the last one partial
     ("distortion-blocks", ["distortion", "--dirs", "48", "--samples", "700", "--grid-n", "96"]),

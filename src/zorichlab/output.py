@@ -2,7 +2,9 @@
 
 Every file carries a leading header naming its columns and units.  Floats are
 rendered with repr (shortest round trip), so identical inputs give byte
-identical files.
+identical files.  The point-cloud and triangle writers format Python floats
+one block of rows at a time, and a triangle block formats each of its distinct
+vertices once.
 """
 
 from __future__ import annotations
@@ -11,6 +13,15 @@ import csv
 from pathlib import Path
 
 import numpy as np
+
+from .density import _points
+
+# rows (points or triangles) formatted per block: bounds the Python floats and
+# strings held at once
+_ROWS = 2**12
+# a vertex as one 24-byte key: a block's vertices are grouped by their bits, so
+# 0.0 and -0.0 stay apart
+_VERTEX_KEY = np.dtype((np.void, 24))
 
 
 def _fmt(v) -> str:
@@ -32,14 +43,28 @@ def write_csv(path, header: list[str], rows) -> None:
             writer.writerow([_fmt(v) for v in row])
 
 
+def _lines(rows: np.ndarray) -> str:
+    """The "x y z" lines of (n, 3) float rows, formatted from one list of Python floats."""
+    return "%r %r %r\n" * len(rows) % tuple(rows.ravel().tolist())
+
+
 def write_point_cloud(path, points) -> None:
     """One "x y z" triple per line, scene units."""
-    points = np.atleast_2d(np.asarray(points, dtype=float))
+    points = _points(points)
     path = Path(path)
     with path.open("w", encoding="utf-8") as fh:
         fh.write("# x y z (scene units)\n")
-        for p in points:
-            fh.write(f"{float(p[0])!r} {float(p[1])!r} {float(p[2])!r}\n")
+        for start in range(0, len(points), _ROWS):
+            fh.write(_lines(points[start : start + _ROWS]))
+
+
+def _triangle_lines(block: np.ndarray) -> str:
+    """The lines of (n, 9) triangle rows, each distinct vertex formatted once (its
+    texts are freed on return, before the write encodes the lines)."""
+    block = np.ascontiguousarray(block)
+    keys, slots = np.unique(block.view(_VERTEX_KEY).ravel(), return_inverse=True)
+    texts = _lines(keys.view(float).reshape(-1, 3)).splitlines()
+    return "%s %s %s\n" * len(block) % tuple(map(texts.__getitem__, slots.tolist()))
 
 
 def write_triangle_soup(path, triangles) -> None:
@@ -48,8 +73,8 @@ def write_triangle_soup(path, triangles) -> None:
     path = Path(path)
     with path.open("w", encoding="utf-8") as fh:
         fh.write("# x1 y1 z1 x2 y2 z2 x3 y3 z3 (scene units, one triangle per line)\n")
-        for t in triangles:
-            fh.write(" ".join(repr(float(v)) for v in t) + "\n")
+        for start in range(0, len(triangles), _ROWS):
+            fh.write(_triangle_lines(triangles[start : start + _ROWS]))
 
 
 def write_report(path, results, overall: bool) -> None:
