@@ -2,12 +2,12 @@
 
 Every command validates its arguments, calls the library (no computation
 lives here), writes its declared output files plus a JSON manifest, and
-exits 0 on success, 1 when a verify check fails, 2 on a validation error,
-3 on a numeric failure.  The output directory is made only once the results
-are computed, so a run rejected or failed before it writes leaves none
-behind.  The rules it applies are the library's: the minimum counts, the
-default trace step (``density.voxel_edge``) and the excluded-family notes of
-trace and coverage (``density.confinement_notes``).
+exits 0 on success, 1 when a verify check fails, 2 on a validation error
+(a MemoryError included), 3 on a numeric failure.  The output directory is
+made only once the results are computed, so a run rejected or failed before
+it writes leaves none behind.  The rules it applies are the library's: the
+minimum counts, the default trace step (``density.voxel_edge``) and the
+excluded-family notes of trace and coverage (``density.confinement_notes``).
 
 Every default is written once, in the parser.  An optional KEY=VALUE config
 file names arguments of its command, and each key is read as the flag it
@@ -494,7 +494,7 @@ def main(argv=None) -> int:
             args = parser.parse_args([argv[0], *flags, *argv[1:]])
         _check_given(getattr(args, "given", frozenset()))
         return args.func(args)
-    except (DomainError, ValueError) as exc:
+    except (DomainError, ValueError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (ArithmeticError, OverflowError) as exc:

@@ -1,7 +1,9 @@
 """Exception types shared across the library.
 
-The CLI maps ValueError subclasses to exit code 2 (bad input) and
-ArithmeticError / OverflowError subclasses to exit code 3 (numeric failure).
+The CLI maps ValueError subclasses and MemoryError (an input too large to
+allocate) to exit code 2 (bad input), and ArithmeticError / OverflowError
+subclasses to exit code 3 (numeric failure).  Exit code 1 is a failed
+`verify` check.
 """
 
 

@@ -1,4 +1,4 @@
-"""Deck-transformation group of the map: canonical form, action, reduction.
+"""Deck-transformation group of the map: canonical form and action.
 
 An element (m, n, flip) acts by optionally applying the point reflection
 (x1, x2) -> (pi - x1, pi - x2) and then translating by 2*pi*(m, n); the third
@@ -15,7 +15,7 @@ from functools import reduce
 import numpy as np
 
 from .errors import DomainError
-from .zorich import HALF_PI, TWO_PI
+from .zorich import TWO_PI
 
 
 @dataclass(frozen=True)
@@ -90,46 +90,3 @@ def find_g(x, y) -> GroupElement:
             return g
     raise DomainError("find_g: points are not on one group orbit")
 
-
-def _reduce_once(v: float) -> tuple[float, int]:
-    """Shift v by a multiple of 2*pi into [-pi/2, 3*pi/2).
-
-    Rounding can leave v - 2*pi*k a few ulps outside the interval; v is then
-    at one of its ends but for rounding, and goes to the lower end.
-    """
-    k = math.floor((v + HALF_PI) / TWO_PI)
-    r = v - TWO_PI * k
-    if r >= 3.0 * HALF_PI:
-        return -HALF_PI, k + 1
-    return max(r, -HALF_PI), k
-
-
-def reduce_to_fundamental_domain(x):
-    """Move x into the double-beam fundamental domain, returning (x', g).
-
-    The domain is x1 in [-pi/2, 3*pi/2), x2 in [-pi/2, pi/2), all x3, with
-    one extra convention: orbits with x2 = pi/2 (mod 2*pi) never meet that
-    half-open box (the flip maps the x2 = pi/2 plane to itself), so those
-    points keep x2' = pi/2 and take x1' in [-pi/2, pi/2].  apply(g, x') == x.
-    """
-    x = np.asarray(x, dtype=float)
-    x1, x2, x3 = float(x[0]), float(x[1]), float(x[2])
-    x2a, n0 = _reduce_once(x2)
-    if x2a < HALF_PI:
-        # pure translation
-        x1p, m = _reduce_once(x1)
-        return np.array([x1p, x2a, x3]), GroupElement(m, n0, False)
-    if x2a > HALF_PI:
-        # flip route: x = apply((m, n, flip), x') with x' = reduce(pi - x)
-        x1p, j = _reduce_once(math.pi - x1)
-        x2p, k = _reduce_once(math.pi - x2)
-        if x2p < HALF_PI:
-            return np.array([x1p, x2p, x3]), GroupElement(-j, -k, True)
-        # else both routes round x2' to pi/2 or above: x is on the face but
-        # for rounding
-    # face x2 = pi/2 (mod 2*pi): flip fixes the face, pick x1' in [-pi/2, pi/2]
-    x1p, m = _reduce_once(x1)
-    if x1p <= HALF_PI:
-        return np.array([x1p, HALF_PI, x3]), GroupElement(m, n0, False)
-    x1p, j = _reduce_once(math.pi - x1)  # rounding may put x1p a few ulps past pi/2
-    return np.array([min(x1p, HALF_PI), HALF_PI, x3]), GroupElement(-j, n0, True)

@@ -15,6 +15,7 @@ from pathlib import Path
 import numpy as np
 
 from .density import _points
+from .errors import DomainError
 
 # rows (points or triangles) formatted per block: bounds the Python floats and
 # strings held at once
@@ -68,8 +69,14 @@ def _triangle_lines(block: np.ndarray) -> str:
 
 
 def write_triangle_soup(path, triangles) -> None:
-    """One triangle per line as nine reals (x y z for each vertex)."""
-    triangles = np.asarray(triangles, dtype=float).reshape(-1, 9)
+    """One triangle per line as nine reals (x y z for each vertex).
+
+    A non-empty input whose last axes are neither (3, 3) nor (9,) raises.
+    """
+    triangles = np.asarray(triangles, dtype=float)
+    if triangles.size and triangles.shape[-1:] != (9,) and triangles.shape[-2:] != (3, 3):
+        raise DomainError(f"triangles need 9 coordinates, got an array of shape {triangles.shape}")
+    triangles = triangles.reshape(-1, 9)
     path = Path(path)
     with path.open("w", encoding="utf-8") as fh:
         fh.write("# x1 y1 z1 x2 y2 z2 x3 y3 z3 (scene units, one triangle per line)\n")

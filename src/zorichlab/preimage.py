@@ -95,14 +95,21 @@ class StripSpec:
 
 
 def cone_height(level: float, p) -> np.ndarray:
-    """Height of the level cone over parameter point p: ln(level / cos M(p))."""
+    """Height of the level cone over parameter point p: ln(level / cos M(p)).
+
+    Raises DomainError where the height is not a finite float.
+    """
     if not level > 0.0:
         raise DomainError("cone_height: level must be positive")
     p = np.asarray(p, dtype=float)
     m = np.maximum(np.abs(p[..., 0]), np.abs(p[..., 1]))
     if np.any(m >= HALF_PI):
         raise DomainError("cone_height: parameter point must have M(p) < pi/2")
-    return np.log(level / np.cos(m))
+    with np.errstate(over="ignore"):
+        height = np.log(level / np.cos(m))
+    if not np.all(np.isfinite(height)):
+        raise DomainError("cone_height: a height is not a finite float")
+    return height
 
 
 def cone_point(cone: ConeSurface, p) -> np.ndarray:
@@ -186,32 +193,22 @@ def annular_sector_areas(t1: float, t2: float) -> SectorAreas:
     return SectorAreas(band=band, trapezoid=trap, ratio=band / trap)
 
 
-def trapezoid_fill_bound(r0: float, radius: float, lam: float) -> float:
-    """Lower bound on the fraction of the trapezoid covered by preimage disks."""
-    _check_coverage_inputs(r0, radius, lam)
-    return r0**2 / (2.0**9 * lam**2 * math.exp(2.0 * radius))
-
-
 def coverage_constant(r0: float, radius: float, lam: float) -> float:
     """Worst-case fraction of a face band whose second preimage meets the ball.
 
     r0 is the ball radius, radius = |ball center|, lam the bi-Lipschitz
     constant of the hemisphere chart.
     """
-    _check_coverage_inputs(r0, radius, lam)
+    if not 0.0 < r0 < radius:
+        raise DomainError("coverage_constant: need 0 < r0 < radius")
+    if radius == 1.0:
+        raise DomainError("coverage_constant: radius must differ from 1")
+    if not lam >= 1.0:
+        raise DomainError("coverage_constant: lam must be >= 1")
     big_l = abs(math.log(radius))
     return r0**2 / (
         2.0**11 * lam**4 * math.pi * math.exp(2.0 * radius) * (1.0 + 4.0 * math.pi / big_l)
     )
-
-
-def _check_coverage_inputs(r0, radius, lam):
-    if not 0.0 < r0 < radius:
-        raise DomainError("coverage inputs: need 0 < r0 < radius")
-    if radius == 1.0:
-        raise DomainError("coverage inputs: radius must differ from 1")
-    if not lam >= 1.0:
-        raise DomainError("coverage inputs: lam must be >= 1")
 
 
 def project_to_plane(p, u, plane_index: int) -> np.ndarray:
@@ -231,17 +228,6 @@ def project_to_plane(p, u, plane_index: int) -> np.ndarray:
     if c <= 0.0:
         raise DomainError("project_to_plane: wall is behind the base point")
     return p + c * np.array([1.0, u2, u3])
-
-
-def strip_contains(spec: StripSpec, x) -> bool:
-    """Membership test for the open strip (wall within 1e-9, open x2/x3 bounds)."""
-    x = np.asarray(x, dtype=float)
-    lo, hi = spec.x2_interval
-    return bool(
-        abs(float(x[0]) - spec.wall_x1) <= 1e-9
-        and lo < float(x[1]) < hi
-        and float(x[2]) > spec.s
-    )
 
 
 def _surface_residual(level_abs, y):

@@ -1,5 +1,5 @@
 """The CLI exit-code contract: 0 success, 1 a verify check failed,
-2 validation error, 3 numeric failure."""
+2 validation error (a MemoryError included), 3 numeric failure."""
 
 import hashlib
 import json
@@ -327,6 +327,10 @@ FLOORED_COUNTS = [
          "config: cannot read 'no-such.cfg': No such file or directory"),
         (["trace", "--budget", "1000", "--config", "."], None,
          "config: cannot read '.': Is a directory"),
+        # a cone whose heights overflow a float (no RuntimeWarning escapes)
+        (["cone", "--level", "1e308"], None, "cone_height: a height is not a finite float"),
+        # a 10^15-voxel grid: numpy refuses it at once, without touching memory
+        (["coverage", "--grid-n", "100000"], None, "Unable to allocate"),
     ],
 )
 def test_non_finite_or_empty_exits_2(tmp_path, capsys, monkeypatch, argv, config, message):

@@ -13,7 +13,6 @@ from zorichlab.group import (
     find_g,
     from_word,
     inverse,
-    reduce_to_fundamental_domain,
 )
 from zorichlab.zorich import Beam, zorich, zorich_inverse
 
@@ -139,65 +138,3 @@ class TestStrongAutomorphy:
         with pytest.raises(DomainError):
             find_g((0.0, 0.0, 0.0), (1.0, 0.0, 0.0))
 
-
-class TestFundamentalDomain:
-    def in_domain(self, x):
-        x1, x2 = x[0], x[1]
-        if x2 == PI / 2:
-            return -PI / 2 <= x1 <= PI / 2
-        return (-PI / 2 <= x1 < 3 * PI / 2) and (-PI / 2 <= x2 < PI / 2)
-
-    def test_interior_fixed(self):
-        xp, g = reduce_to_fundamental_domain((0.0, 0.0, 3.0))
-        np.testing.assert_array_equal(xp, [0.0, 0.0, 3.0])
-        assert g == IDENTITY
-
-    def test_translation(self):
-        xp, g = reduce_to_fundamental_domain((2 * PI, 0.0, 3.0))
-        np.testing.assert_allclose(xp, [0.0, 0.0, 3.0], atol=1e-12)
-        assert g == GroupElement(1, 0, False)
-
-    def test_negative_side_uses_flip_or_shift(self):
-        xp, g = reduce_to_fundamental_domain((-PI, 0.0, 3.0))
-        np.testing.assert_allclose(xp, [PI, 0.0, 3.0], atol=1e-12)
-        np.testing.assert_allclose(apply(g, xp), [-PI, 0.0, 3.0], atol=1e-12)
-
-    def test_random_roundtrip_and_membership(self):
-        rng = np.random.default_rng(29)
-        x = np.column_stack(
-            [rng.uniform(-40, 40, 2000), rng.uniform(-40, 40, 2000), rng.uniform(-5, 5, 2000)]
-        )
-        for row in x:
-            xp, g = reduce_to_fundamental_domain(row)
-            assert self.in_domain(xp)
-            np.testing.assert_allclose(apply(g, xp), row, atol=1e-12)
-
-    def test_idempotent(self):
-        rng = np.random.default_rng(31)
-        x = np.column_stack(
-            [rng.uniform(-40, 40, 500), rng.uniform(-40, 40, 500), rng.uniform(-5, 5, 500)]
-        )
-        for row in x:
-            xp, _ = reduce_to_fundamental_domain(row)
-            xpp, g = reduce_to_fundamental_domain(xp)
-            assert g == IDENTITY
-            np.testing.assert_array_equal(xpp, xp)
-
-    def test_face_orbit_representative(self):
-        # the flip maps the x2 = pi/2 plane to itself, so these orbits keep
-        # x2' = pi/2 and reduce x1 into the closed interval [-pi/2, pi/2]
-        xp, g = reduce_to_fundamental_domain((PI, PI / 2, 1.0))
-        assert xp[1] == PI / 2
-        assert -PI / 2 <= xp[0] <= PI / 2
-        np.testing.assert_allclose(apply(g, xp), [PI, PI / 2, 1.0], atol=1e-12)
-
-    def test_reduction_preserves_map_value(self):
-        rng = np.random.default_rng(37)
-        x = np.column_stack(
-            [rng.uniform(-30, 30, 300), rng.uniform(-30, 30, 300), rng.uniform(-3, 3, 300)]
-        )
-        for row in x:
-            xp, _ = reduce_to_fundamental_domain(row)
-            np.testing.assert_allclose(
-                zorich(xp), zorich(row), atol=1e-9 * max(1.0, math.exp(row[2]))
-            )

@@ -34,7 +34,6 @@ from zorichlab.group import (
     apply,
     compose,
     inverse,
-    reduce_to_fundamental_domain,
 )
 from zorichlab.preimage import (
     FACE_IDS,
@@ -521,30 +520,6 @@ def test_apply_is_a_group_action(g, h, rows):
     for y in (composed, stepwise, back):  # the third coordinate is never touched
         assert y[:, 2].tobytes() == x[:, 2].tobytes()
 
-
-# coordinates anywhere, or a rounding of an odd multiple of pi/2: the ends of
-# the box, the x2 = pi/2 face and their translates, where rounding decides
-NEAR_ENDS = st.integers(-30, 30).map(lambda k: HALF_PI + math.pi * k)
-
-
-@PROPERTY
-@given(
-    st.one_of(st.floats(-100.0, 100.0), NEAR_ENDS),
-    st.one_of(st.floats(-100.0, 100.0), st.just(HALF_PI), NEAR_ENDS),
-    st.floats(-30.0, 30.0),
-)
-def test_reduction_lands_in_the_fundamental_domain(x1, x2, x3):
-    x = np.array([x1, x2, x3])
-    reduced, g = reduce_to_fundamental_domain(x)
-    r1, r2, r3 = reduced
-    if x2 == HALF_PI:
-        assert r2 == HALF_PI
-    if r2 == HALF_PI:  # the face convention: x1' in the closed [-pi/2, pi/2]
-        assert -HALF_PI <= r1 <= HALF_PI
-    else:  # the half-open box
-        assert -HALF_PI <= r1 < 3.0 * HALF_PI and -HALF_PI <= r2 < HALF_PI
-    assert r3 == x3
-    np.testing.assert_allclose(apply(g, reduced), x, rtol=0, atol=action_tolerance(x, g))
 
 # The ray-cone solve written the plain way, one ray at a time: a Python loop
 # over the scan cells and scalar bisection.  ray_cone_intersect_many must

@@ -131,6 +131,20 @@ def test_point_cloud_needs_three_coordinates(tmp_path, shape):
         write_point_cloud(tmp_path / "p.txt", np.ones(shape))
 
 
+@pytest.mark.parametrize("triangles", [[], np.empty((0, 9)), np.empty((0, 3, 3))])
+def test_triangle_soup_of_no_triangles_is_the_header(tmp_path, triangles):
+    write_triangle_soup(tmp_path / "t.txt", triangles)
+    assert (tmp_path / "t.txt").read_text() == (
+        "# x1 y1 z1 x2 y2 z2 x3 y3 z3 (scene units, one triangle per line)\n")
+
+
+@pytest.mark.parametrize("shape", [(3, 6), (27,), (2, 3, 6), (3,)])
+def test_triangle_soup_needs_nine_coordinates(tmp_path, shape):
+    # a size that is a multiple of 9 must not be read as other triangles
+    with pytest.raises(DomainError, match="9 coordinates"):
+        write_triangle_soup(tmp_path / "t.txt", np.arange(float(np.prod(shape))).reshape(shape))
+
+
 @pytest.mark.parametrize("writer, shape", [(write_point_cloud, (2**18, 3)),
                                            (write_triangle_soup, (10**5, 3, 3))])
 def test_writers_hold_one_block_of_rows(tmp_path, writer, shape):
