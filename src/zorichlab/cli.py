@@ -497,7 +497,7 @@ def main(argv=None) -> int:
     except (DomainError, ValueError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (ArithmeticError, OverflowError) as exc:
+    except ArithmeticError as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return 3
 

@@ -150,7 +150,10 @@ class BallSpec:
     radius: float
 
     def __post_init__(self):
-        q = np.linalg.norm(self.center)
+        with np.errstate(over="ignore"):
+            q = np.linalg.norm(self.center)
+        if not np.isfinite(q):
+            raise DomainError("BallSpec: |center|^2 must be a finite float")
         if not 0.0 < self.radius < q:
             raise DomainError("BallSpec: need 0 < radius < |center|")
         if q == 1.0:
@@ -270,8 +273,6 @@ def adaptive_trace(
     box_r: float,
     budget: int,
     h_max: float,
-    *,
-    s_range: tuple[float, float] | None = None,
 ) -> TraceResult:
     """Trace the second-iterate image of the line over the target box.
 
@@ -282,7 +283,7 @@ def adaptive_trace(
     MAX_DEPTH bisections; overflow samples are dropped and counted, never
     fatal.
     """
-    (walk,) = _trace_lines([line], box_r, budget, h_max, [s_range])
+    (walk,) = _trace_lines([line], box_r, budget, h_max)
     return _finish(walk)
 
 
@@ -339,8 +340,8 @@ def _finish(walk: _Walk) -> TraceResult:
     return TraceResult(s, f, box, walk.audit)
 
 
-def _trace_lines(lines, box_r: float, budget: int, h_max: float, s_ranges=None):
-    """The _Walk of each line (s_ranges: one range or None per line), in input order.
+def _trace_lines(lines, box_r: float, budget: int, h_max: float):
+    """The _Walk of each line over its default_s_range, in input order.
 
     Lines are traced together in groups of at most _GROUP_SAMPLES // budget
     lines (a larger budget traces alone); every walk is bit-identical to
@@ -350,14 +351,9 @@ def _trace_lines(lines, box_r: float, budget: int, h_max: float, s_ranges=None):
         raise DomainError(f"adaptive_trace: budget must be >= {MIN_BUDGET}")
     if not (h_max > 0.0 and box_r > 0.0):
         raise DomainError("adaptive_trace: box_r and h_max must be positive")
-    ranges = [
-        default_s_range(line) if s_range is None else (float(s_range[0]), float(s_range[1]))
-        for line, s_range in zip(lines, s_ranges or [None] * len(lines), strict=True)
-    ]
+    ranges = [default_s_range(line) for line in lines]
     if not all(s_lo < s_hi for s_lo, s_hi in ranges):
         raise DomainError("adaptive_trace: empty parameter range")
-    if not all(math.isfinite(s_hi - s_lo) for s_lo, s_hi in ranges):
-        raise DomainError("adaptive_trace: the parameter range is wider than a float")
     for line, (s_lo, s_hi) in zip(lines, ranges):
         x, y = line.point_at([s_lo, s_lo + (s_hi - s_lo) / (budget // 3 - 1)])  # one seed step
         if np.any((x == y) & (line.direction() != 0.0)):
@@ -555,6 +551,8 @@ class VoxelGrid:
         self.half_extent = float(half_extent)
         self.n = int(n)
         self.voxel = voxel_edge(self.half_extent, self.n)
+        if not math.isfinite(self.voxel):
+            raise DomainError("VoxelGrid: the voxel edge must be a finite float")
         self.occupancy = np.zeros((self.n,) * 3, dtype=bool)
         self.excluded = self._exclusion_mask()
 
@@ -564,7 +562,8 @@ class VoxelGrid:
 
         def radius(c):
             """|(c[i], c[j], c[k])| over the grid, summed in _norm3's order."""
-            sq = c * c
+            with np.errstate(over="ignore"):  # an infinite square is a far voxel's
+                sq = c * c
             r = (sq[:, None, None] + sq[None, :, None]) + sq
             return np.sqrt(r, out=r)
 
@@ -640,13 +639,12 @@ class HitResult:
     evals: int
 
 
-def hits_ball(line: LineSpec, ball: BallSpec, budget: int, *,
-              s_range: tuple[float, float] | None = None) -> HitResult:
+def hits_ball(line: LineSpec, ball: BallSpec, budget: int) -> HitResult:
     """Trace the line against the box around the ball and look for a hit.
 
     The trace step bound is the ball radius.
     """
-    (walk,) = _trace_lines([line], ball.center_norm + ball.radius, budget, ball.radius, [s_range])
+    (walk,) = _trace_lines([line], ball.center_norm + ball.radius, budget, ball.radius)
     return _hit(walk, ball)
 
 

@@ -18,7 +18,7 @@ import numpy as np
 
 from . import density
 from .errors import DegenerateError, DomainError
-from .zorich import HALF_PI, branch_distance, zorich
+from .zorich import HALF_PI, branch_distance, h_square, zorich
 
 GOLDEN_ANGLE = math.pi * (3.0 - math.sqrt(5.0))
 
@@ -74,31 +74,31 @@ def plane_directions(n: int, e1, e2) -> np.ndarray:
     return np.cos(ang)[:, None] * e1 + np.sin(ang)[:, None] * e2
 
 
-def _directions_for(x, n_dirs, directions):
+def _directions_for(x, directions):
     if directions is None:
         dim = np.asarray(x).shape[-1]
-        directions = (sphere_directions(n_dirs) if dim == 3
-                      else plane_directions(n_dirs, (1.0, 0.0), (0.0, 1.0)))
+        directions = (sphere_directions(DEFAULT_DIRECTIONS) if dim == 3
+                      else plane_directions(DEFAULT_DIRECTIONS, (1.0, 0.0), (0.0, 1.0)))
     directions = np.asarray(directions, dtype=float)
     if len(directions) < 32:
         raise DomainError("relative_distortion: need at least 32 directions")
     return directions
 
 
-def relative_distortion(f, points, radius: float = DEFAULT_RADIUS,
-                        n_dirs: int = DEFAULT_DIRECTIONS,
+def relative_distortion(f, points, radius: float = DEFAULT_RADIUS, *,
                         directions=None) -> DistortionEstimate:
     """sup of upper constants over inf of lower constants on the sample set.
 
     At one point these are the pointwise Lipschitz constants, probed at
-    distance `radius`; keep the points at branch distance > 10*radius.
+    distance `radius` (along DEFAULT_DIRECTIONS directions unless given);
+    keep the points at branch distance > 10*radius.
     """
     if not radius > 0.0:
         raise DomainError("relative_distortion: radius must be positive")
     points = np.atleast_2d(np.asarray(points, dtype=float))
     if len(points) == 0:
         raise DomainError("relative_distortion: need at least one sample point")
-    dirs = _directions_for(points[0], n_dirs, directions)
+    dirs = _directions_for(points[0], directions)
     step = max(1, density._BLOCK // len(dirs))
     lows, highs = [], []
     for c in range(0, len(points), step):
@@ -131,11 +131,9 @@ def lambda_h_estimate(grid_n: int = 128) -> float:
     """
     if grid_n < MIN_CHART_GRID_N:
         raise DomainError(f"lambda_h_estimate: grid_n must be >= {MIN_CHART_GRID_N}")
-    from .zorich import h_square
-
     g = -HALF_PI + (np.arange(grid_n) + 0.5) * math.pi / grid_n
     pts = np.stack(np.meshgrid(g, g, indexing="ij"), axis=-1).reshape(-1, 2)
-    est = relative_distortion(h_square, pts, CHART_RADIUS, DEFAULT_DIRECTIONS)
+    est = relative_distortion(h_square, pts, CHART_RADIUS)
     return max(est.sup_upper, 1.0 / est.inf_lower)
 
 
@@ -144,6 +142,10 @@ def sample_slab(slab: Slab, n: int, seed: int, radius: float = DEFAULT_RADIUS) -
     rng = np.random.default_rng(seed)
     span = 2.0 * math.pi
     margin = BRANCH_MARGIN_FACTOR * radius
+    # no point lies farther than pi/sqrt(2), a beam's centre, from the branch lines
+    if not margin < math.pi / math.sqrt(2.0):
+        raise DomainError(f"sample_slab: radius {radius!r} leaves no point outside the "
+                          "branch margin")
     out = np.empty((0, 3))
     while len(out) < n:
         m = 2 * (n - len(out)) + 16
@@ -177,7 +179,7 @@ def verify_slab_bound(slab: Slab, n_samples: int = 1000, *, lam: float,
     if not (radius > 0.0 and math.isfinite(radius)):
         raise DomainError("verify_slab_bound: radius must be positive and finite")
     pts = sample_slab(slab, n_samples, seed, radius)
-    est = relative_distortion(zorich, pts, radius, n_dirs)
+    est = relative_distortion(zorich, pts, radius, directions=sphere_directions(n_dirs))
     bound = lam * lam * math.exp(slab.gap) * 1.01
     return SlabReport(d_est=est.ratio, bound=bound, passed=est.ratio <= bound)
 

@@ -51,11 +51,11 @@ _POLE_TOL = 1e-12
 
 
 class FoldResult(NamedTuple):
-    """Coordinate folded into [-pi/2, pi/2] plus the strip it came from."""
+    """Coordinate folded into [-pi/2, pi/2] plus the strip it came from (arrays for arrays)."""
 
-    folded: float
-    strip: int
-    parity: int
+    folded: float | np.ndarray
+    strip: int | np.ndarray
+    parity: int | np.ndarray
 
 
 class Beam(NamedTuple):

@@ -331,6 +331,17 @@ FLOORED_COUNTS = [
         (["cone", "--level", "1e308"], None, "cone_height: a height is not a finite float"),
         # a 10^15-voxel grid: numpy refuses it at once, without touching memory
         (["coverage", "--grid-n", "100000"], None, "Unable to allocate"),
+        # a branch margin (10 * radius) past pi/sqrt(2) leaves no point to sample
+        *[
+            (["distortion", "--samples", "5", "--grid-n", "64", "--radius", radius], None,
+             f"sample_slab: radius {float(radius)!r} leaves no point outside the branch margin")
+            for radius in ("0.25", "1e300")
+        ],
+        # a ball centre or a voxel edge that overflows a float (no RuntimeWarning escapes)
+        (["density", "--q", "1e160,0,0", "--ball-r", "1", "--grid-n", "2", "--budget", "1000",
+          "--rungs", "1"], None, "BallSpec: |center|^2 must be a finite float"),
+        (["coverage", "--box-r", "1e308", "--budget", "1000", "--grid-n", "2"], None,
+         "VoxelGrid: the voxel edge must be a finite float"),
     ],
 )
 def test_non_finite_or_empty_exits_2(tmp_path, capsys, monkeypatch, argv, config, message):

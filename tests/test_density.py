@@ -175,6 +175,9 @@ class TestBallBase:
             BallSpec((1.0, 0.0, 0.0), 0.5)
         with pytest.raises(DomainError):
             BallSpec((0.0, 0.0, 2.0), 3.0)
+        # |center|^2 overflows (a RuntimeWarning would fail the suite)
+        with pytest.raises(DomainError, match="finite"):
+            BallSpec((1e160, 0.0, 0.0), 1.0)
 
 
 class TestVoxelGrid:
@@ -202,6 +205,13 @@ class TestVoxelGrid:
         assert grid.excluded[voxel_of((0.0, 0.0, 0.0))]
         assert grid.excluded[voxel_of((1.0, 0.0, 0.0))]
         assert not grid.excluded[voxel_of((5.0, 5.0, 5.0))]
+
+    def test_far_box(self):
+        # the far edges' squares overflow to inf, which neither mask selects
+        # (a RuntimeWarning would fail the suite); an infinite edge is rejected
+        assert np.count_nonzero(VoxelGrid(1e200, 4).excluded) == 8  # those at the origin
+        with pytest.raises(DomainError, match="voxel edge"):
+            VoxelGrid(1e308, 2)
 
     def test_coverage_of_all_centers(self):
         grid = VoxelGrid(2.0, 8)
@@ -510,14 +520,19 @@ class TestAdaptiveTrace:
         assert lo < 0 < hi
 
 
-def brute_force_hit(line, ball, budget):
-    s_lo, s_hi = default_s_range(line)
-    s = np.linspace(s_lo, s_hi, budget)
+def nearest_sample(line, ball, window, n):
+    """(distance, s) of the finite image, of n evenly spaced s over window,
+    nearest the ball centre."""
+    s = np.linspace(*window, n)
     f, _, status = second_iterate(line.point_at(s))
-    keep = status == OK
     with np.errstate(over="ignore"):
-        d = np.linalg.norm(f[keep] - np.asarray(ball.center), axis=-1)
-    return bool(np.any(d < ball.radius))
+        d = np.where(status == OK, np.linalg.norm(f - np.asarray(ball.center), axis=-1), np.inf)
+    k = int(np.argmin(d))
+    return float(d[k]), float(s[k])
+
+
+def brute_force_hit(line, ball, budget):
+    return nearest_sample(line, ball, default_s_range(line), budget)[0] < ball.radius
 
 
 class TestHitsBall:
@@ -543,9 +558,9 @@ class TestHitsBall:
         assert res.min_distance >= 5.0 - 0.5 - math.e
 
     def test_no_finite_point_is_no_hit(self):
-        # every point of this window overflows at the first stage
-        line = LineSpec(d=(0.3, 0.2, 1.0))
-        res = hits_ball(line, base_sequence(1), 1000, s_range=(701.0, 800.0))
+        # every point of this horizontal line overflows at the first stage
+        line = LineSpec(p=(0.0, 0.0, 800.0), d=(0.3, 0.2, 0.0))
+        res = hits_ball(line, base_sequence(1), 1000)
         assert res == HitResult(False, None, math.inf, 333)
 
     def test_brute_force_never_beats_adaptive(self):
@@ -570,8 +585,9 @@ class TestHitsBall:
     def test_hit_set_open_under_perturbation(self):
         # hit crossings stay hits under 1e-6 parameter nudges.  Openness is a
         # local property and the map's parameter sensitivity grows like
-        # exp(exp(x3)), so witnesses are restricted to a low-exponent window
-        # and the nudged lines are re-searched near the same witness.
+        # exp(exp(x3)), so witnesses are restricted to low exponents
+        # (x3 = u3 * s < 4) and the nudged lines are re-searched, sample by
+        # sample, near the same witness.
         rng = np.random.default_rng(515)
         ball = base_sequence(1)
         found = 0
@@ -581,14 +597,15 @@ class TestHitsBall:
             u2 = float(rng.uniform(0.1, 0.9)) * (1 if rng.random() < 0.5 else -1)
             u3 = float(rng.uniform(0.1, 0.5))
             line = LineSpec(YPoint("+x1", u2, u3))
-            res = hits_ball(line, ball, 20_000, s_range=(0.2 / u3, 4.0 / u3))
-            if not (res.hit and res.min_distance < ball.radius * 0.8):
+            res = hits_ball(line, ball, 20_000)
+            if not (res.hit and res.min_distance < ball.radius * 0.8
+                    and u3 * res.witness_param < 4.0):
                 continue
             found += 1
             local = (res.witness_param - 0.5 / u3, res.witness_param + 0.5 / u3)
             for du2, du3 in ((1e-6, 0.0), (-1e-6, 0.0), (0.0, 1e-6), (0.0, -1e-6)):
                 nudged = LineSpec(YPoint("+x1", u2 + du2, u3 + du3))
-                assert hits_ball(nudged, ball, 20_000, s_range=local).hit
+                assert nearest_sample(nudged, ball, local, 20_000)[0] < ball.radius
         assert found == 10
 
 

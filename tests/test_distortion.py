@@ -76,7 +76,8 @@ class TestPointwiseLipschitz:
 
     def test_too_few_directions(self):
         with pytest.raises(DomainError):
-            relative_distortion(lambda x: x, np.array([0.0, 0.0, 0.0])[None], 1e-5, n_dirs=16)
+            relative_distortion(lambda x: x, np.array([0.0, 0.0, 0.0])[None], 1e-5,
+                                directions=sphere_directions(16))
 
     @pytest.mark.parametrize("radius", [0.0, -1e-5])
     def test_radius_must_be_positive(self, radius):
@@ -172,6 +173,13 @@ class TestSlabBound:
     def test_bad_radius_rejected(self, radius):
         with pytest.raises(DomainError, match="radius"):
             verify_slab_bound(Slab(0.0, 1.0), 10, lam=1.0, radius=radius)
+
+    @pytest.mark.parametrize("radius", [0.25, 1e300])
+    def test_margin_past_every_point_rejected(self, radius):
+        # no point lies farther than pi/sqrt(2) from the branch lines, so a
+        # margin of 10 * radius at or past it would be sampled for ever
+        with pytest.raises(DomainError, match="branch margin"):
+            sample_slab(Slab(0.0, 1.0), 5, seed=0, radius=radius)
 
     def test_sample_respects_branch_margin(self):
         pts = sample_slab(Slab(-1.0, 1.0), 500, seed=17, radius=1e-5)
@@ -275,9 +283,9 @@ class TestAreaTransport:
 # which built every probe and every cell center at once
 
 
-def one_shot_distortion(f, points, radius, n_dirs=64, directions=None):
+def one_shot_distortion(f, points, radius, directions=None):
     points = np.atleast_2d(np.asarray(points, dtype=float))
-    dirs = _directions_for(points[0], n_dirs, directions)
+    dirs = _directions_for(points[0], directions)
     fx = np.asarray(f(points))
     fy = np.asarray(f(points[:, None, :] + radius * dirs[None, :, :]))
     q = np.linalg.norm(fy - fx[:, None, :], axis=-1) / radius
@@ -316,19 +324,19 @@ def sheared(x):
 
 
 def distortion_case(name):
-    """(map, points, radius, n_dirs) of one bit-identity case; the zorich
+    """(map, points, radius, directions) of one bit-identity case; the zorich
     points are sorted by height, so both extremes sit in the last block."""
     rng = np.random.default_rng(83)
     if name == "h_square":
         g = -PI / 2 + (np.arange(24) + 0.5) * PI / 24
         pts = np.stack(np.meshgrid(g, g, indexing="ij"), axis=-1).reshape(-1, 2)
-        return h_square, pts, CHART_RADIUS, 64
+        return h_square, pts, CHART_RADIUS, None
     if name == "affine":
-        return sheared, rng.uniform(-2.0, 2.0, size=(300, 3)), 1e-5, 64
+        return sheared, rng.uniform(-2.0, 2.0, size=(300, 3)), 1e-5, sphere_directions(64)
     pts = sample_slab(Slab(-1.0, 2.0), 700, 31)
     pts = pts[np.argsort(pts[:, 2], kind="stable")]
     # 48 directions do not divide a block: 341 points a block at 2^14
-    return zorich, pts, 1e-5, 48 if name == "zorich-48" else 64
+    return zorich, pts, 1e-5, sphere_directions(48) if name == "zorich-48" else None
 
 
 @pytest.fixture(params=[1, 7, 64, 1 << 14])
@@ -340,9 +348,10 @@ def block(request, monkeypatch):
 class TestBlockedEstimators:
     @pytest.mark.parametrize("name", ["h_square", "zorich", "affine", "zorich-48"])
     def test_distortion_is_the_one_shot_distortion(self, block, name):
-        f, pts, radius, n_dirs = distortion_case(name)
-        got = relative_distortion(f, pts, radius, n_dirs)
-        assert estimate_bits(got) == estimate_bits(one_shot_distortion(f, pts, radius, n_dirs))
+        f, pts, radius, dirs = distortion_case(name)
+        got = relative_distortion(f, pts, radius, directions=dirs)
+        assert estimate_bits(got) == estimate_bits(
+            one_shot_distortion(f, pts, radius, directions=dirs))
         assert got.sample_count == len(pts)
 
     def test_nan_probe_in_second_block_gives_nan(self, block):

@@ -316,6 +316,42 @@ def test_h_extended_unit_norm_and_parity(rows):
     np.testing.assert_array_equal(np.sign(v[:, 2]), parity_sign)
 
 
+MAX_FLOAT = 1.7976931348623157e308
+
+
+def signed(magnitudes):
+    return magnitudes.flatmap(lambda v: st.sampled_from([v, -v]))
+
+
+# a third coordinate of a line's point or direction at the edges of
+# default_s_range's arithmetic: the largest float, the horizontal threshold
+# 1e-12 and its neighbours, subnormals, the window's numerator constants and
+# log-uniform magnitudes from the least subnormal to the largest float
+WINDOW_COORDS = st.one_of(
+    signed(st.sampled_from([MAX_FLOAT, 1e-12, math.nextafter(1e-12, 0.0),
+                            math.nextafter(1e-12, 1.0), 27.0, 1.0, 5e-324])),
+    st.floats(-2.2250738585072014e-308, 2.2250738585072014e-308),
+    signed(st.floats(-323.0, 308.25).map(lambda e: 10.0**e)),
+)
+# (p3, d3) whose quotient p3 / d3 sits at the overflow edge
+EDGE_QUOTIENTS = st.builds(
+    lambda q, d3: (q * d3, d3),
+    signed(st.floats(1e307, MAX_FLOAT)),
+    signed(st.floats(-12.0, 0.0).map(lambda e: 10.0**e)),
+)
+
+
+@PROPERTY
+@given(st.one_of(st.tuples(WINDOW_COORDS, WINDOW_COORDS), EDGE_QUOTIENTS))
+def test_default_window_is_empty_or_of_finite_width(p3_d3):
+    # both ends come from numerators -1 - p3 and 27 - p3 that are equal once
+    # p3 is large enough to overflow a quotient, so no window has finite ends
+    # and an infinite width
+    p3, d3 = p3_d3
+    lo, hi = default_s_range(LineSpec(p=(0.0, 0.0, p3), d=(1.0, 0.3, d3)))
+    assert not lo < hi or math.isfinite(hi - lo)
+
+
 @settings(derandomize=True, database=None, max_examples=40, deadline=None)
 @given(
     st.sampled_from(Y_FACES),
