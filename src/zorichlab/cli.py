@@ -255,6 +255,9 @@ def _line_run(args):
 def cmd_trace(args) -> int:
     line, budget = _line_run(args)
     h_max = density.voxel_edge(args.box_r) if args.h_max is None else args.h_max
+    if not math.isfinite(h_max):  # the default step of a box near the float limit
+        raise DomainError(f"trace: the default step voxel_edge({args.box_r!r}) is not a finite "
+                          "float; give --h-max")
     trace = density.adaptive_trace(line, args.box_r, budget, h_max)
     path = _ensure_out(args) / "trace_points.txt"
     write_point_cloud(path, trace.points[trace.in_box])

@@ -43,7 +43,15 @@ from itertools import count, pairwise, takewhile
 import numpy as np
 
 from .errors import DegenerateError, DomainError
-from .zorich import FACE_AXIS, OK, OVERFLOW_FIRST, OVERFLOW_SECOND, UNRESOLVABLE, second_iterate
+from .zorich import (
+    FACE_AXIS,
+    OK,
+    OVERFLOW_FIRST,
+    OVERFLOW_SECOND,
+    UNRESOLVABLE,
+    _norm3,
+    second_iterate,
+)
 
 Y_FACES = tuple(FACE_AXIS)
 
@@ -176,16 +184,6 @@ class PatchSpec:
             raise DomainError("PatchSpec: delta must be positive")
         if abs(self.center.u2) + self.delta >= 1.0 or self.center.u3 - self.delta <= 0.0:
             raise DomainError("PatchSpec: patch leaves the face")
-
-
-def _norm3(v) -> np.ndarray:
-    """np.linalg.norm(v, axis=-1) of 3-vector rows, bit for bit, from the columns.
-
-    The sum runs in the order of numpy's reduction, (x*x + y*y) + z*z, and
-    is several times faster than a reduction over the length-3 last axis.
-    """
-    x, y, z = v[..., 0], v[..., 1], v[..., 2]
-    return np.sqrt(x * x + y * y + z * z)
 
 
 # ---------------------------------------------------------------------------

@@ -18,7 +18,7 @@ import numpy as np
 
 from . import density
 from .errors import DegenerateError, DomainError
-from .zorich import HALF_PI, branch_distance, h_square, zorich
+from .zorich import HALF_PI, _norm3, branch_distance, h_square, zorich
 
 GOLDEN_ANGLE = math.pi * (3.0 - math.sqrt(5.0))
 
@@ -75,13 +75,16 @@ def plane_directions(n: int, e1, e2) -> np.ndarray:
 
 
 def _directions_for(x, directions):
+    dim = np.asarray(x).shape[-1]
     if directions is None:
-        dim = np.asarray(x).shape[-1]
         directions = (sphere_directions(DEFAULT_DIRECTIONS) if dim == 3
                       else plane_directions(DEFAULT_DIRECTIONS, (1.0, 0.0), (0.0, 1.0)))
     directions = np.asarray(directions, dtype=float)
     if len(directions) < 32:
         raise DomainError("relative_distortion: need at least 32 directions")
+    if directions.ndim != 2 or directions.shape[1] != dim:
+        raise DomainError(f"relative_distortion: directions of width {directions.shape[-1]} "
+                          f"for points of width {dim}")
     return directions
 
 
@@ -105,7 +108,9 @@ def relative_distortion(f, points, radius: float = DEFAULT_RADIUS, *,
         x = points[c : c + step]
         fx = np.asarray(f(x))
         fy = np.asarray(f(x[:, None, :] + radius * dirs[None, :, :]))
-        q = np.linalg.norm(fy - fx[:, None, :], axis=-1) / radius
+        d = fy - fx[:, None, :]
+        # every package map has 3-vector images; other widths keep numpy's reduction
+        q = (_norm3(d) if d.shape[-1] == 3 else np.linalg.norm(d, axis=-1)) / radius
         lows.append(np.min(q))
         highs.append(np.max(q))
     # np.min/np.max, not the builtins: a NaN quotient in any block gives NaN

@@ -70,11 +70,25 @@ class Beam(NamedTuple):
 
 
 def _fold_arrays(t):
-    """Vectorized fold: returns (folded, strip, (-1)**strip) as float arrays."""
-    q = np.floor((t + HALF_PI) / math.pi)
+    """Vectorized fold of a 1-d array: returns (folded, strip, (-1)**strip) as float arrays.
+
+    Each pass after the first writes into its own result: same operations,
+    same bits, fewer temporaries.
+    """
+    q = t + HALF_PI
+    q /= math.pi
+    np.floor(q, out=q)
     # q mod 2, exactly (q is an integer) and several times faster than np.mod
-    sign = 1.0 - 2.0 * (q - 2.0 * np.floor(0.5 * q))
-    return (t - q * math.pi) * sign, q, sign
+    sign = q * 0.5
+    np.floor(sign, out=sign)
+    sign *= 2.0
+    np.subtract(q, sign, out=sign)
+    sign *= 2.0
+    np.subtract(1.0, sign, out=sign)
+    folded = q * math.pi
+    np.subtract(t, folded, out=folded)
+    folded *= sign
+    return folded, q, sign
 
 
 def fold(t):
@@ -86,12 +100,12 @@ def fold(t):
     t = np.asarray(t, dtype=float)
     if not np.all(np.isfinite(t)):
         raise DomainError("fold: input must be finite")
-    folded, q, _ = _fold_arrays(t)
+    folded, q, _ = _fold_arrays(t.reshape(-1))
     if t.ndim == 0:
-        qi = int(q)
-        return FoldResult(float(folded), qi, qi % 2)
-    strip = q.astype(np.int64)
-    return FoldResult(folded, strip, np.mod(strip, 2))
+        qi = int(q[0])
+        return FoldResult(float(folded[0]), qi, qi % 2)
+    strip = q.astype(np.int64).reshape(t.shape)
+    return FoldResult(folded.reshape(t.shape), strip, np.mod(strip, 2))
 
 
 def unfold(folded, strip):
@@ -101,11 +115,25 @@ def unfold(folded, strip):
     return strip * math.pi + (1 - 2 * np.mod(strip, 2)) * folded
 
 
+def _norm3(v) -> np.ndarray:
+    """np.linalg.norm(v, axis=-1) of 3-vector rows, bit for bit, from the columns.
+
+    The sum runs in the order of numpy's reduction, (x*x + y*y) + z*z, and
+    is several times faster than a reduction over the length-3 last axis.
+    """
+    x, y, z = v[..., 0], v[..., 1], v[..., 2]
+    return np.sqrt(x * x + y * y + z * z)
+
+
 def _chart(x1, x2, m, sign):
     """h_square at base-square points, m = max(|x1|, |x2|), third coordinate times sign."""
     r = np.hypot(x1, x2)
-    safe_r = np.where(r > 0.0, r, 1.0)
-    scale = np.where(r > 0.0, np.sin(m) / safe_r, 0.0)
+    scale = np.sin(m)
+    positive = r > 0.0
+    if positive.all():  # off the square's centre, which almost no sample hits
+        scale /= r
+    else:  # the centre maps to the pole; a NaN r also takes this branch
+        scale = np.where(positive, scale / np.where(positive, r, 1.0), 0.0)
     out = np.empty(np.shape(m) + (3,))
     np.multiply(x1, scale, out=out[..., 0])
     np.multiply(x2, scale, out=out[..., 1])
@@ -138,12 +166,15 @@ def h_extended(p):
     phase uncertainty at such magnitudes is the caller's concern.
     """
     p = np.asarray(p, dtype=float)
-    a, _, sign_a = _fold_arrays(p[..., 0])
-    b, _, sign_b = _fold_arrays(p[..., 1])
-    # not clip(out=a): a is a numpy scalar for one point
-    a = np.clip(a, -HALF_PI, HALF_PI)
-    b = np.clip(b, -HALF_PI, HALF_PI)
-    return _chart(a, b, np.maximum(np.abs(a), np.abs(b)), sign_a * sign_b)
+    # 1-d columns, so that every pass writes in place, one point included
+    a, _, sign = _fold_arrays(p[..., 0].reshape(-1))
+    b, _, sign_b = _fold_arrays(p[..., 1].reshape(-1))
+    a.clip(-HALF_PI, HALF_PI, out=a)  # the method skips np.clip's wrapper
+    b.clip(-HALF_PI, HALF_PI, out=b)
+    sign *= sign_b
+    m = np.abs(a)
+    np.maximum(m, np.abs(b), out=m)
+    return _chart(a, b, m, sign).reshape(p.shape[:-1] + (3,))
 
 
 def _lift(x):
@@ -225,7 +256,7 @@ def h_inverse(u):
     cutoff the preimage is the origin, otherwise M * (u1, u2) / max(|u1|, |u2|).
     """
     u = np.asarray(u, dtype=float)
-    norm = np.sqrt(np.sum(u * u, axis=-1))
+    norm = _norm3(u)
     if np.any(np.abs(norm - 1.0) > _UNIT_TOL):
         raise DomainError("h_inverse: input must be a unit vector")
     u3 = u[..., 2]
@@ -252,12 +283,12 @@ def zorich_inverse(y, beam):
     y = np.asarray(y, dtype=float)
     beam = Beam(*beam)
     with np.errstate(over="ignore"):
-        norm = np.sqrt(np.sum(y * y, axis=-1))
+        norm = _norm3(y)
     if norm.size and not 2.0**-511 <= norm.min() <= norm.max() < np.inf:
         big = np.max(np.abs(y), axis=-1)
         scale = np.where(((norm >= 2.0**-511) & (norm < np.inf)) | (big == 0.0), 1.0, big)
         with np.errstate(over="ignore"):
-            norm = scale * np.sqrt(np.sum(np.square(y / scale[..., None]), axis=-1))
+            norm = scale * _norm3(y / scale[..., None])
         if np.any(norm == 0.0):
             raise DomainError("zorich_inverse: zero input has no preimage")
         if not math.log(norm.max()) <= EXP_CAP:

@@ -342,6 +342,9 @@ FLOORED_COUNTS = [
           "--rungs", "1"], None, "BallSpec: |center|^2 must be a finite float"),
         (["coverage", "--box-r", "1e308", "--budget", "1000", "--grid-n", "2"], None,
          "VoxelGrid: the voxel edge must be a finite float"),
+        # the trace's default step, voxel_edge(box_r), overflows
+        (["trace", "--box-r", "1e308", "--budget", "1000"], None,
+         "trace: the default step voxel_edge(1e+308) is not a finite float"),
     ],
 )
 def test_non_finite_or_empty_exits_2(tmp_path, capsys, monkeypatch, argv, config, message):
@@ -426,6 +429,10 @@ def test_unresolved_line_exits_2(tmp_path, capsys):
 MANIFEST_KEYS = {"command", "parameters", "version", "python", "timestamp_utc", "inputs", "outputs"}
 
 
+def not_strict_json(constant):
+    raise AssertionError(f"the manifest holds {constant}, which strict JSON rejects")
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -446,7 +453,8 @@ def test_manifest_records(tmp_path, monkeypatch, argv):
         lambda level: VerificationReport(level, [passing], {"norm_law": 0.5}),
     )
     assert main(argv + ["--out", str(tmp_path)]) == 0
-    record = json.loads((tmp_path / f"{argv[0]}_manifest.json").read_text())
+    record = json.loads((tmp_path / f"{argv[0]}_manifest.json").read_text(),
+                        parse_constant=not_strict_json)
     assert set(record) == MANIFEST_KEYS | ({"seconds"} if argv[0] == "verify" else set())
     assert record["command"] == argv[0]
     assert record["inputs"] == {}

@@ -79,6 +79,11 @@ class TestPointwiseLipschitz:
             relative_distortion(lambda x: x, np.array([0.0, 0.0, 0.0])[None], 1e-5,
                                 directions=sphere_directions(16))
 
+    def test_directions_of_another_width(self):
+        pts = np.array([[0.1, 0.2], [0.3, -0.4]])
+        with pytest.raises(DomainError, match="directions of width 3 for points of width 2"):
+            relative_distortion(h_square, pts, 1e-6, directions=sphere_directions(64))
+
     @pytest.mark.parametrize("radius", [0.0, -1e-5])
     def test_radius_must_be_positive(self, radius):
         with pytest.raises(DomainError):
@@ -353,6 +358,22 @@ class TestBlockedEstimators:
         assert estimate_bits(got) == estimate_bits(
             one_shot_distortion(f, pts, radius, directions=dirs))
         assert got.sample_count == len(pts)
+
+    @pytest.mark.parametrize("width", [1, 2, 4, 9])
+    def test_images_of_other_widths_keep_the_reduction(self, block, width):
+        # 3-vector images are normed by columns; any other width as before,
+        # nine columns included, where numpy's pairwise sum changes the order
+        pts = np.random.default_rng(width).uniform(-1.0, 1.0, size=(200, 3))
+        mix = np.random.default_rng(97).uniform(-2.0, 2.0, size=(3, width))
+
+        def f(x):
+            x = np.asarray(x)
+            return np.sin(x[..., :1]) * mix[0] + np.cos(x[..., 1:2]) * mix[1] + x[..., 2:] * mix[2]
+
+        dirs = sphere_directions(40)
+        got = relative_distortion(f, pts, 1e-5, directions=dirs)
+        assert estimate_bits(got) == estimate_bits(
+            one_shot_distortion(f, pts, 1e-5, directions=dirs))
 
     def test_nan_probe_in_second_block_gives_nan(self, block):
         pts = np.random.default_rng(89).uniform(-1.0, 1.0, size=(600, 3))

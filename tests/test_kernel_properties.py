@@ -22,7 +22,6 @@ from zorichlab.density import (
     LineSpec,
     YPoint,
     _finish,
-    _norm3,
     _trace_lines,
     adaptive_trace,
     base_sequence,
@@ -54,9 +53,11 @@ from zorichlab.zorich import (
     PHASE_CAP,
     TWO_PI,
     UNRESOLVABLE,
+    _norm3,
     branch_distance,
     fold,
     h_extended,
+    h_inverse,
     h_square,
     second_iterate,
     unfold,
@@ -168,6 +169,10 @@ def test_second_iterate_is_the_masked_composition(rows):
     assert np.all(np.isnan(np.delete(f, both, axis=0)))
 
 
+def signed(magnitudes):
+    return magnitudes.flatmap(lambda v: st.sampled_from([v, -v]))
+
+
 # The kernel written the plain way: np.mod for the fold parity, the chart
 # columns stacked, np.full outputs filled through masked gathers and scatters
 # and the status from np.select.  The library's kernel must give the same bits.
@@ -215,15 +220,25 @@ def assert_same_bits(a, b):
     assert a.tobytes() == b.tobytes()
 
 
-def assert_kernel_is_masked_kernel(x):
+def assert_same_nans(a, b):
+    """NaN at the same places and the same bits elsewhere: the sign and payload
+    of a NaN made from an inf depend on the operation that made it."""
+    assert type(a) is type(b)
+    assert a.dtype == b.dtype and a.shape == b.shape
+    nan = np.isnan(a)
+    np.testing.assert_array_equal(nan, np.isnan(b))
+    assert a[~nan].tobytes() == b[~nan].tobytes()
+
+
+def assert_kernel_is_masked_kernel(x, same=assert_same_bits):
     for got, want in zip(second_iterate(x), masked_second_iterate(x), strict=True):
-        assert_same_bits(got, want)
+        same(got, want)
     first_ok = x[..., 2] <= EXP_CAP
-    if np.all(first_ok):
+    if np.all(first_ok) and np.all(np.isfinite(x)):  # zorich rejects a non-finite input
         z = zorich(x)
-        assert_same_bits(z, masked_lift(x))
-        assert_same_bits(h_extended(z[..., :2]), masked_h_extended(z[..., :2]))
-    assert_same_bits(h_extended(x[..., :2]), masked_h_extended(x[..., :2]))
+        same(z, masked_lift(x))
+        same(h_extended(z[..., :2]), masked_h_extended(z[..., :2]))
+    same(h_extended(x[..., :2]), masked_h_extended(x[..., :2]))
 
 
 IN_RANGE = st.lists(
@@ -231,18 +246,38 @@ IN_RANGE = st.lists(
     min_size=1,
     max_size=40,
 )
+# the chart's and the fold's edges: signed zeros (exactly one zero, or both:
+# the centre of a square, where r == 0), the square's sides and corners and
+# their neighbours, other squares' centres, NaN and infinities, and |x| past
+# 2^53 * pi, where every strip is even
+EDGE_COORDS = st.one_of(
+    st.sampled_from([0.0, -0.0, HALF_PI, -HALF_PI, math.pi, -math.pi, TWO_PI, -3.0 * HALF_PI,
+                     math.nextafter(HALF_PI, 0.0), math.nextafter(HALF_PI, 4.0), 5e-324]),
+    st.sampled_from([math.nan, math.inf, -math.inf]),
+    signed(st.floats(2.0**53 * math.pi, 1e300)),
+    st.floats(-4.0, 4.0),
+)
+EDGE_POINTS = st.lists(
+    st.tuples(EDGE_COORDS, EDGE_COORDS, st.one_of(st.floats(-30.0, 6.0), st.just(-0.0))),
+    min_size=1,
+    max_size=40,
+)
 
 
 @PROPERTY
-@given(st.one_of(POINTS, IN_RANGE))
+@given(st.one_of(POINTS, IN_RANGE, EDGE_POINTS))
 def test_kernel_is_the_masked_kernel(rows):
     x = np.array(rows)
-    assert_kernel_is_masked_kernel(x)
-    assert_kernel_is_masked_kernel(x[x[:, 2] <= EXP_CAP])
-    assert_kernel_is_masked_kernel(x[0])  # one point: 0-d z3 and status
-    square = np.clip(x[:, :2], -HALF_PI, HALF_PI)
-    assert_same_bits(h_square(square), masked_chart(square[:, 0], square[:, 1]))
-    assert_same_bits(h_square(square[0]), masked_chart(square[0, 0], square[0, 1]))
+    finite = np.all(np.isfinite(x))
+    same = assert_same_bits if finite else assert_same_nans
+    # an inf makes a NaN in the fold's subtractions, as in the masked kernel
+    with contextlib.nullcontext() if finite else np.errstate(invalid="ignore"):
+        assert_kernel_is_masked_kernel(x, same)
+        assert_kernel_is_masked_kernel(x[x[:, 2] <= EXP_CAP], same)
+        assert_kernel_is_masked_kernel(x[0], same)  # one point: 0-d z3 and status
+        square = np.clip(x[:, :2], -HALF_PI, HALF_PI)
+        same(h_square(square), masked_chart(square[:, 0], square[:, 1]))
+        same(h_square(square[0]), masked_chart(square[0, 0], square[0, 1]))
 
 
 @PROPERTY
@@ -305,6 +340,81 @@ def test_inverse_branch_covers_the_whole_range(beam, rows):
     assert np.all(err <= 1e-9)
 
 
+# The inverse branch as it was written with sums over the length-3 last
+# axis; the library's column norms (_norm3) must give the same bits, on the
+# rescaled path of zorich_inverse too.  (The estimator's frozen reduction is
+# tests/test_distortion.py's one_shot_distortion, NaN blocks included.)
+def reduced_h_inverse(u):
+    u = np.asarray(u, dtype=float)
+    norm = np.sqrt(np.sum(u * u, axis=-1))
+    if np.any(np.abs(norm - 1.0) > 1e-9):
+        raise DomainError("h_inverse: input must be a unit vector")
+    u3 = u[..., 2]
+    if np.any(u3 < -1e-12):
+        raise DomainError("h_inverse: third coordinate must be >= 0")
+    m = np.arctan2(np.hypot(u[..., 0], u[..., 1]), u3)
+    den = np.maximum(np.abs(u[..., 0]), np.abs(u[..., 1]))
+    at_pole = m < 1e-12
+    safe_den = np.where(at_pole, 1.0, den)
+    scale = np.where(at_pole, 0.0, m / safe_den)
+    return np.stack([u[..., 0] * scale, u[..., 1] * scale], axis=-1)
+
+
+def reduced_zorich_inverse(y, beam):
+    y = np.asarray(y, dtype=float)
+    with np.errstate(over="ignore"):
+        norm = np.sqrt(np.sum(y * y, axis=-1))
+    if norm.size and not 2.0**-511 <= norm.min() <= norm.max() < np.inf:
+        big = np.max(np.abs(y), axis=-1)
+        scale = np.where(((norm >= 2.0**-511) & (norm < np.inf)) | (big == 0.0), 1.0, big)
+        with np.errstate(over="ignore"):
+            norm = scale * np.sqrt(np.sum(np.square(y / scale[..., None]), axis=-1))
+        if np.any(norm == 0.0):
+            raise DomainError("zorich_inverse: zero input has no preimage")
+        if not math.log(norm.max()) <= EXP_CAP:
+            raise DomainError("zorich_inverse: outside the map's range")
+    u = y / norm[..., None]
+    if (beam[0] + beam[1]) % 2 == 1:
+        u = u.copy()
+        u[..., 2] = -u[..., 2]
+    ab = reduced_h_inverse(u)
+    x1 = unfold(ab[..., 0], beam[0])
+    x2 = unfold(ab[..., 1], beam[1])
+    return np.stack([x1, x2, np.log(norm)], axis=-1)
+
+
+def outcome(fn, *args):
+    """The bytes of fn's result, or the type of the DomainError it raised."""
+    try:
+        return fn(*args).tobytes()
+    except DomainError as exc:
+        return type(exc)
+
+
+# rows whose |y|^2 overflows (|y| up to exp(EXP_CAP)), rows below 2^-511
+# (subnormals and zeros too) and rows of ordinary size, mixed in one batch
+NORM_COORDS = st.one_of(
+    st.floats(-4e303, 4e303),
+    st.floats(-2.0**-511, 2.0**-511),
+    st.floats(-1e3, 1e3),
+    st.sampled_from([0.0, -0.0, 5e-324, 1e154, 1.4e154]),
+)
+
+
+@PROPERTY
+@given(st.sampled_from(BEAMS), st.lists(st.tuples(NORM_COORDS, NORM_COORDS, NORM_COORDS),
+                                        min_size=1, max_size=30))
+def test_inverse_branch_is_the_reduced_inverse_branch(beam, rows):
+    y = np.array(rows)
+    y[:, 2] = np.abs(y[:, 2]) * (1.0 if sum(beam) % 2 == 0 else -1.0)
+    assert outcome(zorich_inverse, y, beam) == outcome(reduced_zorich_inverse, y, beam)
+    with np.errstate(over="ignore", under="ignore", invalid="ignore", divide="ignore"):
+        u = y / np.hypot(np.hypot(y[:, 0], y[:, 1]), y[:, 2])[:, None]
+    u = u[np.all(np.isfinite(u), axis=-1)]
+    u[:, 2] = np.abs(u[:, 2])
+    assert outcome(h_inverse, u) == outcome(reduced_h_inverse, u)
+
+
 @PROPERTY
 @given(st.lists(st.tuples(st.floats(-PHASE_CAP, PHASE_CAP), st.floats(-PHASE_CAP, PHASE_CAP)),
                 min_size=1, max_size=50))
@@ -317,10 +427,6 @@ def test_h_extended_unit_norm_and_parity(rows):
 
 
 MAX_FLOAT = 1.7976931348623157e308
-
-
-def signed(magnitudes):
-    return magnitudes.flatmap(lambda v: st.sampled_from([v, -v]))
 
 
 # a third coordinate of a line's point or direction at the edges of
