@@ -23,9 +23,10 @@ the split test's blocks run on the calling thread and one worker (_blocks),
 each writing only its own rows.  Each line leaves the tracer as a _Walk, its
 samples sorted once and yielded a block of kept rows at a time, on one
 thread.  Its consumers loop over the blocks: _finish builds adaptive_trace's
-TraceResult, _mark marks a coverage grid and _hit keeps the point nearest a
-ball.  A line is traced only if one seed step moves each coordinate its
-direction moves: a line the float grid cannot resolve raises DomainError.
+TraceResult, mark_and_coverage marks a coverage grid and hits_ball keeps the
+point nearest a ball.  A line is traced only if one seed step moves each
+coordinate its direction moves: a line the float grid cannot resolve raises
+DomainError.
 
 Everything is deterministic for fixed inputs; traces from one run can be
 marked into occupancy grids in any chunking (marking is idempotent).
@@ -38,7 +39,6 @@ import math
 import os
 import threading
 from dataclasses import dataclass
-from itertools import count, pairwise, takewhile
 
 import numpy as np
 
@@ -599,30 +599,23 @@ def _points(points) -> np.ndarray:
     return pts.reshape(-1, 3)
 
 
-def _mark(grid: VoxelGrid, blocks, kept: int) -> list[tuple[int, float]]:
-    """Mark blocks of kept points, (rows, s, points, in_box) as a _Walk yields them,
-    into grid in _BLOCK slices split at each checkpoint: 10^3, 10^4, ... below
-    kept, and kept.  Returns (points marked, coverage) at each checkpoint."""
-    ends = [*takewhile(lambda e: e < kept, (_CHECKPOINT_BASE * 10**k for k in count())), kept]
-    series = []
-    for rows, _, points, _ in blocks:
-        cuts = [e for e in ends if rows.start < e < rows.stop]
-        for start, end in pairwise([rows.start, *cuts, rows.stop]):
-            for c in range(start, end, _BLOCK):
-                grid.mark(points[c - rows.start : min(c + _BLOCK, end) - rows.start])
-            if ends and end == ends[0]:
-                series.append((ends.pop(0), grid.coverage()))
+def mark_and_coverage(grid: VoxelGrid, chunks) -> list[tuple[int, float]]:
+    """Mark a stream of point arrays, at most _BLOCK points a mark and none across a
+    checkpoint 10^3, 10^4, ...; (points consumed, coverage) at each checkpoint
+    and at the end of the stream."""
+    series, done, checkpoint = [], 0, _CHECKPOINT_BASE
+    for chunk in chunks:
+        pts, c = _points(chunk), 0
+        while c < len(pts):
+            end = min(c + _BLOCK, len(pts), c + checkpoint - done)
+            grid.mark(pts[c:end])
+            done, c = done + end - c, end
+            if done == checkpoint:
+                series.append((done, grid.coverage()))
+                checkpoint *= 10
+    if not series or series[-1][0] != done:
+        series.append((done, grid.coverage()))
     return series
-
-
-def mark_and_coverage(grid: VoxelGrid, points) -> list[tuple[int, float]]:
-    """Mark a point stream and report coverage at geometric checkpoints.
-
-    Returns (points_consumed, coverage) pairs at 10^3, 10^4, ... and at the
-    end of the stream; coverage is nondecreasing in points consumed.
-    """
-    pts = _points(points)
-    return _mark(grid, [(slice(0, len(pts)), None, pts, None)], len(pts))
 
 
 # ---------------------------------------------------------------------------
@@ -637,16 +630,7 @@ class HitResult:
     evals: int
 
 
-def hits_ball(line: LineSpec, ball: BallSpec, budget: int) -> HitResult:
-    """Trace the line against the box around the ball and look for a hit.
-
-    The trace step bound is the ball radius.
-    """
-    (walk,) = _trace_lines([line], ball.center_norm + ball.radius, budget, ball.radius)
-    return _hit(walk, ball)
-
-
-def _hit(walk: _Walk, ball: BallSpec) -> HitResult:
+def hits_ball(walk: _Walk, ball: BallSpec) -> HitResult:
     """The first of the walk's kept points nearest the ball centre, a hit when inside the ball."""
     best, witness = math.inf, None
     for _, s, points, _ in walk:
@@ -695,17 +679,21 @@ def epsilon_density(
     """Hit fractions over a shrinking ladder of patch sizes.
 
     For each rung delta, delta/2, ... a grid_n x grid_n grid of crossings in
-    E_delta is traced against the ball, as hits_ball would trace each line
-    but in groups of lines; invalid crossings (the measure-zero exclusions)
+    E_delta is traced against the ball in groups of lines, and hits_ball
+    scans each line's walk; invalid crossings (the measure-zero exclusions)
     are skipped and counted, and the patch is rejected as degenerate when
-    they exceed MAX_SKIP_FRACTION of the grid.
+    they exceed MAX_SKIP_FRACTION of the grid, or unresolved when the deepest
+    rung's crossings are not all distinct floats.
     """
     if grid_n < MIN_GRID_N or rungs < 1:
         raise DomainError(f"epsilon_density: need grid_n >= {MIN_GRID_N} and rungs >= 1")
+    deepest = patch_grid(patch, math.ldexp(patch.delta, 1 - rungs), grid_n)
+    if len(set(deepest)) < len(deepest):
+        raise DomainError(f"epsilon_density: rung {rungs - 1} repeats a crossing; use fewer rungs")
     box_r = ball.center_norm + ball.radius
     out = []
     for r in range(rungs):
-        delta = patch.delta / 2.0**r
+        delta = math.ldexp(patch.delta, -r)
         crossings = patch_grid(patch, delta, grid_n)
         valid_pts = [a for a in crossings if y_point_valid(a)]
         skipped = len(crossings) - len(valid_pts)
@@ -715,7 +703,7 @@ def epsilon_density(
             )
         lines = [LineSpec(a, tuple(p)) for a in valid_pts]
         walks = _trace_lines(lines, box_r, budget_per_line, ball.radius)
-        hits = sum(_hit(walk, ball).hit for walk in walks)
+        hits = sum(hits_ball(walk, ball).hit for walk in walks)
         out.append(
             DensityRung(
                 delta=delta,
@@ -770,5 +758,5 @@ def _coverage_run(line, box_r, grid_n, budget, h_max) -> CoverageRun:
     grid = VoxelGrid(box_r, grid_n)
     h_max = grid.voxel if h_max is None else h_max
     (walk,) = _trace_lines([line], box_r, budget, h_max)
-    series = _mark(grid, walk, walk.kept)
+    series = mark_and_coverage(grid, (points for _, _, points, _ in walk))
     return CoverageRun(series, walk.audit, grid.coverage(), h_max)

@@ -45,6 +45,8 @@ class ConeSurface:
     def __post_init__(self):
         if not math.isfinite(self.level) or self.level == 0.0:
             raise DomainError("ConeSurface: level must be finite and nonzero")
+        if not cone_beam(self).resolvable:
+            raise DomainError(f"ConeSurface: beam {tuple(cone_beam(self))} is past PHASE_CAP")
 
     @property
     def vertex_height(self) -> float:

@@ -68,6 +68,12 @@ class Beam(NamedTuple):
     def parity(self) -> int:
         return (self.i + self.j) % 2
 
+    @property
+    def resolvable(self) -> bool:
+        """max(|i|, |j|)*pi <= PHASE_CAP: the beam's phases keep float resolution."""
+        k = max(abs(self.i), abs(self.j))
+        return k <= PHASE_CAP and k * math.pi <= PHASE_CAP  # a larger int's k*pi may overflow
+
 
 def _fold_arrays(t):
     """Vectorized fold of a 1-d array: returns (folded, strip, (-1)**strip) as float arrays.
@@ -278,10 +284,13 @@ def zorich_inverse(y, beam):
     beam.  The sign of y3 must match the beam parity (y3 = 0 is accepted by
     both parities and resolves to the shared face).  |y| runs over the map's
     range, 0 < |y| <= exp(EXP_CAP); a row whose |y|^2 overflows or is not a
-    normal float (|y| < 2^-511) is normed after dividing it by max |y_i|.
+    normal float (|y| < 2^-511) is normed after dividing it by max |y_i|.  A
+    beam past PHASE_CAP (not Beam.resolvable) raises DomainError.
     """
     y = np.asarray(y, dtype=float)
     beam = Beam(*beam)
+    if not beam.resolvable:
+        raise DomainError(f"zorich_inverse: beam {tuple(beam)} is past PHASE_CAP")
     with np.errstate(over="ignore"):
         norm = _norm3(y)
     if norm.size and not 2.0**-511 <= norm.min() <= norm.max() < np.inf:

@@ -2,35 +2,23 @@
 
 Every top-level function and class in the package must be referenced (as a
 name, an attribute or an import alias) somewhere in the package outside its
-own definition, unless it is public (``zorichlab.__all__``), a verify check
-that ``verify.CHECKS`` names, or a function that perfbench's tracer hooks by
-name.  A text search would not do: a name in a docstring is not a caller.
+own definition, unless it is public (``zorichlab.__all__``) or a verify
+check that ``verify.CHECKS`` names.  A text search would not do: a name in a
+docstring is not a caller.
 
 Every parameter with a default, of a top-level function or of a method of a
 top-level class, must be passed by some call in the package: by keyword, or
 by position at or past its index (a ``*args`` or ``**kwargs`` counts as
-nothing).  A call of the class passes its ``__init__``'s parameters.  Being
-hooked by perfbench exempts no parameter: perfbench wraps its targets but
-does not call them.
+nothing).  A call of the class passes its ``__init__``'s parameters.
 """
 
 import ast
-import importlib.util
 from pathlib import Path
 
 import zorichlab
 from zorichlab import verify
 
 PACKAGE = Path(zorichlab.__file__).parent
-TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
-
-
-def tracer_hooks() -> set[tuple[str, str]]:
-    """(module, function) pairs that perfbench's TARGETS wraps by name."""
-    spec = importlib.util.spec_from_file_location("perfbench_tracer", TRACER)
-    tracer = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(tracer)
-    return {(module.rpartition(".")[2], attr) for module, attr, _, _ in tracer.TARGETS}
 
 
 def references(node: ast.AST) -> set[str]:
@@ -63,12 +51,7 @@ def uncalled() -> list[tuple[str, str]]:
 
 def test_every_definition_has_a_caller():
     kept = set(zorichlab.__all__) | {f"check_{name}" for name, _, _ in verify.CHECKS}
-    hooked = tracer_hooks()
-    missing = [
-        f"{module}.{name}"
-        for module, name in uncalled()
-        if name not in kept and (module, name) not in hooked
-    ]
+    missing = [f"{module}.{name}" for module, name in uncalled() if name not in kept]
     assert not missing, f"defined but never referenced in the package: {missing}"
 
 

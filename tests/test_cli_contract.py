@@ -345,6 +345,17 @@ FLOORED_COUNTS = [
         # the trace's default step, voxel_edge(box_r), overflows
         (["trace", "--box-r", "1e308", "--budget", "1000"], None,
          "trace: the default step voxel_edge(1e+308) is not a finite float"),
+        # a beam past PHASE_CAP, for the inverse branch and for a cone's placement
+        (["invert", "--y", "0.3,-0.2,1.5", "--beam", "100000000000000000000,0"], None,
+         "zorich_inverse: beam (100000000000000000000, 0) is past PHASE_CAP"),
+        (["cone", "--m", "100000000000000000000"], None,
+         "ConeSurface: beam (200000000000000000000, 0) is past PHASE_CAP"),
+        # a ladder whose deepest rung's crossings are one float, and one past 2.0**1023
+        *[
+            (["density", "--rungs", rungs, "--grid-n", "2", "--budget", "1000"], None,
+             f"epsilon_density: rung {int(rungs) - 1} repeats a crossing")
+            for rungs in ("56", "1100")
+        ],
     ],
 )
 def test_non_finite_or_empty_exits_2(tmp_path, capsys, monkeypatch, argv, config, message):

@@ -318,11 +318,12 @@ def test_density_reduces_rows_by_columns():
 class TestMarkAndCoverage:
     def test_empty_stream(self):
         grid = VoxelGrid(10.0, 16)
-        series = mark_and_coverage(grid, np.empty((0, 3)))
+        series = mark_and_coverage(grid, [np.empty((0, 3))])
         assert series == [(0, 0.0)]
 
     def test_empty_list_stream(self):
         # an empty list is an empty stream, not one point with no coordinates
+        assert mark_and_coverage(VoxelGrid(10.0, 16), [[]]) == [(0, 0.0)]
         assert mark_and_coverage(VoxelGrid(10.0, 16), []) == [(0, 0.0)]
 
     @pytest.mark.parametrize("bad", [np.zeros((3, 2)), np.zeros(6), [[1.0, 2.0]], 5.0])
@@ -332,14 +333,15 @@ class TestMarkAndCoverage:
         with pytest.raises(DomainError, match="3 coordinates"):
             grid.mark(bad)
         with pytest.raises(DomainError, match="3 coordinates"):
-            mark_and_coverage(grid, bad)
+            mark_and_coverage(grid, [bad])
         assert not grid.occupancy.any()
         assert grid.mark(np.empty((0, 3))) == 0 and grid.mark([]) == 0
-        assert mark_and_coverage(grid, np.empty((0, 3))) == mark_and_coverage(grid, []) == [(0, 0.0)]
+        assert mark_and_coverage(grid, [np.empty((0, 3))]) == mark_and_coverage(grid, [[]]) == \
+            [(0, 0.0)]
 
     def test_single_point_stream(self):
         grid = VoxelGrid(10.0, 16)
-        series = mark_and_coverage(grid, [(5.0, 5.0, 5.0)])
+        series = mark_and_coverage(grid, [[(5.0, 5.0, 5.0)]])
         assert len(series) == 1
         assert series[0][0] == 1
         assert np.count_nonzero(grid.occupancy) == 1
@@ -348,7 +350,7 @@ class TestMarkAndCoverage:
         rng = np.random.default_rng(71)
         pts = rng.uniform(-9.9, 9.9, size=(25000, 3))
         grid = VoxelGrid(10.0, 32)
-        series = mark_and_coverage(grid, pts)
+        series = mark_and_coverage(grid, [pts])
         consumed = [c for c, _ in series]
         assert consumed == [1000, 10000, 25000]
         cov = [c for _, c in series]
@@ -383,7 +385,7 @@ class TestMarkAndCoverage:
         sizes = []
         mark = grid.mark
         grid.mark = lambda chunk: sizes.append(len(chunk)) or mark(chunk)
-        assert mark_and_coverage(grid, pts) == want
+        assert mark_and_coverage(grid, [pts]) == want
         np.testing.assert_array_equal(grid.occupancy, whole.occupancy)
         assert max(sizes) == 997 and sum(sizes) == len(pts)
 
@@ -551,6 +553,12 @@ def brute_force_hit(line, ball, budget):
     return nearest_sample(line, ball, default_s_range(line), budget)[0] < ball.radius
 
 
+def trace_and_hit(line, ball, budget):
+    """hits_ball on the walk of the line traced alone, against the box around the ball."""
+    (walk,) = density._trace_lines([line], ball.center_norm + ball.radius, budget, ball.radius)
+    return hits_ball(walk, ball)
+
+
 class TestHitsBall:
     def test_witness_by_construction(self):
         line = LineSpec(YPoint("+x1", 0.37, 0.21))
@@ -559,7 +567,7 @@ class TestHitsBall:
         norms = np.linalg.norm(inside, axis=-1)
         pick = inside[(norms > 1.6) & (norms < 4.0)][0]
         ball = BallSpec(tuple(pick), 0.1)
-        res = hits_ball(line, ball, 20_000)
+        res = trace_and_hit(line, ball, 20_000)
         assert res.hit
         assert res.witness_param is not None
         assert res.min_distance < 0.1
@@ -569,14 +577,14 @@ class TestHitsBall:
         line = LineSpec(p=(0.0, 0.0, p3), d=(1.0, 0.4, 0.0))
         # image norms are at most e^(e^0) = e < |q| - delta
         ball = BallSpec((5.0, 0.0, 0.0), 0.5)
-        res = hits_ball(line, ball, 10_000)
+        res = trace_and_hit(line, ball, 10_000)
         assert not res.hit
         assert res.min_distance >= 5.0 - 0.5 - math.e
 
     def test_no_finite_point_is_no_hit(self):
         # every point of this horizontal line overflows at the first stage
         line = LineSpec(p=(0.0, 0.0, 800.0), d=(0.3, 0.2, 0.0))
-        res = hits_ball(line, base_sequence(1), 1000)
+        res = trace_and_hit(line, base_sequence(1), 1000)
         assert res == HitResult(False, None, math.inf, 333)
 
     def test_brute_force_never_beats_adaptive(self):
@@ -591,7 +599,7 @@ class TestHitsBall:
             q = rng.normal(size=3)
             q *= rng.uniform(1.5, 4.0) / np.linalg.norm(q)
             ball = BallSpec(tuple(q), float(rng.uniform(0.15, 0.45)))
-            a = hits_ball(line, ball, budget).hit
+            a = trace_and_hit(line, ball, budget).hit
             b = brute_force_hit(line, ball, 10 * budget)
             hits += a
             brute_only += b and not a
@@ -613,7 +621,7 @@ class TestHitsBall:
             u2 = float(rng.uniform(0.1, 0.9)) * (1 if rng.random() < 0.5 else -1)
             u3 = float(rng.uniform(0.1, 0.5))
             line = LineSpec(YPoint("+x1", u2, u3))
-            res = hits_ball(line, ball, 20_000)
+            res = trace_and_hit(line, ball, 20_000)
             if not (res.hit and res.min_distance < ball.radius * 0.8
                     and u3 * res.witness_param < 4.0):
                 continue
@@ -638,14 +646,14 @@ class TestEpsilonDensity:
 
     def test_rung_hits_match_hits_ball(self):
         # the rung traces its lines together; each line's hit is the one
-        # hits_ball finds tracing it alone
+        # hits_ball finds on the walk of the line traced alone
         ball = base_sequence(1)
         patch = PatchSpec(YPoint("+x1", 0.4, 0.35), 0.04)
         rungs = epsilon_density(patch, ball, grid_n=4, budget_per_line=6000, rungs=2)
         for r in rungs:
             lines = [LineSpec(a) for a in patch_grid(patch, r.delta, 4) if y_point_valid(a)]
             assert r.valid == len(lines)
-            assert r.hits == sum(hits_ball(line, ball, 6000).hit for line in lines)
+            assert r.hits == sum(trace_and_hit(line, ball, 6000).hit for line in lines)
         assert 0 < sum(r.hits for r in rungs) < sum(r.valid for r in rungs)
 
     def test_degenerate_patch_rejected(self):
@@ -654,6 +662,24 @@ class TestEpsilonDensity:
         ball = base_sequence(1)
         with pytest.raises(DegenerateError):
             epsilon_density(patch, ball, grid_n=2, budget_per_line=6000, rungs=1)
+
+    @pytest.mark.parametrize("rungs", [56, 1100])
+    def test_unresolved_deepest_rung_rejected_before_tracing(self, monkeypatch, rungs):
+        # at rung 55 the 2 x 2 crossings are one float, and 2.0**1099 overflows
+        def no_trace(*args):
+            raise AssertionError("a line was traced")
+
+        monkeypatch.setattr(density, "_trace_lines", no_trace)
+        patch = PatchSpec(YPoint("+x1", 0.4, 0.35), 0.08)
+        with pytest.raises(DomainError, match=f"rung {rungs - 1} repeats a crossing"):
+            epsilon_density(patch, base_sequence(1), grid_n=2, budget_per_line=1000, rungs=rungs)
+
+    def test_resolved_ladder_keeps_its_deltas(self, monkeypatch):
+        # rung 48's 2 x 2 crossings are still distinct; each delta is delta / 2**r
+        monkeypatch.setattr(density, "_trace_lines", lambda *args: iter(()))
+        patch = PatchSpec(YPoint("+x1", 0.4, 0.35), 0.08)
+        ladder = epsilon_density(patch, base_sequence(1), grid_n=2, budget_per_line=1000, rungs=49)
+        assert [r.delta for r in ladder] == [0.08 / 2.0**r for r in range(49)]
 
     def test_patch_grid_covers_patch(self):
         patch = PatchSpec(YPoint("+x1", 0.3, 0.4), 0.05)
@@ -845,7 +871,7 @@ class TestCheckpointsInOneLoop:
     def test_one_loop_is_the_parent_loop(self, monkeypatch, n, block):
         monkeypatch.setattr(density, "_BLOCK", block)
         pts = np.random.default_rng(n).uniform(-11.0, 11.0, (n, 3))
-        got = recorded_marks(mark_and_coverage, pts)
+        got = recorded_marks(lambda grid, points: mark_and_coverage(grid, [points]), pts)
         want = recorded_marks(parent_mark_and_coverage, pts)
         assert got[0] == want[0]
         assert got[1] == want[1]
@@ -887,7 +913,7 @@ class TestCoverageFromTheWalk:
         trace = adaptive_trace(line, density.COVERAGE_BOX, budget, VOXEL)
         assert shows(trace)
         grid = VoxelGrid()
-        want = mark_and_coverage(grid, trace.points), trace.audit, grid.coverage()
+        want = mark_and_coverage(grid, [trace.points]), trace.audit, grid.coverage()
         (run,) = coverage_experiment([line], budget=budget)
         assert (run.series, run.audit, run.coverage) == want
         assert run.h_max == VOXEL
@@ -901,12 +927,12 @@ class TestCoverageFromTheWalk:
         assert run.audit.evals == 6000 and run.series[-1][0] > 1000
 
 
-# _hit scans the walk's blocks for the first nearest kept point.  The oracle
-# is _hit as it was: one argmin over a whole TraceResult.
+# hits_ball scans the walk's blocks for the first nearest kept point.  The
+# oracle is the scan as it was: one argmin over a whole TraceResult.
 
 
 def argmin_hit(trace, ball):
-    """_hit as it was, on a whole trace result."""
+    """hits_ball's scan as it was, on a whole trace result."""
     if len(trace.points) == 0:
         return HitResult(False, None, math.inf, trace.audit.evals)
     with np.errstate(over="ignore"):
@@ -919,7 +945,7 @@ def argmin_hit(trace, ball):
 
 
 def assert_hit_is_argmin_hit(store, ball):
-    got = density._hit(density._Walk(*store, ball.radius), ball)
+    got = hits_ball(density._Walk(*store, ball.radius), ball)
     want = argmin_hit(two_loop_finish(*store, ball.radius), ball)
     assert got == want
     return want
@@ -984,10 +1010,10 @@ class TestHitScan:
         assert shows(trace)
         want = argmin_hit(trace, NEAR_BALL)
         assert want.hit == (name in ("converging", "depth-capped"))
-        assert hits_ball(line, NEAR_BALL, budget) == want
+        assert trace_and_hit(line, NEAR_BALL, budget) == want
         other = LineSpec(YPoint("+x1", 0.5, 0.3))
         walks = density._trace_lines([other, line], box_r, budget, NEAR_BALL.radius)
-        assert [density._hit(walk, NEAR_BALL) for walk in walks][1] == want
+        assert [hits_ball(walk, NEAR_BALL) for walk in walks][1] == want
 
     def test_no_trace_result_is_made(self, monkeypatch):
         def no_result(*args, **kwargs):
@@ -995,7 +1021,7 @@ class TestHitScan:
 
         monkeypatch.setattr(density, "TraceResult", no_result)
         ball = base_sequence(1)
-        assert hits_ball(LineSpec(YPoint("+x1", 0.4, 0.35)), ball, 6000).evals > 0
+        assert trace_and_hit(LineSpec(YPoint("+x1", 0.4, 0.35)), ball, 6000).evals > 0
         patch = PatchSpec(YPoint("+x1", 0.4, 0.35), 0.04)
         (rung,) = epsilon_density(patch, ball, grid_n=2, budget_per_line=6000, rungs=1)
         assert rung.valid == 4
@@ -1020,6 +1046,38 @@ class TestHitScan:
             tracemalloc.stop()
         assert rung.valid == 16 and len(held) == 3
         assert max(held[1:]) < 2**20
+
+
+# perfbench times the walk's consumers by wrapping density.hits_ball and
+# density.mark_and_coverage by name: the package's own paths must call them
+# through the module, or their per-layer metrics read 0.
+
+
+def counted(monkeypatch, name):
+    """density.<name> replaced by a wrapper that records each call's result."""
+    results, fn = [], getattr(density, name)
+
+    def wrapper(*args):
+        results.append(fn(*args))
+        return results[-1]
+
+    monkeypatch.setattr(density, name, wrapper)
+    return results
+
+
+def test_density_rungs_call_hits_ball_once_per_valid_line(monkeypatch):
+    results = counted(monkeypatch, "hits_ball")
+    patch = PatchSpec(YPoint("+x1", 0.4, 0.35), 0.04)
+    rungs = epsilon_density(patch, base_sequence(1), grid_n=4, budget_per_line=6000, rungs=2)
+    assert len(results) == sum(r.valid for r in rungs) == 32
+    assert sum(res.hit for res in results) == sum(r.hits for r in rungs) > 0
+
+
+def test_coverage_calls_mark_and_coverage_once_per_line(monkeypatch):
+    results = counted(monkeypatch, "mark_and_coverage")
+    lines = [LineSpec(YPoint("+x1", 0.37, 0.002)), LineSpec(YPoint("+x1", 0.4, 0.35))]
+    runs = coverage_experiment(lines, budget=6000)
+    assert results == [run.series for run in runs]
 
 
 class TestResolution:

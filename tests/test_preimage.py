@@ -410,6 +410,18 @@ class TestMeshes:
         soup = cone_mesh(cone, 0.5, 1.5, 6, 3)
         assert soup.shape == (4 * 36, 3, 3)
 
+    def test_cones_past_the_phase_cap_rejected(self):
+        # --m 1e20 wrote a mesh whose x1 span was 0.0; the last resolvable
+        # beam index is 3183098861837, odd
+        k = 3183098861837
+        for level, element in [(1.0, GroupElement(k // 2, 0)), (-1.0, GroupElement(k // 2, 0)),
+                               (1.0, GroupElement(0, -(k // 2) - 1, True))]:
+            assert max(map(abs, cone_beam(ConeSurface(level, element)))) in (k - 1, k)
+        for level, element in [(1.0, GroupElement(k // 2 + 1, 0)), (1.0, GroupElement(10**20, 0)),
+                               (-1.0, GroupElement(0, -(k // 2) - 2, True))]:
+            with pytest.raises(DomainError, match="is past PHASE_CAP"):
+                ConeSurface(level, element)
+
 
 class TestPlaneSphereDuality:
     def test_plane_maps_to_sphere(self):

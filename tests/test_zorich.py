@@ -5,6 +5,7 @@ import pytest
 
 from zorichlab.errors import DomainError, ExponentOverflowError, ParityMismatchError
 from zorichlab.zorich import (
+    PHASE_CAP,
     Beam,
     branch_distance,
     fold,
@@ -18,6 +19,8 @@ from zorichlab.zorich import (
 )
 
 PI = math.pi
+# the largest beam index k with k*pi <= PHASE_CAP, odd
+LAST_BEAM = 3183098861837
 
 
 class TestHSquare:
@@ -246,6 +249,20 @@ class TestZorichInverse:
         for beam in ((0, 0), (1, 0)):
             x = zorich_inverse(y, beam)
             np.testing.assert_allclose(zorich(x), y, atol=1e-12)
+
+    def test_beams_past_the_phase_cap_rejected(self):
+        # the residual of --beam 1e20,0 read 0.197; past the cap the phase has
+        # no float resolution, so no beam there names a branch
+        assert LAST_BEAM * PI <= PHASE_CAP < (LAST_BEAM + 1) * PI
+        y = (0.3, -0.2, 1.5)
+        for beam in ((LAST_BEAM, 1), (-1, -LAST_BEAM)):
+            assert Beam(*beam).resolvable
+            x = zorich_inverse(y, beam)
+            assert np.linalg.norm(zorich(x) - y) / np.linalg.norm(y) < 1e-2
+        for beam in ((LAST_BEAM + 1, 0), (0, -LAST_BEAM - 1), (10**20, 0), (0, 10**400)):
+            assert not Beam(*beam).resolvable
+            with pytest.raises(DomainError, match="is past PHASE_CAP"):
+                zorich_inverse(y, beam)
 
 
 class TestBranchDistance:
