@@ -30,8 +30,8 @@ SRC = Path(__file__).resolve().parents[1] / "src"
 
 # (name, argv): each command writes into its own directory, named after it.
 # The defaults first, then the non-default paths: a horizontal line, a base
-# point off the origin, an explicit ball, a rung of long lines, --quick, two
-# coverage budgets and config keys.
+# point off the origin, an explicit ball, a rung of long lines, a rung of many
+# lines, --quick, two coverage budgets and config keys.
 COMMANDS = [
     ("trace", ["trace"]),
     ("coverage", ["coverage"]),
@@ -43,6 +43,8 @@ COMMANDS = [
     # 28k kept points a line: each hit scan crosses a walk block edge
     ("density-long", ["density", "--u3", "0.002", "--delta", "0.0005", "--grid-n", "2",
                       "--budget", "40000", "--rungs", "1"]),
+    # the density_ladder benchmark's rung: 64 lines, the last of their groups partial
+    ("density-rung", ["density", "--grid-n", "8", "--budget", "20000", "--rungs", "1"]),
     ("coverage-quick", ["coverage", "--quick"]),
     # past three checkpoints over many walk blocks, and a budget-bound line
     ("coverage-200k", ["coverage", "--budget", "200000"]),

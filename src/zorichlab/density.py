@@ -9,11 +9,14 @@ The tracer samples the second iterate adaptively: a parameter interval is
 bisected while its image endpoints are further apart than a step bound and
 at least one endpoint lies in the target box.  Intervals whose second
 exponent already exceeds the box scale are skipped.  The lines of a density
-rung are traced together, in groups of at most _GROUP_SAMPLES samples of
-budget, and a depth's midpoints of the whole group are evaluated together;
-each line fills its own fixed region of the group's sample store in its
-evaluation order, so its trace is bit-identical to tracing it alone and the
-outputs are unchanged.
+rung are traced together, in groups of at most _GROUP_SAMPLES = 2^18 samples
+of budget (13 lines at a 20k budget), and a depth's midpoints of the whole
+group are evaluated together; each line fills its own fixed region of the
+group's sample store in its evaluation order, so its trace is bit-identical
+to tracing it alone and the outputs are unchanged.  numpy advises huge pages
+for arrays of 4 MiB or more, and a line's region is smaller than one, so a
+group's image array is committed whole although a density line writes only
+about 38% of its region: larger groups cost peak RSS.
 
 The tracer works in fixed blocks of _BLOCK = 2^14 points: each kernel call,
 each pass of the split test, each step of the final walk and each voxel mark
@@ -48,6 +51,7 @@ from .zorich import (
     OK,
     OVERFLOW_FIRST,
     OVERFLOW_SECOND,
+    PHASE_CAP,
     UNRESOLVABLE,
     _norm3,
     second_iterate,
@@ -59,7 +63,7 @@ _CHECKPOINT_BASE = 1000
 # last index of the ball base: past it the schedule radius 2^-ceil(n^(1/3)) is
 # at most 2^-53, below the float spacing at 1 (and dyadic stage 4 has 135M centres)
 MAX_BALL_N = 52**3
-_GROUP_SAMPLES = 1 << 17  # combined budget of the lines one group traces together
+_GROUP_SAMPLES = 1 << 18  # combined budget of the lines one group traces together
 _BLOCK = 1 << 14  # points or intervals per kernel call, test, gather and mark
 # first-stage x3 window of a traced line: exp(27) ~ 5e11 < zorich.PHASE_CAP
 X3_WINDOW = (-1.0, 27.0)
@@ -353,10 +357,16 @@ def _trace_lines(lines, box_r: float, budget: int, h_max: float):
     if not all(s_lo < s_hi for s_lo, s_hi in ranges):
         raise DomainError("adaptive_trace: empty parameter range")
     for line, (s_lo, s_hi) in zip(lines, ranges):
-        x, y = line.point_at([s_lo, s_lo + (s_hi - s_lo) / (budget // 3 - 1)])  # one seed step
+        with np.errstate(over="ignore"):  # an infinite coordinate is past the cap below
+            # the window's start, one seed step on and its end
+            x, y, end = line.point_at([s_lo, s_lo + (s_hi - s_lo) / (budget // 3 - 1), s_hi])
         if np.any((x == y) & (line.direction() != 0.0)):
             raise DomainError(f"adaptive_trace: one seed step over s in [{s_lo:g}, {s_hi:g}] "
                               "leaves a coordinate of the line unresolved")
+        # max(|x1|, |x2|) is convex along the window, so its ends bound it
+        if max(abs(x[0]), abs(x[1]), abs(end[0]), abs(end[1])) > PHASE_CAP:
+            raise DomainError(f"adaptive_trace: a first-stage phase over s in [{s_lo:g}, "
+                              f"{s_hi:g}] is past PHASE_CAP = {PHASE_CAP:g}")
     per_group = max(1, _GROUP_SAMPLES // budget)
     for first in range(0, len(lines), per_group):
         group = slice(first, first + per_group)
@@ -581,8 +591,10 @@ class VoxelGrid:
         inside = (x >= -h) & (x < h) & (y >= -h) & (y < h) & (z >= -h) & (z < h)
         pts = pts.take(np.flatnonzero(inside), axis=0)
         idx = ((pts + h) / self.voxel).astype(np.int64)
-        idx = np.clip(idx, 0, self.n - 1)
-        self.occupancy[idx[:, 0], idx[:, 1], idx[:, 2]] = True
+        idx.clip(0, self.n - 1, out=idx)
+        # one flat index into the C-ordered grid, not a 3-array fancy index
+        flat = (idx[:, 0] * self.n + idx[:, 1]) * self.n + idx[:, 2]
+        self.occupancy.reshape(-1)[flat] = True
         return int(np.count_nonzero(inside))
 
     def coverage(self) -> float:

@@ -45,6 +45,8 @@ UNRESOLVABLE = 3
 # face "+x1" is the side x1 = pi/2, its quadrant sign*p[axis] >= |p[other]|
 FACE_AXIS = {"+x1": (1.0, 0), "-x1": (-1.0, 0), "+x2": (1.0, 1), "-x2": (-1.0, 1)}
 
+_ROW = np.dtype((np.void, 24))  # the bytes of one row of three floats
+
 _SQUARE_TOL = 1e-12
 _UNIT_TOL = 1e-9
 _POLE_TOL = 1e-12
@@ -76,10 +78,12 @@ class Beam(NamedTuple):
 
 
 def _fold_arrays(t):
-    """Vectorized fold of a 1-d array: returns (folded, strip, (-1)**strip) as float arrays.
+    """Vectorized fold of a contiguous array of any shape: returns (folded, strip,
+    (-1)**strip) as float arrays of its shape.
 
     Each pass after the first writes into its own result: same operations,
-    same bits, fewer temporaries.
+    same bits, fewer temporaries.  Every pass is elementwise, so the rows of a
+    (2, n) array fold as each would alone, into contiguous rows.
     """
     q = t + HALF_PI
     q /= math.pi
@@ -172,12 +176,13 @@ def h_extended(p):
     phase uncertainty at such magnitudes is the caller's concern.
     """
     p = np.asarray(p, dtype=float)
-    # 1-d columns, so that every pass writes in place, one point included
-    a, _, sign = _fold_arrays(p[..., 0].reshape(-1))
-    b, _, sign_b = _fold_arrays(p[..., 1].reshape(-1))
-    a.clip(-HALF_PI, HALF_PI, out=a)  # the method skips np.clip's wrapper
-    b.clip(-HALF_PI, HALF_PI, out=b)
-    sign *= sign_b
+    # both columns as the rows of one contiguous (2, n) array, one point
+    # included: one fold pass and one clip for both, each writing in place
+    ab, _, signs = _fold_arrays(p[..., :2].reshape(-1, 2).T.copy())
+    ab.clip(-HALF_PI, HALF_PI, out=ab)  # the method skips np.clip's wrapper
+    a, b = ab
+    sign = signs[0]
+    sign *= signs[1]
     m = np.abs(a)
     np.maximum(m, np.abs(b), out=m)
     return _chart(a, b, m, sign).reshape(p.shape[:-1] + (3,))
@@ -191,13 +196,18 @@ def _lift(x):
 
 
 def _lift_where(x, ok):
-    """_lift where ok holds, NaN elsewhere; masked copies only when some point fails."""
+    """_lift where ok holds, NaN elsewhere; masked copies only when some point fails.
+
+    The lifted rows are scattered as 24-byte np.void items, one per row: the
+    same bytes, written about twice as fast as float rows.
+    """
     if ok.size and ok.all():  # an empty batch makes no h_extended call
         return _lift(x)
     out = np.full(x.shape, np.nan)
     i = np.flatnonzero(ok)  # row indices of a (-1, 3) view; faster than a boolean gather
     if len(i):
-        out.reshape(-1, 3)[i] = _lift(x.reshape(-1, 3).take(i, axis=0))
+        lifted = _lift(x.reshape(-1, 3).take(i, axis=0))
+        out.reshape(-1, 3).view(_ROW)[i] = lifted.view(_ROW)
     return out
 
 
@@ -205,11 +215,14 @@ def zorich(x):
     """Evaluate the map: exp(x3) * h_extended(x1, x2).
 
     |result| equals exp(x3) exactly up to rounding.  Raises
-    ExponentOverflowError for x3 beyond the float64 cap.
+    ExponentOverflowError for x3 beyond the float64 cap, and DomainError for
+    a phase max(|x1|, |x2|) past PHASE_CAP, which the fold cannot resolve.
     """
     x = np.asarray(x, dtype=float)
     if not np.all(np.isfinite(x)):
         raise DomainError("zorich: input must be finite")
+    if x.size and np.abs(x[..., :2]).max() > PHASE_CAP:
+        raise DomainError(f"zorich: a phase max(|x1|, |x2|) is past PHASE_CAP = {PHASE_CAP:g}")
     if np.any(x[..., 2] > EXP_CAP):
         raise ExponentOverflowError("first", float(np.max(x[..., 2])))
     return _lift(x)

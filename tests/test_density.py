@@ -36,6 +36,7 @@ from zorichlab.zorich import (
     OK,
     OVERFLOW_FIRST,
     OVERFLOW_SECOND,
+    PHASE_CAP,
     UNRESOLVABLE,
     _norm3,
     second_iterate,
@@ -287,6 +288,25 @@ class TestVoxelGridRows:
         for chunk in np.array_split(coords, 7):
             assert grid.mark(chunk) == three_index_mark(frozen, chunk)
         np.testing.assert_array_equal(grid.occupancy, frozen.occupancy)
+
+    @pytest.mark.parametrize("half_extent, n", [(10.0, 64), (2.0, 7), (0.5, 2)])
+    def test_flat_index_marks_the_corners_as_three_indices_do(self, half_extent, n):
+        # every point whose coordinates are -h, the last float below h, h or
+        # 0: the first two reach the grid's first and last voxel on each
+        # axis, and a coordinate h leaves the point unmarked
+        h = half_extent
+        face = [-h, math.nextafter(h, 0.0), h, 0.0]
+        pts = np.array(np.meshgrid(face, face, face, indexing="ij")).reshape(3, -1).T
+        grid, frozen = VoxelGrid(h, n), VoxelGrid(h, n)
+        assert grid.mark(pts) == three_index_mark(frozen, pts) == 27
+        np.testing.assert_array_equal(grid.occupancy, frozen.occupancy)
+        ends = [0, n - 1, n // 2]  # the voxels of -h, nextafter(h, 0) and 0
+        marked = {(i, j, k) for i in ends for j in ends for k in ends}
+        assert set(zip(*np.nonzero(grid.occupancy))) == marked
+        for p in pts:  # one at a time, so that swapped axes would show
+            grid.occupancy[:] = frozen.occupancy[:] = False
+            assert grid.mark(p) == three_index_mark(frozen, p)
+            np.testing.assert_array_equal(grid.occupancy, frozen.occupancy)
 
 
 def test_density_reduces_rows_by_columns():
@@ -1027,9 +1047,14 @@ class TestHitScan:
         assert rung.valid == 4
 
     def test_a_walked_walk_lets_go_of_its_store(self, monkeypatch):
-        # a rung of 16 lines at 20k samples traces groups of 6, 6 and 4
-        # lines, each group's store 4.2 MB: each later group starts holding
-        # less than 1 MiB, so the walk of the group before keeps no store
+        # a rung of lines at 20k samples, just past two full groups, traces at
+        # least 3 groups, each full group's store per_group * 0.7 MB: each
+        # later group starts holding less than 1 MiB, so the walk of the group
+        # before keeps no store
+        per_group = density._GROUP_SAMPLES // 20_000
+        grid_n = math.isqrt(2 * per_group) + 1
+        groups = -(-grid_n**2 // per_group)
+        assert groups >= 3
         trace_group, held = density._trace_group, []
 
         def traced(*args):
@@ -1040,11 +1065,11 @@ class TestHitScan:
         patch = PatchSpec(YPoint("+x1", 0.4, 0.35), 0.04)
         tracemalloc.start()
         try:
-            (rung,) = epsilon_density(patch, base_sequence(1), grid_n=4, budget_per_line=20_000,
-                                      rungs=1)
+            (rung,) = epsilon_density(patch, base_sequence(1), grid_n=grid_n,
+                                      budget_per_line=20_000, rungs=1)
         finally:
             tracemalloc.stop()
-        assert rung.valid == 16 and len(held) == 3
+        assert rung.valid == grid_n**2 and len(held) == groups
         assert max(held[1:]) < 2**20
 
 
@@ -1101,6 +1126,41 @@ class TestResolution:
 
     def test_resolved_lines_trace(self):
         # far but resolved, and a coordinate the direction does not move
-        for line in [LineSpec(YPoint("+x1", 0.37, 1.3e-4), p=(1e15, 0.0, 0.0)),
+        for line in [LineSpec(YPoint("+x1", 0.37, 1.3e-4), p=(1e12, 0.0, 0.0)),
                      LineSpec(p=(0.0, 0.0, 1e308), d=(1.0, 0.3, 0.0))]:
             assert adaptive_trace(line, 10.0, 1000, 0.3125).audit.evals > 0
+
+
+class TestPhaseCap:
+    """A line's first-stage phase max(|x1|, |x2|) must stay within PHASE_CAP
+    over its whole window; the window is a segment, so its ends decide."""
+
+    # the window is s in [-1, 27], so x1 runs up to p1 + 27, exactly
+    D = (1.0, 0.3, 1.0)
+    AT_CAP = LineSpec(p=(PHASE_CAP - 27.0, 0.0, 0.0), d=D)
+    PAST_CAP = LineSpec(p=(math.nextafter(PHASE_CAP - 27.0, math.inf), 0.0, 0.0), d=D)
+
+    def test_a_window_ending_at_the_cap_traces(self):
+        assert self.AT_CAP.point_at(density.default_s_range(self.AT_CAP)[1])[0] == PHASE_CAP
+        assert adaptive_trace(self.AT_CAP, 10.0, 1000, 0.3125).audit.evals > 0
+
+    def test_a_window_past_the_cap_exits_before_tracing(self, monkeypatch):
+        end = self.PAST_CAP.point_at(density.default_s_range(self.PAST_CAP)[1])[0]
+        assert end == math.nextafter(PHASE_CAP, math.inf)
+
+        def no_trace(*args):
+            raise AssertionError("a line was traced")
+
+        monkeypatch.setattr(density, "_trace_group", no_trace)
+        # the cap holds at either end of the window, on either phase axis
+        near_start = LineSpec(p=(0.0, -PHASE_CAP - 0.5, 0.0), d=self.D)
+        far = LineSpec(YPoint("+x1", 0.37, 1.3e-4), p=(1e15, 0.0, 0.0))  # `trace --p 1e15,0,0`
+        for line in (self.PAST_CAP, near_start, far):
+            with pytest.raises(DomainError, match="past PHASE_CAP"):
+                next(density._trace_lines([self.AT_CAP, line], 10.0, 1000, 0.3125))
+
+    def test_an_overflowing_end_is_past_the_cap(self):
+        # s_hi * d1 overflows a float; no RuntimeWarning escapes
+        line = LineSpec(p=(0.0, 0.0, -1.0), d=(1e300, 0.3, 1e-11))
+        with np.errstate(all="raise"), pytest.raises(DomainError, match="past PHASE_CAP"):
+            adaptive_trace(line, 10.0, 1000, 0.3125)

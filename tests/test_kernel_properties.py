@@ -165,7 +165,13 @@ def test_second_iterate_is_the_masked_composition(rows):
     np.testing.assert_array_equal(status[first_ok], expected)
 
     both = np.flatnonzero(first_ok)[second_ok]
-    np.testing.assert_array_equal(f[both], zorich(zorich(x[both])))
+    ok = np.flatnonzero(first_ok)[second_ok & resolvable]
+    np.testing.assert_array_equal(f[ok], zorich(zorich(x[ok])))
+    # zorich refuses an intermediate phase past PHASE_CAP; the kernel's f there
+    # is the masked kernel's (test_kernel_is_the_masked_kernel)
+    if not np.all(resolvable[second_ok]):
+        with pytest.raises(DomainError, match="past PHASE_CAP"):
+            zorich(z[second_ok & ~resolvable])
     assert np.all(np.isnan(np.delete(f, both, axis=0)))
 
 
@@ -235,8 +241,12 @@ def assert_kernel_is_masked_kernel(x, same=assert_same_bits):
         same(got, want)
     first_ok = x[..., 2] <= EXP_CAP
     if np.all(first_ok) and np.all(np.isfinite(x)):  # zorich rejects a non-finite input
-        z = zorich(x)
-        same(z, masked_lift(x))
+        z = masked_lift(x)
+        if np.max(np.abs(x[..., :2])) <= PHASE_CAP:
+            same(zorich(x), z)
+        else:  # and a phase past PHASE_CAP
+            with pytest.raises(DomainError, match="past PHASE_CAP"):
+                zorich(x)
         same(h_extended(z[..., :2]), masked_h_extended(z[..., :2]))
     same(h_extended(x[..., :2]), masked_h_extended(x[..., :2]))
 
@@ -278,6 +288,47 @@ def test_kernel_is_the_masked_kernel(rows):
         square = np.clip(x[:, :2], -HALF_PI, HALF_PI)
         same(h_square(square), masked_chart(square[:, 0], square[:, 1]))
         same(h_square(square[0]), masked_chart(square[0, 0], square[0, 1]))
+
+
+def layout_batch(second_overflows):
+    """200 points, none, some or all of which overflow at the second stage;
+    "some" also overflows a seventh of them at the first stage.  x3 <= 6
+    keeps z3 <= e^6 < EXP_CAP, while x3 >= 7 next to an even beam's axis
+    (M <= 0.3) gives z3 >= e^7 cos(0.3) > EXP_CAP."""
+    rng = np.random.default_rng(43)
+    n = 200
+    x = np.column_stack([rng.uniform(-40.0, 40.0, n), rng.uniform(-40.0, 40.0, n),
+                         rng.uniform(-2.0, 6.0, n)])
+    over = {"none": np.zeros(n, bool), "some": rng.random(n) < 0.5, "all": np.ones(n, bool)}
+    over = over[second_overflows]
+    beam = 2.0 * math.pi * rng.integers(-5, 6, (n, 2))
+    x[over, :2] = beam[over] + rng.uniform(-0.3, 0.3, (np.count_nonzero(over), 2))
+    x[over, 2] = rng.uniform(7.0, 9.0, np.count_nonzero(over))
+    if second_overflows == "some":
+        x[::7, 2] = EXP_CAP + 100.0  # and first-stage overflows: both lifts scatter
+    return x
+
+
+@pytest.mark.parametrize("second_overflows", ["none", "some", "all"])
+def test_kernel_bits_do_not_depend_on_layout(second_overflows):
+    # the kernel folds both columns as one (2, n) copy and scatters lifted
+    # rows as 24-byte items: a strided view, one point and a batch of
+    # leading shape (2, 50) give the bits of a contiguous batch
+    x = layout_batch(second_overflows)
+    n = np.count_nonzero(second_iterate(x)[2] == OVERFLOW_SECOND)
+    assert {"none": n == 0, "some": 0 < n < len(x), "all": n == len(x)}[second_overflows]
+    view = x[::2]
+    assert not view.flags.c_contiguous
+    for got, want in zip(second_iterate(view), second_iterate(view.copy()), strict=True):
+        assert_same_bits(got, want)
+    for got, want in zip(second_iterate(x[:100].reshape(2, 50, 3)), second_iterate(x[:100]),
+                         strict=True):
+        assert_same_bits(got, want.reshape(got.shape))
+    batch = second_iterate(x)
+    for k in (0, 1, 99, 199):
+        for got, want in zip(second_iterate(x[k]), batch, strict=True):
+            assert got.shape == want.shape[1:]
+            assert got.tobytes() == want[k].tobytes()
 
 
 @PROPERTY

@@ -143,6 +143,17 @@ class TestZorich:
             zorich((0.0, 0.0, 701.0))
         assert err.value.stage == "first"
 
+    def test_phase_cap(self):
+        # a phase max(|x1|, |x2|) up to PHASE_CAP evaluates; its next float
+        # is past the cap on either axis and either sign, also inside a batch
+        past = math.nextafter(PHASE_CAP, math.inf)
+        for x in [(PHASE_CAP, 0.0, 0.0), (0.3, -PHASE_CAP, 1.0), [(PHASE_CAP, -PHASE_CAP, 2.0)]]:
+            assert np.all(np.isfinite(zorich(x)))
+        for x in [(past, 0.0, 0.0), (0.3, -past, 1.0), [(0.0, 0.0, 0.0), (-past, 1.0, 2.0)],
+                  (1e300, 0.0, 0.0)]:
+            with pytest.raises(DomainError, match="past PHASE_CAP"):
+                zorich(x)
+
 
 class TestZorichSecond:
     def test_origin(self):
