@@ -350,16 +350,16 @@ FLOORED_COUNTS = [
          "zorich_inverse: beam (100000000000000000000, 0) is past PHASE_CAP"),
         (["cone", "--m", "100000000000000000000"], None,
          "ConeSurface: beam (200000000000000000000, 0) is past PHASE_CAP"),
-        # a phase past PHASE_CAP, for the map and at the end of a traced line's window
-        (["eval", "--x", "1e300,0,0"], None, "zorich: a phase max(|x1|, |x2|) is past PHASE_CAP"),
-        (["trace", "--p", "1e15,0,0", "--budget", "1000"], None,
-         "adaptive_trace: a first-stage phase over s in [-7692.31, 207692] is past PHASE_CAP"),
         # a ladder whose deepest rung's crossings are one float, and one past 2.0**1023
         *[
             (["density", "--rungs", rungs, "--grid-n", "2", "--budget", "1000"], None,
              f"epsilon_density: rung {int(rungs) - 1} repeats a crossing")
             for rungs in ("56", "1100")
         ],
+        # a phase past PHASE_CAP, for the map and at the end of a traced line's window
+        (["eval", "--x", "1e300,0,0"], None, "zorich: a phase max(|x1|, |x2|) is past PHASE_CAP"),
+        (["trace", "--p", "1e15,0,0", "--budget", "1000"], None,
+         "adaptive_trace: a first-stage phase over s in [-7692.31, 207692] is past PHASE_CAP"),
     ],
 )
 def test_non_finite_or_empty_exits_2(tmp_path, capsys, monkeypatch, argv, config, message):

@@ -559,7 +559,7 @@ def test_grouped_trace_is_the_lone_trace(lines, box_r, h_max, budget):
         assert_same_trace(trace, adaptive_trace(line, box_r, budget, h_max))
 
 
-@pytest.mark.parametrize("group_samples", [density._GROUP_SAMPLES, 12_000])
+@pytest.mark.parametrize("group_samples", sorted({2**17, density._GROUP_SAMPLES, 12_000}))
 @pytest.mark.parametrize("at_budget", [0, 1, 2])
 def test_grouped_trace_truncates_per_line(monkeypatch, group_samples, at_budget):
     # one line spends its budget while the two others converge below it; a
@@ -650,7 +650,7 @@ def test_depth_cap_stops_the_trace(monkeypatch, depths):
         assert_same_trace(trace, capped)
 
 
-@pytest.mark.parametrize("group_samples", [density._GROUP_SAMPLES, 12_000])
+@pytest.mark.parametrize("group_samples", sorted({2**17, density._GROUP_SAMPLES, 12_000}))
 def test_blocked_trace_is_the_unblocked_trace(monkeypatch, group_samples):
     # blocks of a small prime straddle the seed grids (2000 points), the line
     # regions of a group's midpoints and the groups' interval lists
