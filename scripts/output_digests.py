@@ -61,6 +61,8 @@ COMMANDS = [
     ("invert-odd", ["invert", "--y=0.3,-0.2,-1.5", "--beam", "1,0"]),
     ("verify-quick", ["verify", "--level", "quick"]),
     ("verify-full", ["verify", "--level", "full"]),
+    # a horizontal line at x3 = 35: 498 samples dropped unresolvable, 502 as overflows
+    ("trace-unresolvable", ["trace", "--p", "0,0,35", "--direction", "1,0.3,0", "--budget", "3000"]),
 ]
 CONFIG = "face=-x2\nu2=-0.5\nu3=0.001\nbudget=20000\nquick=true\n"
 

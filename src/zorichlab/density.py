@@ -21,15 +21,17 @@ about 38% of its region: larger groups cost peak RSS.
 The tracer works in fixed blocks of _BLOCK = 2^14 points: each kernel call,
 each pass of the split test, each step of the final walk and each voxel mark
 take at most one block.  Every step is elementwise, so the blocks change no
-output bit; they bound the working set beside the store.  The kernel's and
-the split test's blocks run on the calling thread and one worker (_blocks),
-each writing only its own rows.  Each line leaves the tracer as a _Walk, its
-samples sorted once and yielded a block of kept rows at a time, on one
-thread.  Its consumers loop over the blocks: _finish builds adaptive_trace's
-TraceResult, mark_and_coverage marks a coverage grid and hits_ball keeps the
-point nearest a ball.  A line is traced only if one seed step moves each
-coordinate its direction moves: a line the float grid cannot resolve raises
-DomainError.
+output bit; they bound the working set beside the store.  A kernel block is
+built as (3, m) coordinate rows and passed as their transpose, so the kernel
+works on contiguous rows; a store row is s, f and one flag byte (status,
+_LOW, _IN_BOX).  The kernel's and the split test's blocks run on the calling
+thread and one worker (_blocks), each writing only its own rows.  Each line
+leaves the tracer as a _Walk, its samples sorted once and yielded a block of
+kept rows at a time, on one thread.  Its consumers loop over the blocks:
+_finish builds adaptive_trace's TraceResult, mark_and_coverage marks a
+coverage grid and hits_ball keeps the point nearest a ball.  A line is traced
+only if one seed step moves each coordinate its direction moves: a line the
+float grid cannot resolve raises DomainError.
 
 Everything is deterministic for fixed inputs; traces from one run can be
 marked into occupancy grids in any chunking (marking is idempotent).
@@ -71,6 +73,7 @@ MAX_DEPTH = 48  # bisection depths of adaptive_trace
 MAX_SKIP_FRACTION = 0.05  # excluded crossings a density patch may contain
 MIN_BUDGET = 1000  # least evaluation budget of a trace
 MIN_GRID_N = 2  # least crossings per side of a density patch grid
+_LOW, _IN_BOX = np.int8(4), np.int8(8)  # a store row's flag bits beside its status (bits 0-1)
 
 # thresholds enshrined by the pilot runs documented in the README; the
 # experiment configurations that produced them are the defaults of
@@ -294,32 +297,38 @@ def _row_type(rows: int):
     return np.int32 if rows < 2**31 else np.intp
 
 
+def _flags(status, low, in_box):
+    """The store's flag byte of each row: status | _LOW if low | _IN_BOX if in_box."""
+    return status.astype(np.int8) | low * _LOW | in_box * _IN_BOX
+
+
 class _Walk:
     """One line's samples, given in evaluation order, sorted once and walked once.
 
-    Iterating yields (rows, s, points, in_box) for each _BLOCK of sorted store
-    rows: the slice of the `kept` points its OK rows fill, and their s, f and
-    in_box.  Exhausted, it holds `audit` and no longer the store or the order,
-    so a walked walk keeps no group's store alive.
+    The store is (s, f, flags), flags from _flags.  Iterating yields (rows, s,
+    points, in_box) for each _BLOCK of sorted store rows: the slice of the
+    `kept` points its OK rows fill, and their s, f and in_box.  Exhausted, it
+    holds `audit` and no longer the store or the order, so a walked walk
+    keeps no group's store alive.
     """
 
-    def __init__(self, s, f, in_box, status, h_max):
+    def __init__(self, s, f, flags, h_max):
         # the sort order in 4-byte row indices when they fit
         self._order = np.argsort(s, kind="stable").astype(_row_type(len(s)))
-        self._store, self._h_max = (s, f, in_box, status), h_max
-        self._counts = np.bincount(status, minlength=4)
+        self._store, self._h_max = (s, f, flags), h_max
+        self._counts = np.bincount(flags & 3, minlength=4)
         self.kept, self.audit = int(self._counts[OK]), None
 
     def __iter__(self):
-        (s, f, in_box, status), order, counts = self._store, self._order, self._counts
+        (s, f, flags), order, counts = self._store, self._order, self._counts
         self._store = self._order = None
         pairs_in_box = cap_hits = done = 0
         carry = np.empty(0, dtype=np.intp)  # the last kept store row of the blocks before
         for c in range(0, len(s), _BLOCK):
             block = order[c : c + _BLOCK].astype(np.intp)
             # the carried row, then this block's OK rows (the store's finite rows)
-            block = np.concatenate([carry, block[status[block] == OK]])
-            points, box, n = f.take(block, axis=0), in_box[block], len(carry)
+            block = np.concatenate([carry, block[flags[block] & 3 == OK]])
+            points, box, n = f.take(block, axis=0), flags[block] & _IN_BOX != 0, len(carry)
             rows = slice(done, done + len(block) - n)
             yield rows, s[block[n:]], points[n:], box[n:]
             # the kept pairs (i, i + 1) whose i + 1 this block gathered
@@ -330,7 +339,7 @@ class _Walk:
             cap_hits += int(np.count_nonzero(both & (pair_gap > self._h_max * (1 + 1e-9))))
             carry, done = block[-1:], rows.stop
         dropped = int(counts[OVERFLOW_FIRST] + counts[OVERFLOW_SECOND]), int(counts[UNRESOLVABLE])
-        in_box_points = int(np.count_nonzero(in_box))  # the store's in_box holds only at OK rows
+        in_box_points = int(np.count_nonzero(flags & _IN_BOX))  # set only at OK rows
         self.audit = TraceAudit(len(s), *dropped, in_box_points, pairs_in_box, cap_hits)
 
 
@@ -429,14 +438,16 @@ def _trace_group(lines, ranges, box_r, budget, h_max):
     # the sample store: line k owns rows [k*budget, (k+1)*budget) and fills
     # them in its evaluation order, its seed grid and then one run of
     # midpoints per depth.  An interval is a pair (lo, hi) of store rows.
-    # Pages are touched only as samples are written.  `low` marks a second
-    # exponent z3 <= skip_exp: z3 is never NaN (+inf after a first-stage
-    # overflow), so min(z3[lo], z3[hi]) <= skip_exp is low[lo] | low[hi].
-    s, f = np.empty(n * budget), np.empty((n * budget, 3))
-    low, in_box = np.empty(n * budget, dtype=bool), np.empty(n * budget, dtype=bool)
-    status = np.empty(n * budget, dtype=np.int8)
-    p = np.array([line.p for line in lines], dtype=float)
-    d = np.array([line.direction() for line in lines])
+    # Pages are touched only as samples are written.  A row is s, f and one
+    # flag byte (_flags): the status in bits 0-1, _LOW for a second exponent
+    # z3 <= skip_exp and _IN_BOX, 33 bytes in all.  z3 is never NaN (+inf
+    # after a first-stage overflow), so min(z3[lo], z3[hi]) <= skip_exp is
+    # (flags[lo] | flags[hi]) & _LOW.  A block is evaluated as the transpose
+    # of a (3, m) block of points, so the kernel and the flags work on
+    # contiguous coordinate rows; f is stored as rows.
+    s, f, flags = np.empty(n * budget), np.empty((n * budget, 3)), np.empty(n * budget, np.int8)
+    p = np.array([line.p for line in lines], dtype=float)[:, :, None]  # line k's as a column
+    d = np.array([line.direction() for line in lines])[:, :, None]
     row_type = _row_type(n * budget)  # of the interval ends lo, hi and the midpoints' rows
 
     def evaluate(new_s, runs):
@@ -448,23 +459,26 @@ def _trace_group(lines, ranges, box_r, budget, h_max):
 
         def block(c):
             e = min(c + _BLOCK, len(new_s))
-            x = np.empty((e - c, 3))
+            x = np.empty((3, e - c))
             writes = []
             for a, b, k, row in runs:
                 i, j = max(a, c), min(b, e)
                 if i < j:
-                    # lines[k].point_at(new_s[i:j]), bit for bit
-                    np.add(p[k], np.multiply.outer(new_s[i:j], d[k]), out=x[i - c : j - c])
+                    # lines[k].point_at(new_s[i:j]) as coordinate rows, bit for bit;
+                    # two ufuncs into x take half the time of np.multiply.outer
+                    xs = x[:, i - c : j - c]
+                    np.multiply(d[k], new_s[i:j], out=xs)
+                    np.add(xs, p[k], out=xs)
                     writes.append((slice(row + i - a, row + j - a), slice(i - c, j - c)))
-            new_f, new_z3, new_status = second_iterate(x)
-            new_f[new_status == UNRESOLVABLE] = np.nan
-            new_low = new_z3 <= skip_exp
-            near = np.abs(new_f) <= box_r
-            new_in_box = (new_status == OK) & near[:, 0] & near[:, 1] & near[:, 2]
+            new_f, new_z3, new_status = second_iterate(x.T)
+            rows_f = new_f.T
+            rows_f[:, new_status == UNRESOLVABLE] = np.nan
+            near = np.abs(rows_f) <= box_r
+            new_flags = _flags(new_status, new_z3 <= skip_exp,
+                               (new_status == OK) & near[0] & near[1] & near[2])
             block_s = new_s[c:e]
             for rows, part in writes:
-                s[rows], f[rows], status[rows] = block_s[part], new_f[part], new_status[part]
-                low[rows], in_box[rows] = new_low[part], new_in_box[part]
+                s[rows], f[rows], flags[rows] = block_s[part], new_f[part], new_flags[part]
 
         _blocks(block, len(new_s))
 
@@ -473,16 +487,15 @@ def _trace_group(lines, ranges, box_r, budget, h_max):
         need = np.empty(len(lo), dtype=bool)
 
         def block(c):
-            # intp row indices: each is used four times, and a gather casts int32 ones
+            # intp row indices: each is used three times, and a gather casts int32 ones
             a, b = lo[c : c + _BLOCK].astype(np.intp), hi[c : c + _BLOCK].astype(np.intp)
             with np.errstate(over="ignore"):
                 gap = _norm3(f.take(a, axis=0) - f.take(b, axis=0))
             left, right = s[a], s[b]
             width_ok = (right - left) > 8.0 * np.spacing(np.maximum(np.abs(left), np.abs(right)))
             need[c : c + _BLOCK] = (
-                (in_box[a] | in_box[b])
+                ((flags[a] | flags[b]) & (_LOW | _IN_BOX) == _LOW | _IN_BOX)  # in the box and low
                 & ~(gap <= h_max)  # a NaN gap counts as too wide
-                & (low[a] | low[b])
                 & width_ok
             )
 
@@ -533,7 +546,7 @@ def _trace_group(lines, ranges, box_r, budget, h_max):
 
     for k in range(n):
         rows = slice(k * budget, k * budget + evals[k])
-        yield _Walk(s[rows], f[rows], in_box[rows], status[rows], h_max)
+        yield _Walk(s[rows], f[rows], flags[rows], h_max)
 
 
 # ---------------------------------------------------------------------------

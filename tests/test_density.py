@@ -490,7 +490,7 @@ class TestBlocks:
 
 class TestAdaptiveTrace:
     def test_memory_is_bounded(self):
-        # the store is 35 MB at this budget; the result and block-sized
+        # the store is 33 MB at this budget; the result and block-sized
         # temporaries fit beside it in 85 MB, whole-batch temporaries do not
         line = LineSpec(YPoint("+x1", 0.37, 1.3e-4))
         tracemalloc.start()
@@ -728,11 +728,11 @@ class TestCoverageExperiment:
         assert 0.0 <= runs[0].coverage <= 1.0
 
     def test_lines_are_traced_one_at_a_time(self, monkeypatch):
-        # a line's store (10.5 MB here) is freed before the next line is
+        # a line's store (9.9 MB here) is freed before the next line is
         # traced: each line starts and ends holding what the run started
         # with, so two lines peak where one does, give or take how two
         # threads' block temporaries happen to overlap, far less than a store
-        store = 300_000 * 35
+        store = 300_000 * 33
         run, held = density._coverage_run, []
 
         def traced(*args):
@@ -811,11 +811,43 @@ def hand_made_store(sorted_status, seed, ties=False):
     return s, f, in_box, status
 
 
+def store_walk(s, f, in_box, status, h_max):
+    """The _Walk of a hand-made store, its in_box and status packed into the flag byte."""
+    return density._Walk(s, f, density._flags(status, False, in_box), h_max)
+
+
 BAD = [OVERFLOW_FIRST, OVERFLOW_SECOND, UNRESOLVABLE]
 
 
+@pytest.mark.parametrize("block", [3, 1 << 14])
+def test_flag_byte_packs_what_the_split_test_and_the_walk_read(monkeypatch, block):
+    # every flag byte a store can hold: a status, low, and in_box only at OK
+    monkeypatch.setattr(density, "_BLOCK", block)
+    rows = [(status, low, box) for status in (OK, *BAD) for low in (False, True)
+            for box in (False, True) if status == OK or not box]
+    status, low, in_box = (np.array(column) for column in zip(*rows))
+    flags = density._flags(status, low, in_box)
+    assert flags.dtype == np.int8 and len(set(flags.tolist())) == len(rows) == 10
+    # the split test over every pair of rows
+    a, b = (v.ravel() for v in np.meshgrid(np.arange(len(rows)), np.arange(len(rows))))
+    np.testing.assert_array_equal(((flags[a] | flags[b]) & 12) == 12,
+                                  (in_box[a] | in_box[b]) & (low[a] | low[b]))
+    # the walk decodes status and in_box: it keeps the OK rows in s order
+    s = np.arange(len(rows), 0.0, -1.0)
+    f = np.where((status == OK)[:, None], np.arange(3.0 * len(rows)).reshape(-1, 3), np.nan)
+    got = density._finish(density._Walk(s, f, flags, 1.0))
+    ok = np.flatnonzero(status == OK)[::-1]
+    np.testing.assert_array_equal(got.s, s[ok])
+    np.testing.assert_array_equal(got.points, f[ok])
+    np.testing.assert_array_equal(got.in_box, in_box[ok])
+    counts = np.bincount(status, minlength=4)
+    assert (got.audit.evals, got.audit.dropped_overflow, got.audit.dropped_unresolvable,
+            got.audit.in_box_points) == (10, counts[OVERFLOW_FIRST] + counts[OVERFLOW_SECOND],
+                                         counts[UNRESOLVABLE], np.count_nonzero(in_box))
+
+
 def assert_finish_is_two_loop_finish(store):
-    got, want = density._finish(density._Walk(*store, 1.0)), two_loop_finish(*store, 1.0)
+    got, want = density._finish(store_walk(*store, 1.0)), two_loop_finish(*store, 1.0)
     for name in ("s", "points", "in_box"):
         assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), name
     assert got.audit == want.audit
@@ -965,7 +997,7 @@ def argmin_hit(trace, ball):
 
 
 def assert_hit_is_argmin_hit(store, ball):
-    got = hits_ball(density._Walk(*store, ball.radius), ball)
+    got = hits_ball(store_walk(*store, ball.radius), ball)
     want = argmin_hit(two_loop_finish(*store, ball.radius), ball)
     assert got == want
     return want

@@ -213,7 +213,8 @@ def masked_second_iterate(x):
     f = np.full(x.shape, np.nan)
     if np.any(ok2):
         f[ok2] = masked_lift(z[ok2])
-    phase_ok = np.max(np.abs(z[..., :2]), axis=-1) <= PHASE_CAP
+    phase_ok = np.max(np.abs(x[..., :2]), axis=-1) <= PHASE_CAP  # the input's phase
+    phase_ok &= np.max(np.abs(z[..., :2]), axis=-1) <= PHASE_CAP  # and the first stage's
     status = np.select(
         [~ok1, ~ok2, ~phase_ok], [OVERFLOW_FIRST, OVERFLOW_SECOND, UNRESOLVABLE], OK
     )
@@ -608,7 +609,7 @@ def reference_trace(line, box_r, budget, h_max, depths=MAX_DEPTH):
         lo, hi = np.concatenate([lo, mid]), np.concatenate([mid, hi])
     f[status == UNRESOLVABLE] = np.nan
     in_box = (status == OK) & np.all(np.abs(f) <= box_r, axis=-1)
-    return _finish(density._Walk(s, f, in_box, status, h_max))
+    return _finish(density._Walk(s, f, density._flags(status, False, in_box), h_max))
 
 
 @pytest.mark.parametrize("budget", [1000, 6000])
@@ -981,3 +982,39 @@ def probed_face_toward_wall(cone, plane_index):
 @given(CONES, st.integers(-12, 12))
 def test_face_toward_wall_is_the_nearest_probed_face(cone, plane_index):
     assert face_toward_wall(cone, plane_index) == probed_face_toward_wall(cone, plane_index)
+
+
+def column_block(x):
+    """x as the transpose of a C-ordered (3, n) block, the tracer's layout."""
+    view = np.ascontiguousarray(x.T).T
+    assert view.T.flags.c_contiguous and not view.flags.c_contiguous
+    return view
+
+
+@pytest.mark.parametrize("batch", ["none", "some", "all", "unresolvable"])
+def test_column_blocks_give_the_row_bits_in_their_layout(batch):
+    # the transpose of a (3, n) block gives the bits of its C-ordered copy,
+    # and the kernel's results come back in the layout of its input
+    if batch == "unresolvable":  # input phases past PHASE_CAP and first-stage ones
+        x = layout_batch("some")
+        x[3::11, 0] = 2.0 * PHASE_CAP
+        x[5::11, 2] = LN_PHASE_CAP + 3.0
+    else:
+        x = layout_batch(batch)
+    status = second_iterate(x)[2]
+    unresolvable = [np.any(status[rows] == UNRESOLVABLE) for rows in (slice(3, None, 11),
+                                                                      slice(5, None, 11))]
+    assert unresolvable == [batch == "unresolvable"] * 2
+    got, want = second_iterate(column_block(x)), second_iterate(x)
+    for g, w in zip(got, want, strict=True):
+        assert_same_bits(g, w)
+    assert got[0].T.flags.c_contiguous and want[0].flags.c_contiguous
+    # zorich and h_extended, on the rows zorich accepts
+    ok = (x[:, 2] <= EXP_CAP) & (np.max(np.abs(x[:, :2]), axis=-1) <= PHASE_CAP)
+    for fn in (zorich, h_extended):
+        got, want = fn(column_block(x[ok])), fn(x[ok])
+        assert_same_bits(got, want)
+        assert got.T.flags.c_contiguous and want.flags.c_contiguous
+    got = h_extended(column_block(x[:, :2]))
+    assert_same_bits(got, h_extended(x[:, :2]))
+    assert got.T.flags.c_contiguous

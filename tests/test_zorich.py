@@ -5,13 +5,16 @@ import pytest
 
 from zorichlab.errors import DomainError, ExponentOverflowError, ParityMismatchError
 from zorichlab.zorich import (
+    OK,
     PHASE_CAP,
+    UNRESOLVABLE,
     Beam,
     branch_distance,
     fold,
     h_extended,
     h_inverse,
     h_square,
+    second_iterate,
     unfold,
     zorich,
     zorich_inverse,
@@ -181,6 +184,17 @@ class TestZorichSecond:
         with pytest.raises(ExponentOverflowError) as err:
             zorich_second((0.0, 0.0, 10.0))  # exp(10) > 700 at the second stage
         assert err.value.stage == "second"
+
+    def test_input_phase_past_the_cap(self):
+        # an input phase past PHASE_CAP is UNRESOLVABLE in the kernel and a
+        # DomainError here, as in zorich; at the cap it evaluates
+        past = math.nextafter(PHASE_CAP, math.inf)
+        for x in [(1e300, 0.0, 0.0), (past, 0.0, 0.0), (0.3, -past, 1.0)]:
+            assert second_iterate(x)[2] == UNRESOLVABLE
+            with pytest.raises(DomainError, match="past PHASE_CAP"):
+                zorich_second(x)
+        x = [(PHASE_CAP, 0.0, 0.0), (0.0, -PHASE_CAP, -1.0), (past, 0.0, 0.0)]
+        np.testing.assert_array_equal(second_iterate(x)[2], [OK, OK, UNRESOLVABLE])
 
 
 class TestHInverse:
