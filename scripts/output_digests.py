@@ -63,6 +63,8 @@ COMMANDS = [
     ("verify-full", ["verify", "--level", "full"]),
     # a horizontal line at x3 = 35: 498 samples dropped unresolvable, 502 as overflows
     ("trace-unresolvable", ["trace", "--p", "0,0,35", "--direction", "1,0.3,0", "--budget", "3000"]),
+    # 256 lines in one packed group, 32 of them budget-bound: per-line truncation in a group
+    ("density-group", ["density", "--grid-n", "16", "--budget", "2000", "--rungs", "1"]),
 ]
 CONFIG = "face=-x2\nu2=-0.5\nu3=0.001\nbudget=20000\nquick=true\n"
 

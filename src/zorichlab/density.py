@@ -7,31 +7,28 @@ the second-iterate image is confined to a plane, a sphere or a bounded set.
 
 The tracer samples the second iterate adaptively: a parameter interval is
 bisected while its image endpoints are further apart than a step bound and
-at least one endpoint lies in the target box.  Intervals whose second
-exponent already exceeds the box scale are skipped.  The lines of a density
-rung are traced together, in groups of at most _GROUP_SAMPLES = 2^18 samples
-of budget (13 lines at a 20k budget), and a depth's midpoints of the whole
-group are evaluated together; each line fills its own fixed region of the
-group's sample store in its evaluation order, so its trace is bit-identical
-to tracing it alone and the outputs are unchanged.  numpy advises huge pages
-for arrays of 4 MiB or more, and a line's region is smaller than one, so a
-group's image array is committed whole although a density line writes only
-about 38% of its region: larger groups cost peak RSS.
+at least one endpoint lies in the target box.  The lines of a density rung
+are traced together, in groups of at most _GROUP_SAMPLES = 2^19 samples of
+budget (26 lines at a 20k budget).  A depth's midpoints of the whole group
+are evaluated together, and the group's store is filled in evaluation order,
+so a line's samples are runs of it: its trace is bit-identical to tracing it
+alone.  numpy advises huge pages for arrays of 4 MiB or more, and the store
+commits the pages of the samples the group takes, not of its whole budget.
 
 The tracer works in fixed blocks of _BLOCK = 2^14 points: each kernel call,
 each pass of the split test, each step of the final walk and each voxel mark
 take at most one block.  Every step is elementwise, so the blocks change no
 output bit; they bound the working set beside the store.  A kernel block is
 built as (3, m) coordinate rows and passed as their transpose, so the kernel
-works on contiguous rows; a store row is s, f and one flag byte (status,
-_LOW, _IN_BOX).  The kernel's and the split test's blocks run on the calling
+works on contiguous rows; a store row is s, f and one flag byte (status and
+_IN_BOX).  The kernel's and the split test's blocks run on the calling
 thread and one worker (_blocks), each writing only its own rows.  Each line
-leaves the tracer as a _Walk, its samples sorted once and yielded a block of
-kept rows at a time, on one thread.  Its consumers loop over the blocks:
-_finish builds adaptive_trace's TraceResult, mark_and_coverage marks a
-coverage grid and hits_ball keeps the point nearest a ball.  A line is traced
-only if one seed step moves each coordinate its direction moves: a line the
-float grid cannot resolve raises DomainError.
+leaves the tracer as a _Walk, walked once on one thread: _finish builds
+adaptive_trace's TraceResult and mark_and_coverage marks a coverage grid
+from its sorted blocks of kept rows, and hits_ball keeps the point nearest a
+ball from its unsorted rows.  A line is traced only if one seed step moves
+each coordinate its direction moves: a line the float grid cannot resolve
+raises DomainError.
 
 Everything is deterministic for fixed inputs; traces from one run can be
 marked into occupancy grids in any chunking (marking is idempotent).
@@ -56,6 +53,7 @@ from .zorich import (
     PHASE_CAP,
     UNRESOLVABLE,
     _norm3,
+    _phase_ok,
     second_iterate,
 )
 
@@ -65,7 +63,7 @@ _CHECKPOINT_BASE = 1000
 # last index of the ball base: past it the schedule radius 2^-ceil(n^(1/3)) is
 # at most 2^-53, below the float spacing at 1 (and dyadic stage 4 has 135M centres)
 MAX_BALL_N = 52**3
-_GROUP_SAMPLES = 1 << 18  # combined budget of the lines one group traces together
+_GROUP_SAMPLES = 1 << 19  # combined budget of the lines one group traces together
 _BLOCK = 1 << 14  # points or intervals per kernel call, test, gather and mark
 # first-stage x3 window of a traced line: exp(27) ~ 5e11 < zorich.PHASE_CAP
 X3_WINDOW = (-1.0, 27.0)
@@ -73,7 +71,7 @@ MAX_DEPTH = 48  # bisection depths of adaptive_trace
 MAX_SKIP_FRACTION = 0.05  # excluded crossings a density patch may contain
 MIN_BUDGET = 1000  # least evaluation budget of a trace
 MIN_GRID_N = 2  # least crossings per side of a density patch grid
-_LOW, _IN_BOX = np.int8(4), np.int8(8)  # a store row's flag bits beside its status (bits 0-1)
+_IN_BOX = np.int8(4)  # a store row's in-box bit beside its status (bits 0-1)
 
 # thresholds enshrined by the pilot runs documented in the README; the
 # experiment configurations that produced them are the defaults of
@@ -283,10 +281,8 @@ def adaptive_trace(
 
     Seeds a uniform parameter grid of budget // 3 points, then repeatedly
     bisects intervals whose image endpoints are more than h_max apart and
-    touch the box, skipping intervals whose second exponents both exceed
-    ln(2*box_r) + 1.  Stops at the evaluation budget or after
-    MAX_DEPTH bisections; overflow samples are dropped and counted, never
-    fatal.
+    touch the box.  Stops at the evaluation budget or after MAX_DEPTH
+    bisections; overflow samples are dropped and counted, never fatal.
     """
     (walk,) = _trace_lines([line], box_r, budget, h_max)
     return _finish(walk)
@@ -297,31 +293,36 @@ def _row_type(rows: int):
     return np.int32 if rows < 2**31 else np.intp
 
 
-def _flags(status, low, in_box):
-    """The store's flag byte of each row: status | _LOW if low | _IN_BOX if in_box."""
-    return status.astype(np.int8) | low * _LOW | in_box * _IN_BOX
+def _flags(status, in_box):
+    """The store's flag byte of each row: status | _IN_BOX if in_box."""
+    return status.astype(np.int8) | in_box * _IN_BOX
 
 
 class _Walk:
-    """One line's samples, given in evaluation order, sorted once and walked once.
+    """One line's samples, given in evaluation order and walked once.
 
-    The store is (s, f, flags), flags from _flags.  Iterating yields (rows, s,
-    points, in_box) for each _BLOCK of sorted store rows: the slice of the
-    `kept` points its OK rows fill, and their s, f and in_box.  Exhausted, it
-    holds `audit` and no longer the store or the order, so a walked walk
-    keeps no group's store alive.
+    The store is (s, f, flags), flags from _flags.  iter(walk) sorts the
+    store by s and returns its blocks: (rows, s, points, in_box) for each
+    _BLOCK of sorted store rows, the slice of the `kept` points its OK rows
+    fill and their s, f and in_box; exhausted, the walk holds `audit`.
+    scan() yields (s, points) of the OK rows of each _BLOCK of store rows in
+    store order: no sort and no audit.  Either lets go of the store as it
+    starts, so a walked walk keeps no group's store alive.
     """
 
     def __init__(self, s, f, flags, h_max):
-        # the sort order in 4-byte row indices when they fit
-        self._order = np.argsort(s, kind="stable").astype(_row_type(len(s)))
         self._store, self._h_max = (s, f, flags), h_max
-        self._counts = np.bincount(flags & 3, minlength=4)
-        self.kept, self.audit = int(self._counts[OK]), None
+        self.evals, self.kept, self.audit = len(s), None, None
 
     def __iter__(self):
-        (s, f, flags), order, counts = self._store, self._order, self._counts
-        self._store = self._order = None
+        (s, f, flags), self._store = self._store, None
+        # the sort order in 4-byte row indices when they fit
+        order = np.argsort(s, kind="stable").astype(_row_type(len(s)))
+        counts = np.bincount(flags & 3, minlength=4)
+        self.kept = int(counts[OK])
+        return self._sorted_blocks(s, f, flags, order, counts)
+
+    def _sorted_blocks(self, s, f, flags, order, counts):
         pairs_in_box = cap_hits = done = 0
         carry = np.empty(0, dtype=np.intp)  # the last kept store row of the blocks before
         for c in range(0, len(s), _BLOCK):
@@ -342,11 +343,18 @@ class _Walk:
         in_box_points = int(np.count_nonzero(flags & _IN_BOX))  # set only at OK rows
         self.audit = TraceAudit(len(s), *dropped, in_box_points, pairs_in_box, cap_hits)
 
+    def scan(self):
+        (s, f, flags), self._store = self._store, None
+        for c in range(0, len(s), _BLOCK):
+            ok = np.flatnonzero(flags[c : c + _BLOCK] & 3 == OK) + c
+            yield s[ok], f.take(ok, axis=0)
+
 
 def _finish(walk: _Walk) -> TraceResult:
     """The TraceResult of a walk, allocated after its sort."""
+    blocks = iter(walk)
     s, f, box = np.empty(walk.kept), np.empty((walk.kept, 3)), np.empty(walk.kept, dtype=bool)
-    for rows, *block in walk:
+    for rows, *block in blocks:
         s[rows], f[rows], box[rows] = block
     return TraceResult(s, f, box, walk.audit)
 
@@ -373,7 +381,7 @@ def _trace_lines(lines, box_r: float, budget: int, h_max: float):
             raise DomainError(f"adaptive_trace: one seed step over s in [{s_lo:g}, {s_hi:g}] "
                               "leaves a coordinate of the line unresolved")
         # max(|x1|, |x2|) is convex along the window, so its ends bound it
-        if max(abs(x[0]), abs(x[1]), abs(end[0]), abs(end[1])) > PHASE_CAP:
+        if not _phase_ok(np.array([x, end])).all():
             raise DomainError(f"adaptive_trace: a first-stage phase over s in [{s_lo:g}, "
                               f"{s_hi:g}] is past PHASE_CAP = {PHASE_CAP:g}")
     per_group = max(1, _GROUP_SAMPLES // budget)
@@ -434,34 +442,26 @@ def _trace_group(lines, ranges, box_r, budget, h_max):
     """
     n = len(lines)
     n0 = budget // 3
-    skip_exp = math.log(2.0 * box_r) + 1.0
-    # the sample store: line k owns rows [k*budget, (k+1)*budget) and fills
-    # them in its evaluation order, its seed grid and then one run of
-    # midpoints per depth.  An interval is a pair (lo, hi) of store rows.
-    # Pages are touched only as samples are written.  A row is s, f and one
-    # flag byte (_flags): the status in bits 0-1, _LOW for a second exponent
-    # z3 <= skip_exp and _IN_BOX, 33 bytes in all.  z3 is never NaN (+inf
-    # after a first-stage overflow), so min(z3[lo], z3[hi]) <= skip_exp is
-    # (flags[lo] | flags[hi]) & _LOW.  A block is evaluated as the transpose
-    # of a (3, m) block of points, so the kernel and the flags work on
-    # contiguous coordinate rows; f is stored as rows.
+    # the sample store, filled in evaluation order (the lines' seed grids, then
+    # each depth's midpoints, line by line), so the pages it touches follow the
+    # samples taken.  Line k's samples are its runs of rows, runs[k]; an interval
+    # is a pair (lo, hi) of store rows.  A row is s, f and one flag byte (_flags).
+    # A block is evaluated as the transpose of a (3, m) block of points, so the
+    # kernel and the flags work on contiguous coordinate rows; f is stored as rows.
     s, f, flags = np.empty(n * budget), np.empty((n * budget, 3)), np.empty(n * budget, np.int8)
     p = np.array([line.p for line in lines], dtype=float)[:, :, None]  # line k's as a column
     d = np.array([line.direction() for line in lines])[:, :, None]
     row_type = _row_type(n * budget)  # of the interval ends lo, hi and the midpoints' rows
+    runs = [[] for _ in range(n)]  # line k's (start, stop) runs of store rows, in its order
 
-    def evaluate(new_s, runs):
-        """Evaluate and store the points of new_s, one _BLOCK at a time (see _blocks).
-
-        runs holds (a, b, k, row): line k's parameters new_s[a:b] go to its
-        store rows row, row + 1, ...; the runs are disjoint.
-        """
+    def evaluate(new_s, top, parts):
+        """Evaluate new_s into store rows top, top + 1, ..., one _BLOCK at a time (see
+        _blocks); parts holds (a, b, k): new_s[a:b] are line k's parameters."""
 
         def block(c):
             e = min(c + _BLOCK, len(new_s))
             x = np.empty((3, e - c))
-            writes = []
-            for a, b, k, row in runs:
+            for a, b, k in parts:
                 i, j = max(a, c), min(b, e)
                 if i < j:
                     # lines[k].point_at(new_s[i:j]) as coordinate rows, bit for bit;
@@ -469,16 +469,13 @@ def _trace_group(lines, ranges, box_r, budget, h_max):
                     xs = x[:, i - c : j - c]
                     np.multiply(d[k], new_s[i:j], out=xs)
                     np.add(xs, p[k], out=xs)
-                    writes.append((slice(row + i - a, row + j - a), slice(i - c, j - c)))
-            new_f, new_z3, new_status = second_iterate(x.T)
+            new_f, _, new_status = second_iterate(x.T)
             rows_f = new_f.T
             rows_f[:, new_status == UNRESOLVABLE] = np.nan
             near = np.abs(rows_f) <= box_r
-            new_flags = _flags(new_status, new_z3 <= skip_exp,
-                               (new_status == OK) & near[0] & near[1] & near[2])
-            block_s = new_s[c:e]
-            for rows, part in writes:
-                s[rows], f[rows], flags[rows] = block_s[part], new_f[part], new_flags[part]
+            rows = slice(top + c, top + e)
+            s[rows], f[rows] = new_s[c:e], new_f
+            flags[rows] = _flags(new_status, (new_status == OK) & near[0] & near[1] & near[2])
 
         _blocks(block, len(new_s))
 
@@ -494,7 +491,7 @@ def _trace_group(lines, ranges, box_r, budget, h_max):
             left, right = s[a], s[b]
             width_ok = (right - left) > 8.0 * np.spacing(np.maximum(np.abs(left), np.abs(right)))
             need[c : c + _BLOCK] = (
-                ((flags[a] | flags[b]) & (_LOW | _IN_BOX) == _LOW | _IN_BOX)  # in the box and low
+                ((flags[a] | flags[b]) & _IN_BOX != 0)  # an end in the box
                 & ~(gap <= h_max)  # a NaN gap counts as too wide
                 & width_ok
             )
@@ -506,13 +503,14 @@ def _trace_group(lines, ranges, box_r, budget, h_max):
     # n0 - 1 < budget - n0 intervals leave the budget unbound
     split = []
     for k, (s_lo, s_hi) in enumerate(ranges):
-        evaluate(np.linspace(s_lo, s_hi, n0), [(0, n0, k, k * budget)])
-        lo = np.arange(k * budget, k * budget + n0 - 1, dtype=row_type)
+        evaluate(np.linspace(s_lo, s_hi, n0), k * n0, [(0, n0, k)])
+        runs[k].append((k * n0, (k + 1) * n0))
+        lo = np.arange(k * n0, (k + 1) * n0 - 1, dtype=row_type)
         split.append(lo[np.flatnonzero(needs_split(lo, lo + 1))])
     lo = np.concatenate(split)
     hi = lo + 1
     counts = np.array([len(c) for c in split])
-    evals = np.full(n, n0)  # rows line k has filled
+    evals, top = np.full(n, n0), n * n0  # samples line k has taken; the first free row
 
     for depth in range(1, MAX_DEPTH + 1):
         if len(lo) == 0:
@@ -520,20 +518,18 @@ def _trace_group(lines, ranges, box_r, budget, h_max):
         edges = [0, *np.cumsum(counts).tolist()]
         spans = list(zip(edges, edges[1:]))  # line k splits lo[a:b], hi[a:b]
         new_s = 0.5 * (s[lo] + s[hi])
-        mid = np.empty(len(lo), dtype=row_type)
-        runs = []
-        for k, (a, b) in enumerate(spans):
-            if b > a:
-                first = k * budget + evals[k]
-                mid[a:b] = np.arange(first, first + b - a)
-                runs.append((a, b, k, first))
+        mid = np.arange(top, top + len(lo), dtype=row_type)
+        parts = [(a, b, k) for k, (a, b) in enumerate(spans) if b > a]
+        for a, b, k in parts:
+            runs[k].append((top + a, top + b))
         evals += counts
         # children replace their parents line by line, left halves first; a
         # line that spends its budget at this depth is done
         spans = [(a, b) if evals[k] < budget else (a, a) for k, (a, b) in enumerate(spans)]
         lo = np.concatenate([c for a, b in spans for c in (lo[a:b], mid[a:b])])
         hi = np.concatenate([c for a, b in spans for c in (mid[a:b], hi[a:b])])
-        evaluate(new_s, runs)
+        evaluate(new_s, top, parts)
+        top += len(new_s)
         if depth == MAX_DEPTH:
             break
         idx = np.flatnonzero(needs_split(lo, hi))
@@ -544,9 +540,12 @@ def _trace_group(lines, ranges, box_r, budget, h_max):
             idx = np.concatenate([idx[c : c + m] for c, m in zip(cut, counts)])
         lo, hi = lo[idx], hi[idx]
 
-    for k in range(n):
-        rows = slice(k * budget, k * budget + evals[k])
-        yield _Walk(s[rows], f[rows], flags[rows], h_max)
+    for k, line_runs in enumerate(runs):
+        first, last = line_runs[0][0], line_runs[-1][1]
+        if last - first == evals[k]:  # adjacent runs, as every lone line's: views
+            yield _Walk(s[first:last], f[first:last], flags[first:last], h_max)
+        else:  # one copy, in the line's evaluation order
+            yield _Walk(*(np.concatenate([v[a:b] for a, b in line_runs]) for v in (s, f, flags)), h_max)
 
 
 # ---------------------------------------------------------------------------
@@ -656,17 +655,18 @@ class HitResult:
 
 
 def hits_ball(walk: _Walk, ball: BallSpec) -> HitResult:
-    """The first of the walk's kept points nearest the ball centre, a hit when inside the ball."""
-    best, witness = math.inf, None
-    for _, s, points, _ in walk:
-        if len(points):
-            with np.errstate(over="ignore"):
-                dist = _norm3(points - np.asarray(ball.center))
-            k = int(np.argmin(dist))
-            if dist[k] < best:  # strict: a later block's equal distance keeps the first point
-                best, witness = float(dist[k]), float(s[k])
+    """The kept point nearest the ball centre, a hit when inside the ball.  The scan
+    reads the walk's rows unsorted: the distance is an exact minimum and the witness
+    the least s among the nearest points, so neither depends on the rows' order."""
+    best, witness = math.inf, math.inf
+    for s, points in walk.scan():
+        with np.errstate(over="ignore"):
+            dist = _norm3(points - np.asarray(ball.center))
+        if len(dist) and (near := dist.min()) <= best:
+            least = s[dist == near].min()
+            witness, best = least if near < best else min(witness, least), float(near)
     hit = best < ball.radius
-    return HitResult(hit, witness if hit else None, best, walk.audit.evals)
+    return HitResult(hit, float(witness) if hit else None, best, walk.evals)
 
 
 @dataclass(frozen=True)

@@ -10,6 +10,11 @@ Every parameter with a default, of a top-level function or of a method of a
 top-level class, must be passed by some call in the package: by keyword, or
 by position at or past its index (a ``*args`` or ``**kwargs`` counts as
 nothing).  A call of the class passes its ``__init__``'s parameters.
+
+The caps ``PHASE_CAP`` and ``EXP_CAP`` are read in expressions only in
+``zorich.py``, which owns them; other modules check a phase through
+``zorich._phase_ok``.  A cap's name in a string or an f-string message is no
+read.  ``CAP_CLAMPS`` lists the reads outside the owner, with the reason.
 """
 
 import ast
@@ -112,3 +117,39 @@ def test_every_optional_parameter_is_passed():
     missing = [f"{module}.{qualname}: {name}"
                for module, qualname, name in unpassed() if not exempt(module, qualname)]
     assert not missing, f"parameters with a default that no call in the package passes: {missing}"
+
+
+CAPS = {"PHASE_CAP", "EXP_CAP"}
+# (module, top-level definition, cap): each read outside zorich.py, with its reason
+CAP_CLAMPS = {
+    ("preimage", "_surface_residual", "EXP_CAP"):
+        "clamps y3 so that exp() in the cone residual stays finite, not the map's overflow rule",
+    ("preimage", "_solve_rays", "EXP_CAP"):
+        "ends a ray's search bracket where y3 reaches the cap, so the residual stays finite",
+}
+
+
+def cap_reads() -> list[tuple[str, str, str]]:
+    """(module, top-level definition, cap) of each read of a cap in an expression
+    outside zorich.py; f-strings, other strings and imports hold no read."""
+    reads = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path.stem == "zorich":
+            continue
+        for stmt in ast.parse(path.read_text(encoding="utf-8")).body:
+            owner, stack = getattr(stmt, "name", "<module>"), [stmt]
+            while stack:
+                node = stack.pop()
+                if isinstance(node, ast.JoinedStr):
+                    continue
+                if isinstance(node, ast.Name) and node.id in CAPS:
+                    reads.append((path.stem, owner, node.id))
+                elif isinstance(node, ast.Attribute) and node.attr in CAPS:
+                    reads.append((path.stem, owner, node.attr))
+                stack.extend(ast.iter_child_nodes(node))
+    return reads
+
+
+def test_caps_are_read_only_by_their_owner():
+    reads = sorted(cap_reads())
+    assert reads == sorted(CAP_CLAMPS), f"cap reads outside zorich.py: {reads}"

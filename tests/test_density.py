@@ -5,6 +5,7 @@ import sys
 import threading
 import time
 import tracemalloc
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -813,7 +814,7 @@ def hand_made_store(sorted_status, seed, ties=False):
 
 def store_walk(s, f, in_box, status, h_max):
     """The _Walk of a hand-made store, its in_box and status packed into the flag byte."""
-    return density._Walk(s, f, density._flags(status, False, in_box), h_max)
+    return density._Walk(s, f, density._flags(status, in_box), h_max)
 
 
 BAD = [OVERFLOW_FIRST, OVERFLOW_SECOND, UNRESOLVABLE]
@@ -821,17 +822,17 @@ BAD = [OVERFLOW_FIRST, OVERFLOW_SECOND, UNRESOLVABLE]
 
 @pytest.mark.parametrize("block", [3, 1 << 14])
 def test_flag_byte_packs_what_the_split_test_and_the_walk_read(monkeypatch, block):
-    # every flag byte a store can hold: a status, low, and in_box only at OK
+    # every flag byte a store can hold: a status, and in_box only at OK
     monkeypatch.setattr(density, "_BLOCK", block)
-    rows = [(status, low, box) for status in (OK, *BAD) for low in (False, True)
-            for box in (False, True) if status == OK or not box]
-    status, low, in_box = (np.array(column) for column in zip(*rows))
-    flags = density._flags(status, low, in_box)
-    assert flags.dtype == np.int8 and len(set(flags.tolist())) == len(rows) == 10
+    rows = [(status, box) for status in (OK, *BAD) for box in (False, True)
+            if status == OK or not box]
+    status, in_box = (np.array(column) for column in zip(*rows))
+    flags = density._flags(status, in_box)
+    assert flags.dtype == np.int8 and len(set(flags.tolist())) == len(rows) == 5
     # the split test over every pair of rows
     a, b = (v.ravel() for v in np.meshgrid(np.arange(len(rows)), np.arange(len(rows))))
-    np.testing.assert_array_equal(((flags[a] | flags[b]) & 12) == 12,
-                                  (in_box[a] | in_box[b]) & (low[a] | low[b]))
+    np.testing.assert_array_equal((flags[a] | flags[b]) & density._IN_BOX != 0,
+                                  in_box[a] | in_box[b])
     # the walk decodes status and in_box: it keeps the OK rows in s order
     s = np.arange(len(rows), 0.0, -1.0)
     f = np.where((status == OK)[:, None], np.arange(3.0 * len(rows)).reshape(-1, 3), np.nan)
@@ -842,7 +843,7 @@ def test_flag_byte_packs_what_the_split_test_and_the_walk_read(monkeypatch, bloc
     np.testing.assert_array_equal(got.in_box, in_box[ok])
     counts = np.bincount(status, minlength=4)
     assert (got.audit.evals, got.audit.dropped_overflow, got.audit.dropped_unresolvable,
-            got.audit.in_box_points) == (10, counts[OVERFLOW_FIRST] + counts[OVERFLOW_SECOND],
+            got.audit.in_box_points) == (5, counts[OVERFLOW_FIRST] + counts[OVERFLOW_SECOND],
                                          counts[UNRESOLVABLE], np.count_nonzero(in_box))
 
 
@@ -979,8 +980,9 @@ class TestCoverageFromTheWalk:
         assert run.audit.evals == 6000 and run.series[-1][0] > 1000
 
 
-# hits_ball scans the walk's blocks for the first nearest kept point.  The
-# oracle is the scan as it was: one argmin over a whole TraceResult.
+# hits_ball scans the walk's unsorted rows for the nearest kept point, the
+# least s among equally near ones.  The oracle is the scan as it was: one
+# argmin over a whole TraceResult, whose points are sorted by s.
 
 
 def argmin_hit(trace, ball):
@@ -1050,6 +1052,60 @@ class TestHitScan:
         for radius, witness in [(0.5, s[first]), (0.2, None)]:
             want = assert_hit_is_argmin_hit((s, f, in_box, status), BallSpec((5.25, 5.0, 5.0), radius))
             assert (want.witness_param, want.min_distance) == (witness, 0.25)
+
+    @pytest.mark.parametrize("block", [3, 7])
+    @pytest.mark.parametrize("least_later", [True, False])
+    @pytest.mark.parametrize(
+        "sorted_status",
+        [
+            [OK] * 8,
+            [OK, *BAD, OK, OK, *BAD, OK, OK, OK],
+            BAD + [OK] * 5 + BAD * 3 + [OK, OK],
+        ],
+    )
+    def test_equal_nearest_distances_in_store_blocks(self, monkeypatch, block, least_later,
+                                                     sorted_status):
+        # two different points at one distance from the centre, at different
+        # s in different store blocks, the smaller s in the later block or in
+        # the earlier: the unsorted scan keeps the least s, as argmin over the
+        # sorted walk does
+        monkeypatch.setattr(density, "_BLOCK", block)
+        s, f, in_box, status = hand_made_store(sorted_status, block)
+        ok = np.flatnonzero(status == OK)
+        early, late = ok[0], ok[-1]  # store rows
+        assert early // block < late // block
+        if (s[late] < s[early]) != least_later:
+            s[early], s[late] = s[late], s[early]
+        f[early], f[late] = (5.5, 5.0, 5.0), (5.0, 5.0, 5.0)  # both 0.25 from (5.25, 5, 5)
+        for radius, witness in [(0.5, min(s[early], s[late])), (0.2, None)]:
+            want = assert_hit_is_argmin_hit((s, f, in_box, status), BallSpec((5.25, 5.0, 5.0), radius))
+            assert (want.witness_param, want.min_distance) == (witness, 0.25)
+
+    def test_the_scan_lets_go_of_the_store(self):
+        store = hand_made_store([OK] * 20 + BAD, 3)
+        walk = store_walk(*store, NEAR_BALL.radius)
+        held = [weakref.ref(v) for v in walk._store]
+        del store
+        hits_ball(walk, NEAR_BALL)
+        assert walk._store is None and [ref() for ref in held] == [None] * 3
+        # a traced line's walk, a copy of its group's store or a view of it
+        line = LineSpec(YPoint("+x1", 0.4, 0.35))
+        for lines in ([line], [LineSpec(YPoint("+x1", 0.5, 0.3)), line]):
+            *_, walk = density._trace_lines(lines, 10.0, 6000, NEAR_BALL.radius)
+            held = [weakref.ref(v.base if v.base is not None else v) for v in walk._store]
+            assert hits_ball(walk, NEAR_BALL).evals == walk.evals > 2000
+            assert walk._store is None and [ref() for ref in held] == [None] * 3
+
+    def test_a_rung_sorts_no_walk(self, monkeypatch):
+        patch = PatchSpec(YPoint("+x1", 0.4, 0.35), 0.04)
+        want = epsilon_density(patch, base_sequence(1), grid_n=4, budget_per_line=6000, rungs=2)
+
+        def no_sort(walk):
+            raise AssertionError("a walk was sorted")
+
+        monkeypatch.setattr(density._Walk, "__iter__", no_sort)
+        got = epsilon_density(patch, base_sequence(1), grid_n=4, budget_per_line=6000, rungs=2)
+        assert got == want and sum(r.hits for r in got) > 0
 
     @pytest.mark.parametrize("block", [7, 1 << 14])
     @pytest.mark.parametrize("name", list(COVERAGE_LINES))

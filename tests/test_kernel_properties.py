@@ -139,6 +139,19 @@ def test_stored_row_is_finite_iff_ok(rows):
 
 
 @PROPERTY
+@given(STATUS_POINTS)
+def test_an_in_box_row_has_a_low_second_exponent(rows):
+    # the split test reads the in-box bit alone: an OK row with every
+    # |f_i| <= box_r has exp(z3) = |f| <= sqrt(3) box_r, so z3 <= ln(2 box_r) + 1
+    # and no exponent bound is left to test.  Each OK row is checked at the
+    # least box_r > 0 that holds it, its own max |f_i|
+    f, z3, status = second_iterate(np.array(rows))
+    ok = status == OK
+    box_r = np.maximum(np.max(np.abs(f[ok]), axis=-1), np.finfo(float).smallest_subnormal)
+    assert np.all(z3[ok] <= np.log(2.0 * box_r) + 1.0)
+
+
+@PROPERTY
 @given(st.lists(st.floats(-40.0, 40.0), min_size=1, max_size=50))
 def test_unfold_inverts_fold(values):
     t = np.array(values)
@@ -152,7 +165,7 @@ def test_second_iterate_is_the_masked_composition(rows):
     x = np.array(rows)
     f, z3, status = second_iterate(x)
 
-    assert not np.any(np.isnan(z3))  # the tracer stores only z3 <= skip_exp
+    assert not np.any(np.isnan(z3))
     first_ok = x[:, 2] <= EXP_CAP
     assert np.all(status[~first_ok] == OVERFLOW_FIRST)
     assert np.all(np.isposinf(z3[~first_ok]))
@@ -560,7 +573,8 @@ def test_grouped_trace_is_the_lone_trace(lines, box_r, h_max, budget):
         assert_same_trace(trace, adaptive_trace(line, box_r, budget, h_max))
 
 
-@pytest.mark.parametrize("group_samples", sorted({2**17, density._GROUP_SAMPLES, 12_000}))
+@pytest.mark.parametrize("group_samples",
+                         sorted({12_000, 2**17, 2**18, density._GROUP_SAMPLES}))
 @pytest.mark.parametrize("at_budget", [0, 1, 2])
 def test_grouped_trace_truncates_per_line(monkeypatch, group_samples, at_budget):
     # one line spends its budget while the two others converge below it; a
@@ -609,7 +623,7 @@ def reference_trace(line, box_r, budget, h_max, depths=MAX_DEPTH):
         lo, hi = np.concatenate([lo, mid]), np.concatenate([mid, hi])
     f[status == UNRESOLVABLE] = np.nan
     in_box = (status == OK) & np.all(np.abs(f) <= box_r, axis=-1)
-    return _finish(density._Walk(s, f, density._flags(status, False, in_box), h_max))
+    return _finish(density._Walk(s, f, density._flags(status, in_box), h_max))
 
 
 @pytest.mark.parametrize("budget", [1000, 6000])
@@ -651,7 +665,8 @@ def test_depth_cap_stops_the_trace(monkeypatch, depths):
         assert_same_trace(trace, capped)
 
 
-@pytest.mark.parametrize("group_samples", sorted({2**17, density._GROUP_SAMPLES, 12_000}))
+@pytest.mark.parametrize("group_samples",
+                         sorted({12_000, 2**17, 2**18, density._GROUP_SAMPLES}))
 def test_blocked_trace_is_the_unblocked_trace(monkeypatch, group_samples):
     # blocks of a small prime straddle the seed grids (2000 points), the line
     # regions of a group's midpoints and the groups' interval lists
