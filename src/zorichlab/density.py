@@ -23,12 +23,13 @@ built as (3, m) coordinate rows and passed as their transpose, so the kernel
 works on contiguous rows; a store row is s, f and one flag byte (status and
 _IN_BOX).  The kernel's and the split test's blocks run on the calling
 thread and one worker (_blocks), each writing only its own rows.  Each line
-leaves the tracer as a _Walk, walked once on one thread: _finish builds
-adaptive_trace's TraceResult and mark_and_coverage marks a coverage grid
-from its sorted blocks of kept rows, and hits_ball keeps the point nearest a
-ball from its unsorted rows.  A line is traced only if one seed step moves
-each coordinate its direction moves: a line the float grid cannot resolve
-raises DomainError.
+leaves the tracer as a _Walk (views of a lone line's store, or a group's
+store and a row index of its runs), walked once on one thread: _finish
+builds adaptive_trace's TraceResult and mark_and_coverage marks a coverage
+grid from its sorted blocks of kept rows, and hits_ball keeps the point
+nearest a ball from its unsorted rows.  A line is traced only if one seed
+step moves each coordinate its direction moves: a line the float grid
+cannot resolve raises DomainError.
 
 Everything is deterministic for fixed inputs; traces from one run can be
 marked into occupancy grids in any chunking (marking is idempotent).
@@ -301,21 +302,26 @@ def _flags(status, in_box):
 class _Walk:
     """One line's samples, given in evaluation order and walked once.
 
-    The store is (s, f, flags), flags from _flags.  iter(walk) sorts the
-    store by s and returns its blocks: (rows, s, points, in_box) for each
-    _BLOCK of sorted store rows, the slice of the `kept` points its OK rows
-    fill and their s, f and in_box; exhausted, the walk holds `audit`.
-    scan() yields (s, points) of the OK rows of each _BLOCK of store rows in
-    store order: no sort and no audit.  Either lets go of the store as it
-    starts, so a walked walk keeps no group's store alive.
+    The store is (s, f, flags), flags from _flags.  The samples are its rows,
+    or its rows[0], rows[1], ... given a row index (a grouped line's walk,
+    which shares its group's store).  iter(walk) gathers them once, sorts them
+    by s and returns their blocks: (rows, s, points, in_box) for each _BLOCK
+    of sorted samples, the slice of the `kept` points its OK rows fill and
+    their s, f and in_box; exhausted, the walk holds `audit`.  scan() yields
+    (s, points) of the OK samples of each _BLOCK of them in evaluation order:
+    no sort and no audit.  Either lets go of the store as it starts, so a
+    walked walk keeps no group's store alive.
     """
 
-    def __init__(self, s, f, flags, h_max):
-        self._store, self._h_max = (s, f, flags), h_max
-        self.evals, self.kept, self.audit = len(s), None, None
+    def __init__(self, s, f, flags, h_max, rows=None):
+        self._store, self._rows, self._h_max = (s, f, flags), rows, h_max
+        self.evals, self.kept, self.audit = len(s if rows is None else rows), None, None
 
     def __iter__(self):
-        (s, f, flags), self._store = self._store, None
+        (s, f, flags), rows = self._store, self._rows
+        self._store = self._rows = None
+        if rows is not None:
+            s, f, flags = s[rows], f.take(rows, axis=0), flags[rows]
         # the sort order in 4-byte row indices when they fit
         order = np.argsort(s, kind="stable").astype(_row_type(len(s)))
         counts = np.bincount(flags & 3, minlength=4)
@@ -344,9 +350,14 @@ class _Walk:
         self.audit = TraceAudit(len(s), *dropped, in_box_points, pairs_in_box, cap_hits)
 
     def scan(self):
-        (s, f, flags), self._store = self._store, None
-        for c in range(0, len(s), _BLOCK):
-            ok = np.flatnonzero(flags[c : c + _BLOCK] & 3 == OK) + c
+        (s, f, flags), rows = self._store, self._rows
+        self._store = self._rows = None
+        for c in range(0, self.evals, _BLOCK):
+            if rows is None:
+                ok = np.flatnonzero(flags[c : c + _BLOCK] & 3 == OK) + c
+            else:  # intp row indices: each is used three times, and a gather casts int32 ones
+                block = rows[c : c + _BLOCK].astype(np.intp)
+                ok = block[flags[block] & 3 == OK]
             yield s[ok], f.take(ok, axis=0)
 
 
@@ -438,37 +449,40 @@ def _trace_group(lines, ranges, box_r, budget, h_max):
     together, one _BLOCK of points per second_iterate call.  Intervals are
     kept grouped by line, each line's in the order a lone trace of it keeps
     them, so the budget truncation takes the same intervals: a line keeps its
-    first budget - evals needed ones.
+    first budget - evals needed ones.  A depth is a fixed number of array
+    operations on the intervals and the per-line interval counts.  Each
+    depth's (first row, counts) is recorded: a grouped line's walk reads the
+    group's store through the row index of its runs that they give.  A lone
+    line's walk is views of the store.
     """
     n = len(lines)
     n0 = budget // 3
     # the sample store, filled in evaluation order (the lines' seed grids, then
     # each depth's midpoints, line by line), so the pages it touches follow the
-    # samples taken.  Line k's samples are its runs of rows, runs[k]; an interval
-    # is a pair (lo, hi) of store rows.  A row is s, f and one flag byte (_flags).
-    # A block is evaluated as the transpose of a (3, m) block of points, so the
-    # kernel and the flags work on contiguous coordinate rows; f is stored as rows.
+    # samples taken.  An interval is a pair (lo, hi) of store rows.  A row is s,
+    # f and one flag byte (_flags).  A block is evaluated as the transpose of a
+    # (3, m) block of points, so the kernel and the flags work on contiguous
+    # coordinate rows; f is stored as rows.
     s, f, flags = np.empty(n * budget), np.empty((n * budget, 3)), np.empty(n * budget, np.int8)
-    p = np.array([line.p for line in lines], dtype=float)[:, :, None]  # line k's as a column
-    d = np.array([line.direction() for line in lines])[:, :, None]
+    p = np.array([line.p for line in lines], dtype=float).T  # line k's is column k
+    d = np.array([line.direction() for line in lines]).T
     row_type = _row_type(n * budget)  # of the interval ends lo, hi and the midpoints' rows
-    runs = [[] for _ in range(n)]  # line k's (start, stop) runs of store rows, in its order
+    ids = np.arange(n, dtype=np.int16 if n <= 2**15 else row_type)  # line indices, 2 bytes if they fit
 
-    def evaluate(new_s, top, parts):
+    def evaluate(new_s, top, line):
         """Evaluate new_s into store rows top, top + 1, ..., one _BLOCK at a time (see
-        _blocks); parts holds (a, b, k): new_s[a:b] are line k's parameters."""
+        _blocks); new_s[i] is a parameter of line line[i], or of line `line` if an int."""
 
         def block(c):
             e = min(c + _BLOCK, len(new_s))
-            x = np.empty((3, e - c))
-            for a, b, k in parts:
-                i, j = max(a, c), min(b, e)
-                if i < j:
-                    # lines[k].point_at(new_s[i:j]) as coordinate rows, bit for bit;
-                    # two ufuncs into x take half the time of np.multiply.outer
-                    xs = x[:, i - c : j - c]
-                    np.multiply(d[k], new_s[i:j], out=xs)
-                    np.add(xs, p[k], out=xs)
+            # the lines' point_at(new_s[c:e]) as coordinate rows, bit for bit
+            if np.ndim(line):
+                k = line[c:e].astype(np.intp)
+                x, pk = d.take(k, axis=1), p.take(k, axis=1)
+                np.multiply(x, new_s[c:e], out=x)
+            else:
+                x, pk = np.multiply(d[:, line, None], new_s[c:e]), p[:, line, None]
+            np.add(x, pk, out=x)
             new_f, _, new_status = second_iterate(x.T)
             rows_f = new_f.T
             rows_f[:, new_status == UNRESOLVABLE] = np.nan
@@ -503,49 +517,67 @@ def _trace_group(lines, ranges, box_r, budget, h_max):
     # n0 - 1 < budget - n0 intervals leave the budget unbound
     split = []
     for k, (s_lo, s_hi) in enumerate(ranges):
-        evaluate(np.linspace(s_lo, s_hi, n0), k * n0, [(0, n0, k)])
-        runs[k].append((k * n0, (k + 1) * n0))
+        evaluate(np.linspace(s_lo, s_hi, n0), k * n0, k)
         lo = np.arange(k * n0, (k + 1) * n0 - 1, dtype=row_type)
         split.append(lo[np.flatnonzero(needs_split(lo, lo + 1))])
     lo = np.concatenate(split)
     hi = lo + 1
-    counts = np.array([len(c) for c in split])
+    counts = np.array([len(c) for c in split])  # the intervals line k splits
     evals, top = np.full(n, n0), n * n0  # samples line k has taken; the first free row
+    history = []  # (first row, counts) of each depth's midpoints
 
     for depth in range(1, MAX_DEPTH + 1):
         if len(lo) == 0:
             break
-        edges = [0, *np.cumsum(counts).tolist()]
-        spans = list(zip(edges, edges[1:]))  # line k splits lo[a:b], hi[a:b]
+        history.append((top, counts))
         new_s = 0.5 * (s[lo] + s[hi])
         mid = np.arange(top, top + len(lo), dtype=row_type)
-        parts = [(a, b, k) for k, (a, b) in enumerate(spans) if b > a]
-        for a, b, k in parts:
-            runs[k].append((top + a, top + b))
+        evaluate(new_s, top, 0 if n == 1 else np.repeat(ids, counts))  # a lone line: no ids
         evals += counts
+        top += len(new_s)
+        room = budget - evals
+        if depth == MAX_DEPTH or not room.any():
+            break
         # children replace their parents line by line, left halves first; a
         # line that spends its budget at this depth is done
-        spans = [(a, b) if evals[k] < budget else (a, a) for k, (a, b) in enumerate(spans)]
-        lo = np.concatenate([c for a, b in spans for c in (lo[a:b], mid[a:b])])
-        hi = np.concatenate([c for a, b in spans for c in (mid[a:b], hi[a:b])])
-        evaluate(new_s, top, parts)
-        top += len(new_s)
-        if depth == MAX_DEPTH:
-            break
+        if n == 1:
+            lo, hi = np.concatenate([lo, mid]), np.concatenate([mid, hi])
+        else:
+            if counts[room == 0].any():
+                keep = np.repeat(room > 0, counts)
+                lo, hi, mid = lo[keep], hi[keep], mid[keep]
+                counts = np.where(room > 0, counts, 0)
+            # line k's interval i has its left child at i + first[k], its right child counts[k] on
+            first = np.cumsum(counts) - counts
+            left = np.repeat(first, counts) + np.arange(len(lo))
+            right = np.repeat(counts, counts) + left
+            lo2, hi2 = np.empty((2, 2 * len(lo)), row_type)
+            lo2[left], lo2[right], hi2[left], hi2[right] = lo, mid, mid, hi
+            lo, hi = lo2, hi2
         idx = np.flatnonzero(needs_split(lo, hi))
-        # the needed children of line k are idx[cut[k]:cut[k+1]]
-        cut = np.searchsorted(idx, np.cumsum([0] + [2 * (b - a) for a, b in spans]))
-        counts = np.minimum(np.diff(cut), budget - evals)
-        if np.any(counts < np.diff(cut)):
-            idx = np.concatenate([idx[c : c + m] for c, m in zip(cut, counts)])
+        # line k's needed children are idx[end[k] - needed[k]:end[k]]; it keeps its first room[k]
+        end = np.searchsorted(idx, np.cumsum(2 * counts))
+        needed = np.diff(end, prepend=0)
+        counts = np.minimum(needed, room)
+        if n == 1:
+            idx = idx[: counts[0]]
+        elif np.any(counts < needed):
+            rank = np.arange(len(idx)) - np.repeat(end - needed, needed)
+            idx = idx[rank < np.repeat(counts, needed)]
         lo, hi = lo[idx], hi[idx]
 
-    for k, line_runs in enumerate(runs):
-        first, last = line_runs[0][0], line_runs[-1][1]
-        if last - first == evals[k]:  # adjacent runs, as every lone line's: views
-            yield _Walk(s[first:last], f[first:last], flags[first:last], h_max)
-        else:  # one copy, in the line's evaluation order
-            yield _Walk(*(np.concatenate([v[a:b] for a, b in line_runs]) for v in (s, f, flags)), h_max)
+    if n == 1:  # a lone line's runs are adjacent
+        yield _Walk(s[:top], f[:top], flags[:top], h_max)
+        return
+    # line k's runs: size[:, k] rows of its seed grid, then of each depth's
+    # midpoints, each from its start less the line's samples before it (shift)
+    tops, sizes = zip((0, np.full(n, n0)), *history)
+    size = np.array(sizes)
+    start = np.array(tops)[:, None] + np.cumsum(size, axis=1) - size
+    shift = (start - (np.cumsum(size, axis=0) - size)).astype(row_type)
+    for k in range(n):
+        rows = np.repeat(shift[:, k], size[:, k]) + np.arange(evals[k], dtype=row_type)
+        yield _Walk(s, f, flags, h_max, rows)
 
 
 # ---------------------------------------------------------------------------

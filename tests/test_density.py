@@ -1088,13 +1088,19 @@ class TestHitScan:
         del store
         hits_ball(walk, NEAR_BALL)
         assert walk._store is None and [ref() for ref in held] == [None] * 3
-        # a traced line's walk, a copy of its group's store or a view of it
+        # a traced line's walk: views of a lone line's store, or its group's
+        # store and a row index; walked one at a time, as a rung walks them,
+        # the group's store goes once its last walk is scanned
         line = LineSpec(YPoint("+x1", 0.4, 0.35))
         for lines in ([line], [LineSpec(YPoint("+x1", 0.5, 0.3)), line]):
-            *_, walk = density._trace_lines(lines, 10.0, 6000, NEAR_BALL.radius)
-            held = [weakref.ref(v.base if v.base is not None else v) for v in walk._store]
-            assert hits_ball(walk, NEAR_BALL).evals == walk.evals > 2000
-            assert walk._store is None and [ref() for ref in held] == [None] * 3
+            for i, walk in enumerate(density._trace_lines(lines, 10.0, 6000, NEAR_BALL.radius)):
+                if i == 0:
+                    held = [weakref.ref(v.base if v.base is not None else v) for v in walk._store]
+                assert hits_ball(walk, NEAR_BALL).evals == walk.evals > 2000
+                assert walk._store is None and walk._rows is None
+                if i < len(lines) - 1:  # the group's later walks hold its store
+                    assert all(ref() is not None for ref in held)
+            assert [ref() for ref in held] == [None] * 3
 
     def test_a_rung_sorts_no_walk(self, monkeypatch):
         patch = PatchSpec(YPoint("+x1", 0.4, 0.35), 0.04)

@@ -26,6 +26,7 @@ from zorichlab.density import (
     adaptive_trace,
     base_sequence,
     default_s_range,
+    hits_ball,
 )
 from zorichlab.errors import DomainError, NoIntersectionError
 from zorichlab.group import (
@@ -700,6 +701,41 @@ def test_blocked_trace_is_the_unblocked_trace(monkeypatch, group_samples):
         assert_same_trace(trace, alone)
     for trace, reference in zip(traces, want):
         assert_same_trace(trace, reference)
+
+
+# one group whose first and last lines stop after their seed grids, with a
+# horizontal line that spends its budget dropping samples to overflow, a
+# budget-bound line and a converging one
+HARD_GROUP = [
+    LineSpec(p=(0.0, 0.0, -10.0), d=(1.0, 0.3, 0.0)),
+    LineSpec(p=(0.0, 0.0, 8.0), d=(1.0, 0.3, 0.0)),
+    LineSpec(YPoint("+x1", 0.37, 0.002)),
+    LineSpec(YPoint("+x1", 0.4, 0.35)),
+    LineSpec(p=(0.0, 0.0, -3.0), d=(1.0, 0.3, 0.0)),
+]
+
+
+@pytest.mark.parametrize("depths", [MAX_DEPTH, 3])
+def test_a_hard_group_is_its_lines_traced_alone(monkeypatch, depths):
+    ball = base_sequence(1)
+    box_r, budget = ball.center_norm + ball.radius, 6000
+    assert len(HARD_GROUP) * budget <= density._GROUP_SAMPLES
+    want = [reference_trace(line, box_r, budget, ball.radius, depths) for line in HARD_GROUP]
+    evals = [trace.audit.evals for trace in want]
+    assert evals[0] == evals[-1] == budget // 3 and evals[2] == budget
+    if depths == MAX_DEPTH:
+        assert evals[1] == budget and want[1].audit.dropped_overflow == 1362
+    monkeypatch.setattr(density, "_BLOCK", 997)
+    monkeypatch.setattr(density, "MAX_DEPTH", depths)
+    traces = list(map(_finish, _trace_lines(HARD_GROUP, box_r, budget, ball.radius)))
+    for line, trace, reference in zip(HARD_GROUP, traces, want):
+        assert_same_trace(adaptive_trace(line, box_r, budget, ball.radius), reference)
+        assert_same_trace(trace, reference)
+    # the hit scan reads the same samples through the group's row index
+    hits = [hits_ball(walk, ball) for walk in _trace_lines(HARD_GROUP, box_r, budget, ball.radius)]
+    for line, hit in zip(HARD_GROUP, hits):
+        (walk,) = _trace_lines([line], box_r, budget, ball.radius)
+        assert hit == hits_ball(walk, ball)
 
 
 
