@@ -9,6 +9,7 @@ ball-hitting fractions).
 
 __version__ = "0.1.0"
 
+from .density import adaptive_trace
 from .errors import (
     DegenerateError,
     DomainError,
@@ -37,6 +38,7 @@ __all__ = [
     "ExponentOverflowError",
     "NoIntersectionError",
     "ParityMismatchError",
+    "adaptive_trace",
     "branch_distance",
     "fold",
     "h_extended",

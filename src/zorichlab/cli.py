@@ -258,10 +258,11 @@ def cmd_trace(args) -> int:
     if not math.isfinite(h_max):  # the default step of a box near the float limit
         raise DomainError(f"trace: the default step voxel_edge({args.box_r!r}) is not a finite "
                           "float; give --h-max")
-    trace = density.adaptive_trace(line, args.box_r, budget, h_max)
+    (walk,) = density._trace_lines([line], args.box_r, budget, h_max)
+    blocks = iter(walk)  # the sort, before the --out directory is made
     path = _ensure_out(args) / "trace_points.txt"
-    write_point_cloud(path, trace.points[trace.in_box])
-    a = trace.audit
+    write_point_cloud(path, (points[box] for _, points, box in blocks))
+    a = walk.audit
     print(
         f"traced {a.evals} evaluations, {a.in_box_points} in-box points, "
         f"cap_hit_fraction={a.cap_hit_fraction:.4f}, dropped_overflow={a.dropped_overflow}"

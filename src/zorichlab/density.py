@@ -24,12 +24,12 @@ works on contiguous rows; a store row is s, f and one flag byte (status and
 _IN_BOX).  The kernel's and the split test's blocks run on the calling
 thread and one worker (_blocks), each writing only its own rows.  Each line
 leaves the tracer as a _Walk (views of a lone line's store, or a group's
-store and a row index of its runs), walked once on one thread: _finish
-builds adaptive_trace's TraceResult and mark_and_coverage marks a coverage
-grid from its sorted blocks of kept rows, and hits_ball keeps the point
-nearest a ball from its unsorted rows.  A line is traced only if one seed
-step moves each coordinate its direction moves: a line the float grid
-cannot resolve raises DomainError.
+store and a row index of its runs), walked once on one thread.  Its sorted
+blocks (s, points, in_box) of kept rows are its one exit: the trace command
+writes their in-box points, mark_and_coverage marks a grid from them and
+_finish joins them; hits_ball keeps the point nearest a ball from its
+unsorted rows.  A line is traced only if one seed step moves each coordinate
+its direction moves: a line the float grid cannot resolve raises DomainError.
 
 Everything is deterministic for fixed inputs; traces from one run can be
 marked into occupancy grids in any chunking (marking is idempotent).
@@ -305,9 +305,8 @@ class _Walk:
     The store is (s, f, flags), flags from _flags.  The samples are its rows,
     or its rows[0], rows[1], ... given a row index (a grouped line's walk,
     which shares its group's store).  iter(walk) gathers them once, sorts them
-    by s and returns their blocks: (rows, s, points, in_box) for each _BLOCK
-    of sorted samples, the slice of the `kept` points its OK rows fill and
-    their s, f and in_box; exhausted, the walk holds `audit`.  scan() yields
+    by s and returns their blocks: (s, points, in_box) of the OK rows of each
+    _BLOCK of sorted samples; exhausted, the walk holds `audit`.  scan() yields
     (s, points) of the OK samples of each _BLOCK of them in evaluation order:
     no sort and no audit.  Either lets go of the store as it starts, so a
     walked walk keeps no group's store alive.
@@ -315,7 +314,7 @@ class _Walk:
 
     def __init__(self, s, f, flags, h_max, rows=None):
         self._store, self._rows, self._h_max = (s, f, flags), rows, h_max
-        self.evals, self.kept, self.audit = len(s if rows is None else rows), None, None
+        self.evals, self.audit = len(s if rows is None else rows), None
 
     def __iter__(self):
         (s, f, flags), rows = self._store, self._rows
@@ -324,27 +323,24 @@ class _Walk:
             s, f, flags = s[rows], f.take(rows, axis=0), flags[rows]
         # the sort order in 4-byte row indices when they fit
         order = np.argsort(s, kind="stable").astype(_row_type(len(s)))
-        counts = np.bincount(flags & 3, minlength=4)
-        self.kept = int(counts[OK])
-        return self._sorted_blocks(s, f, flags, order, counts)
+        return self._sorted_blocks(s, f, flags, order, np.bincount(flags & 3, minlength=4))
 
     def _sorted_blocks(self, s, f, flags, order, counts):
-        pairs_in_box = cap_hits = done = 0
+        pairs_in_box = cap_hits = 0
         carry = np.empty(0, dtype=np.intp)  # the last kept store row of the blocks before
         for c in range(0, len(s), _BLOCK):
             block = order[c : c + _BLOCK].astype(np.intp)
             # the carried row, then this block's OK rows (the store's finite rows)
             block = np.concatenate([carry, block[flags[block] & 3 == OK]])
             points, box, n = f.take(block, axis=0), flags[block] & _IN_BOX != 0, len(carry)
-            rows = slice(done, done + len(block) - n)
-            yield rows, s[block[n:]], points[n:], box[n:]
+            yield s[block[n:]], points[n:], box[n:]
             # the kept pairs (i, i + 1) whose i + 1 this block gathered
             both = box[:-1] & box[1:]
             with np.errstate(over="ignore"):
                 pair_gap = _norm3(points[:-1] - points[1:])
             pairs_in_box += int(np.count_nonzero(both))
             cap_hits += int(np.count_nonzero(both & (pair_gap > self._h_max * (1 + 1e-9))))
-            carry, done = block[-1:], rows.stop
+            carry = block[-1:]
         dropped = int(counts[OVERFLOW_FIRST] + counts[OVERFLOW_SECOND]), int(counts[UNRESOLVABLE])
         in_box_points = int(np.count_nonzero(flags & _IN_BOX))  # set only at OK rows
         self.audit = TraceAudit(len(s), *dropped, in_box_points, pairs_in_box, cap_hits)
@@ -362,12 +358,9 @@ class _Walk:
 
 
 def _finish(walk: _Walk) -> TraceResult:
-    """The TraceResult of a walk, allocated after its sort."""
-    blocks = iter(walk)
-    s, f, box = np.empty(walk.kept), np.empty((walk.kept, 3)), np.empty(walk.kept, dtype=bool)
-    for rows, *block in blocks:
-        s[rows], f[rows], box[rows] = block
-    return TraceResult(s, f, box, walk.audit)
+    """The TraceResult of a walk: its blocks joined, once the walk has let go of its store."""
+    s, points, in_box = (np.concatenate(c) for c in zip(*walk))
+    return TraceResult(s, points, in_box, walk.audit)
 
 
 def _trace_lines(lines, box_r: float, budget: int, h_max: float):
@@ -815,5 +808,5 @@ def _coverage_run(line, box_r, grid_n, budget, h_max) -> CoverageRun:
     grid = VoxelGrid(box_r, grid_n)
     h_max = grid.voxel if h_max is None else h_max
     (walk,) = _trace_lines([line], box_r, budget, h_max)
-    series = mark_and_coverage(grid, (points for _, _, points, _ in walk))
+    series = mark_and_coverage(grid, (points for _, points, _ in walk))
     return CoverageRun(series, walk.audit, grid.coverage(), h_max)

@@ -4,7 +4,8 @@ Every file carries a leading header naming its columns and units.  Floats are
 rendered with repr (shortest round trip), so identical inputs give byte
 identical files.  The point-cloud and triangle writers format Python floats
 one block of rows at a time, and a triangle block formats each of its distinct
-vertices once.
+vertices once.  Rows are formatted one by one, so the point-cloud writer's
+stream of arrays may be cut anywhere.
 """
 
 from __future__ import annotations
@@ -49,14 +50,15 @@ def _lines(rows: np.ndarray) -> str:
     return "%r %r %r\n" * len(rows) % tuple(rows.ravel().tolist())
 
 
-def write_point_cloud(path, points) -> None:
-    """One "x y z" triple per line, scene units."""
-    points = _points(points)
+def write_point_cloud(path, chunks) -> None:
+    """One "x y z" triple per line, scene units, from a stream of point arrays (see _points)."""
     path = Path(path)
     with path.open("w", encoding="utf-8") as fh:
         fh.write("# x y z (scene units)\n")
-        for start in range(0, len(points), _ROWS):
-            fh.write(_lines(points[start : start + _ROWS]))
+        for chunk in chunks:
+            points = _points(chunk)
+            for start in range(0, len(points), _ROWS):
+                fh.write(_lines(points[start : start + _ROWS]))
 
 
 def _triangle_lines(block: np.ndarray) -> str:

@@ -189,7 +189,7 @@ class TestWriters:
 
     def test_point_cloud_shape(self, tmp_path):
         path = tmp_path / "p.txt"
-        write_point_cloud(path, np.array([[1.0, 2.0, 3.0]]))
+        write_point_cloud(path, [np.array([[1.0, 2.0, 3.0]])])
         lines = path.read_text().splitlines()
         assert lines[1] == "1.0 2.0 3.0"
 

@@ -3,12 +3,14 @@
 
 import hashlib
 import json
+import tracemalloc
 
 import pytest
 
 from zorichlab import density, verify
-from zorichlab.cli import main
+from zorichlab.cli import build_parser, main
 from zorichlab.errors import DomainError
+from zorichlab.output import write_point_cloud
 from zorichlab.verify import CheckResult, VerificationReport
 
 
@@ -437,6 +439,53 @@ def test_unresolved_line_exits_2(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "one seed step over s in [-7692.31, 207692] leaves a coordinate" in err
     assert not out.exists()
+
+
+# The trace command writes its walk's blocks as they come: the file and the
+# counts of adaptive_trace's whole result, with no TraceResult built.
+
+
+def test_trace_writes_its_walk(tmp_path, monkeypatch):
+    args = build_parser().parse_args(["trace"])
+    line = density.LineSpec(density.YPoint(args.face, args.u2, args.u3), args.p)
+    want = density.adaptive_trace(line, args.box_r, 6000, density.voxel_edge(args.box_r))
+    write_point_cloud(tmp_path / "want.txt", [want.points[want.in_box]])
+
+    def no_result(*args, **kwargs):
+        raise AssertionError("a TraceResult was built")
+
+    monkeypatch.setattr(density, "TraceResult", no_result)
+    out = tmp_path / "out"
+    assert main(["trace", "--budget", "6000", "--out", str(out)]) == 0
+    assert (out / "trace_points.txt").read_bytes() == (tmp_path / "want.txt").read_bytes()
+    params = _parameters(out, "trace")
+    assert (params["evals"], params["in_box_points"]) == (want.audit.evals,
+                                                          want.audit.in_box_points)
+
+
+def test_trace_sorts_before_making_its_directory(tmp_path, capsys, monkeypatch):
+    # the walk's sort is its one large allocation: a MemoryError there leaves no --out
+    def no_memory(self):
+        raise MemoryError("the sort")
+
+    monkeypatch.setattr(density._Walk, "__iter__", no_memory)
+    out = tmp_path / "out"
+    assert main(["trace", "--budget", "1000", "--out", str(out)]) == 2
+    assert "the sort" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_trace_holds_its_store_and_blocks(tmp_path):
+    # the store takes 33 bytes a sample; the walk's blocks and the writer's
+    # rows fit beside it in 20 MB, a whole result beside the store does not
+    budget = 1_000_000
+    tracemalloc.start()
+    try:
+        assert main(["trace", "--budget", str(budget), "--out", str(tmp_path)]) == 0
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 33 * budget + 20 * 10**6
 
 
 # Every manifest has the same records; inputs and outputs are file digests.

@@ -46,9 +46,10 @@ def frozen_triangle_soup(path, triangles) -> None:
             fh.write(" ".join(repr(float(v)) for v in t) + "\n")
 
 
-def assert_same_bytes(directory, writer, frozen, data):
+def assert_same_bytes(directory, writer, frozen, data, written=None):
+    """writer's file of `written` (data itself by default) is frozen's file of data."""
     new, old = directory / "new.txt", directory / "old.txt"
-    writer(new, data)
+    writer(new, data if written is None else written)
     frozen(old, data)
     assert new.read_bytes() == old.read_bytes()
 
@@ -78,7 +79,7 @@ def soups(draw):
 @given(points=arrays(np.float64, st.tuples(st.integers(0, 60), st.just(3)), elements=ELEMENTS))
 def test_point_cloud_matches_the_row_writer(tmp_path_factory, points):
     assert_same_bytes(tmp_path_factory.getbasetemp(), write_point_cloud, frozen_point_cloud,
-                      points)
+                      points, [points])
 
 
 @PROPERTY
@@ -97,7 +98,10 @@ def mixed(rng, shape):
 @pytest.mark.parametrize("n", COUNTS)
 def test_point_cloud_at_the_block_edges(tmp_path, n):
     points = mixed(np.random.default_rng(n), (n, 3))
-    assert_same_bytes(tmp_path, write_point_cloud, frozen_point_cloud, points)
+    assert_same_bytes(tmp_path, write_point_cloud, frozen_point_cloud, points, [points])
+    # the same rows as a stream of chunks of 0, 1, _ROWS - 1 and _ROWS + 1 rows and the rest
+    chunks = np.split(points, np.cumsum([0, 1, _ROWS - 1, _ROWS + 1]))
+    assert_same_bytes(tmp_path, write_point_cloud, frozen_point_cloud, points, chunks)
 
 
 @pytest.mark.parametrize("n", COUNTS)
@@ -121,14 +125,16 @@ def test_triangle_soup_keeps_signed_zero_vertices_apart(tmp_path):
 
 @pytest.mark.parametrize("points", [[], np.empty((0, 3))])
 def test_point_cloud_of_no_points_is_the_header(tmp_path, points):
-    write_point_cloud(tmp_path / "p.txt", points)
-    assert (tmp_path / "p.txt").read_text() == "# x y z (scene units)\n"
+    for chunks in ([points], []):  # the array alone, and the empty stream
+        write_point_cloud(tmp_path / "p.txt", chunks)
+        assert (tmp_path / "p.txt").read_text() == "# x y z (scene units)\n"
 
 
 @pytest.mark.parametrize("shape", [(5, 4), (5, 2), (2,), (4, 3, 2)])
 def test_point_cloud_needs_three_coordinates(tmp_path, shape):
-    with pytest.raises(DomainError, match="3 coordinates"):
-        write_point_cloud(tmp_path / "p.txt", np.ones(shape))
+    for chunks in ([np.ones(shape)], [np.ones((2, 3)), np.ones(shape)]):  # alone, after a good one
+        with pytest.raises(DomainError, match="3 coordinates"):
+            write_point_cloud(tmp_path / "p.txt", chunks)
 
 
 @pytest.mark.parametrize("triangles", [[], np.empty((0, 9)), np.empty((0, 3, 3))])
@@ -153,7 +159,7 @@ def test_writers_hold_one_block_of_rows(tmp_path, writer, shape):
     data = np.random.default_rng(3).standard_normal(shape)
     tracemalloc.start()
     try:
-        writer(tmp_path / "out.txt", data)
+        writer(tmp_path / "out.txt", [data] if writer is write_point_cloud else data)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
