@@ -460,7 +460,7 @@ def _trace_group(lines, ranges, box_r, budget, h_max):
     p = np.array([line.p for line in lines], dtype=float).T  # line k's is column k
     d = np.array([line.direction() for line in lines]).T
     row_type = _row_type(n * budget)  # of the interval ends lo, hi and the midpoints' rows
-    ids = np.arange(n, dtype=np.int16 if n <= 2**15 else row_type)  # line indices, 2 bytes if they fit
+    ids = np.arange(n)  # line indices
 
     def evaluate(new_s, top, line):
         """Evaluate new_s into store rows top, top + 1, ..., one _BLOCK at a time (see
@@ -470,19 +470,17 @@ def _trace_group(lines, ranges, box_r, budget, h_max):
             e = min(c + _BLOCK, len(new_s))
             # the lines' point_at(new_s[c:e]) as coordinate rows, bit for bit
             if np.ndim(line):
-                k = line[c:e].astype(np.intp)
+                k = line[c:e]
                 x, pk = d.take(k, axis=1), p.take(k, axis=1)
                 np.multiply(x, new_s[c:e], out=x)
             else:
                 x, pk = np.multiply(d[:, line, None], new_s[c:e]), p[:, line, None]
             np.add(x, pk, out=x)
-            new_f, _, new_status = second_iterate(x.T)
-            rows_f = new_f.T
-            rows_f[:, new_status == UNRESOLVABLE] = np.nan
-            near = np.abs(rows_f) <= box_r
+            new_f, new_status = second_iterate(x.T)
+            near = np.abs(new_f.T) <= box_r  # False at a NaN image: every status but OK
             rows = slice(top + c, top + e)
             s[rows], f[rows] = new_s[c:e], new_f
-            flags[rows] = _flags(new_status, (new_status == OK) & near[0] & near[1] & near[2])
+            flags[rows] = _flags(new_status, near[0] & near[1] & near[2])
 
         _blocks(block, len(new_s))
 
@@ -552,9 +550,7 @@ def _trace_group(lines, ranges, box_r, budget, h_max):
         end = np.searchsorted(idx, np.cumsum(2 * counts))
         needed = np.diff(end, prepend=0)
         counts = np.minimum(needed, room)
-        if n == 1:
-            idx = idx[: counts[0]]
-        elif np.any(counts < needed):
+        if np.any(counts < needed):
             rank = np.arange(len(idx)) - np.repeat(end - needed, needed)
             idx = idx[rank < np.repeat(counts, needed)]
         lo, hi = lo[idx], hi[idx]

@@ -238,25 +238,24 @@ def zorich(x):
 def second_iterate(x):
     """Second iterate with a per-point status instead of exceptions.
 
-    Returns (f, z3, status): z3 is the second exponent (+inf after a
-    first-stage overflow), status one of OK, OVERFLOW_FIRST, OVERFLOW_SECOND
-    (x3 or z3 above EXP_CAP; f is NaN there) and UNRESOLVABLE (a phase of the
-    input or of the first stage past PHASE_CAP; f is computed but its phase
-    is meaningless).  f comes back in x's layout: the transpose of a (3, n)
-    block is evaluated as contiguous coordinate rows.
+    Returns (f, status): status is one of OK, OVERFLOW_FIRST, OVERFLOW_SECOND
+    (x3, or the first stage's third coordinate, above EXP_CAP) and
+    UNRESOLVABLE (a phase of the input or of the first stage past
+    PHASE_CAP).  f is the second iterate where the status is OK and NaN
+    everywhere else; the second lift runs on the OK points alone.  f comes
+    back in x's layout: the transpose of a (3, n) block is evaluated as
+    contiguous coordinate rows.
     """
     x = np.asarray(x, dtype=float)
     ok1 = x[..., 2] <= EXP_CAP
     z = _lift_where(x, ok1)
-    z3 = np.where(ok1, z[..., 2], np.inf)
-    ok2 = z3 <= EXP_CAP
-    f = _lift_where(z, ok2)
+    ok2 = z[..., 2] <= EXP_CAP  # a NaN row, past the cap at the first stage, is not
+    resolved = _phase_ok(x) & _phase_ok(z)
+    f = _lift_where(z, ok2 & resolved)
     status = np.where(
-        ok1,
-        np.where(ok2, np.where(_phase_ok(x) & _phase_ok(z), OK, UNRESOLVABLE), OVERFLOW_SECOND),
-        OVERFLOW_FIRST,
+        ok1, np.where(ok2, np.where(resolved, OK, UNRESOLVABLE), OVERFLOW_SECOND), OVERFLOW_FIRST
     )
-    return f, z3, status
+    return f, status
 
 
 def zorich_second(x):
@@ -269,11 +268,11 @@ def zorich_second(x):
     x = np.asarray(x, dtype=float)
     if not np.all(np.isfinite(x)):
         raise DomainError("zorich_second: input must be finite")
-    f, z3, status = second_iterate(x)
+    f, status = second_iterate(x)
     if np.any(status == OVERFLOW_FIRST):
         raise ExponentOverflowError("first", float(np.max(x[..., 2])))
-    if np.any(status == OVERFLOW_SECOND):
-        raise ExponentOverflowError("second", float(np.max(z3)))
+    if np.any(status == OVERFLOW_SECOND):  # no first-stage overflow: every row lifts
+        raise ExponentOverflowError("second", float(np.max(_lift(x)[..., 2])))
     if np.any(status == UNRESOLVABLE):
         raise DomainError(f"zorich_second: a phase is past PHASE_CAP = {PHASE_CAP:g}")
     return f

@@ -382,7 +382,7 @@ def test_coverage_grid_size_exits_2_before_tracing(tmp_path, capsys, monkeypatch
     def no_trace(*args, **kwargs):
         raise AssertionError("the line was traced")
 
-    monkeypatch.setattr(density, "adaptive_trace", no_trace)
+    monkeypatch.setattr(density, "_trace_lines", no_trace)
     assert main(["coverage", f"--grid-n={grid_n}", "--out", str(tmp_path)]) == 2
     assert "VoxelGrid" in capsys.readouterr().err
     assert not list(tmp_path.glob("*_manifest.json"))

@@ -563,7 +563,7 @@ def nearest_sample(line, ball, window, n):
     """(distance, s) of the finite image, of n evenly spaced s over window,
     nearest the ball centre."""
     s = np.linspace(*window, n)
-    f, _, status = second_iterate(line.point_at(s))
+    f, status = second_iterate(line.point_at(s))
     with np.errstate(over="ignore"):
         d = np.where(status == OK, np.linalg.norm(f - np.asarray(ball.center), axis=-1), np.inf)
     k = int(np.argmin(d))

@@ -132,10 +132,9 @@ STATUS_POINTS = st.lists(
 @PROPERTY
 @given(STATUS_POINTS)
 def test_stored_row_is_finite_iff_ok(rows):
-    # the tracer's store sets an UNRESOLVABLE row to NaN; _finish then keeps
-    # the finite rows by their status alone
-    f, _, status = second_iterate(np.array(rows))
-    f[status == UNRESOLVABLE] = np.nan
+    # the kernel's image is NaN wherever the status is not OK: the tracer
+    # stores it as it comes, and _finish keeps the finite rows by their status
+    f, status = second_iterate(np.array(rows))
     np.testing.assert_array_equal(np.all(np.isfinite(f), axis=-1), status == OK)
 
 
@@ -146,10 +145,11 @@ def test_an_in_box_row_has_a_low_second_exponent(rows):
     # |f_i| <= box_r has exp(z3) = |f| <= sqrt(3) box_r, so z3 <= ln(2 box_r) + 1
     # and no exponent bound is left to test.  Each OK row is checked at the
     # least box_r > 0 that holds it, its own max |f_i|
-    f, z3, status = second_iterate(np.array(rows))
+    x = np.array(rows)
+    f, status = second_iterate(x)
     ok = status == OK
     box_r = np.maximum(np.max(np.abs(f[ok]), axis=-1), np.finfo(float).smallest_subnormal)
-    assert np.all(z3[ok] <= np.log(2.0 * box_r) + 1.0)
+    assert np.all(zorich(x[ok])[:, 2] <= np.log(2.0 * box_r) + 1.0)
 
 
 @PROPERTY
@@ -164,29 +164,25 @@ def test_unfold_inverts_fold(values):
 @given(POINTS)
 def test_second_iterate_is_the_masked_composition(rows):
     x = np.array(rows)
-    f, z3, status = second_iterate(x)
+    f, status = second_iterate(x)
 
-    assert not np.any(np.isnan(z3))
     first_ok = x[:, 2] <= EXP_CAP
     assert np.all(status[~first_ok] == OVERFLOW_FIRST)
-    assert np.all(np.isposinf(z3[~first_ok]))
     z = zorich(x[first_ok])
-    np.testing.assert_array_equal(z3[first_ok], z[:, 2])
 
     second_ok = z[:, 2] <= EXP_CAP
     resolvable = np.max(np.abs(z[:, :2]), axis=-1) <= PHASE_CAP
     expected = np.where(second_ok, np.where(resolvable, OK, UNRESOLVABLE), OVERFLOW_SECOND)
     np.testing.assert_array_equal(status[first_ok], expected)
 
-    both = np.flatnonzero(first_ok)[second_ok]
     ok = np.flatnonzero(first_ok)[second_ok & resolvable]
     np.testing.assert_array_equal(f[ok], zorich(zorich(x[ok])))
-    # zorich refuses an intermediate phase past PHASE_CAP; the kernel's f there
-    # is the masked kernel's (test_kernel_is_the_masked_kernel)
+    # zorich refuses an intermediate phase past PHASE_CAP, and the kernel
+    # gives no image there
     if not np.all(resolvable[second_ok]):
         with pytest.raises(DomainError, match="past PHASE_CAP"):
             zorich(z[second_ok & ~resolvable])
-    assert np.all(np.isnan(np.delete(f, both, axis=0)))
+    assert np.all(np.isnan(f[status != OK]))
 
 
 def signed(magnitudes):
@@ -232,6 +228,7 @@ def masked_second_iterate(x):
     status = np.select(
         [~ok1, ~ok2, ~phase_ok], [OVERFLOW_FIRST, OVERFLOW_SECOND, UNRESOLVABLE], OK
     )
+    f[status != OK] = np.nan  # the kernel gives no image where the status is not OK
     return f, z3, status
 
 
@@ -252,7 +249,8 @@ def assert_same_nans(a, b):
 
 
 def assert_kernel_is_masked_kernel(x, same=assert_same_bits):
-    for got, want in zip(second_iterate(x), masked_second_iterate(x), strict=True):
+    f, _, status = masked_second_iterate(x)
+    for got, want in zip(second_iterate(x), (f, status), strict=True):
         same(got, want)
     first_ok = x[..., 2] <= EXP_CAP
     if np.all(first_ok) and np.all(np.isfinite(x)):  # zorich rejects a non-finite input
@@ -330,7 +328,7 @@ def test_kernel_bits_do_not_depend_on_layout(second_overflows):
     # rows as 24-byte items: a strided view, one point and a batch of
     # leading shape (2, 50) give the bits of a contiguous batch
     x = layout_batch(second_overflows)
-    n = np.count_nonzero(second_iterate(x)[2] == OVERFLOW_SECOND)
+    n = np.count_nonzero(second_iterate(x)[1] == OVERFLOW_SECOND)
     assert {"none": n == 0, "some": 0 < n < len(x), "all": n == len(x)}[second_overflows]
     view = x[::2]
     assert not view.flags.c_contiguous
@@ -602,11 +600,10 @@ def reference_trace(line, box_r, budget, h_max, depths=MAX_DEPTH):
     """
     skip_exp = math.log(2.0 * box_r) + 1.0
     s = np.linspace(*default_s_range(line), budget // 3)
-    f, z3, status = second_iterate(line.point_at(s))
+    f, z3, status = masked_second_iterate(line.point_at(s))
     lo = np.arange(len(s) - 1)
     hi = lo + 1
     for _ in range(depths):
-        f[status == UNRESOLVABLE] = np.nan
         in_box = (status == OK) & np.all(np.abs(f) <= box_r, axis=-1)
         with np.errstate(over="ignore"):
             gap = np.linalg.norm(f[lo] - f[hi], axis=-1)
@@ -617,12 +614,11 @@ def reference_trace(line, box_r, budget, h_max, depths=MAX_DEPTH):
             break
         lo, hi = lo[keep], hi[keep]
         mid_s = 0.5 * (s[lo] + s[hi])
-        mid_f, mid_z3, mid_status = second_iterate(line.point_at(mid_s))
+        mid_f, mid_z3, mid_status = masked_second_iterate(line.point_at(mid_s))
         mid = np.arange(len(s), len(s) + len(mid_s))
         s, f = np.concatenate([s, mid_s]), np.concatenate([f, mid_f])
         z3, status = np.concatenate([z3, mid_z3]), np.concatenate([status, mid_status])
         lo, hi = np.concatenate([lo, mid]), np.concatenate([mid, hi])
-    f[status == UNRESOLVABLE] = np.nan
     in_box = (status == OK) & np.all(np.abs(f) <= box_r, axis=-1)
     return _finish(density._Walk(s, f, density._flags(status, in_box), h_max))
 
@@ -705,12 +701,14 @@ def test_blocked_trace_is_the_unblocked_trace(monkeypatch, group_samples):
 
 # one group whose first and last lines stop after their seed grids, with a
 # horizontal line that spends its budget dropping samples to overflow, a
-# budget-bound line and a converging one
+# budget-bound line, a converging one and a horizontal line whose samples
+# are UNRESOLVABLE, overflow or in the box side by side
 HARD_GROUP = [
     LineSpec(p=(0.0, 0.0, -10.0), d=(1.0, 0.3, 0.0)),
     LineSpec(p=(0.0, 0.0, 8.0), d=(1.0, 0.3, 0.0)),
     LineSpec(YPoint("+x1", 0.37, 0.002)),
     LineSpec(YPoint("+x1", 0.4, 0.35)),
+    LineSpec(p=(0.0, 0.0, 35.0), d=(1.0, 0.3, 0.0)),
     LineSpec(p=(0.0, 0.0, -3.0), d=(1.0, 0.3, 0.0)),
 ]
 
@@ -1052,7 +1050,7 @@ def test_column_blocks_give_the_row_bits_in_their_layout(batch):
         x[5::11, 2] = LN_PHASE_CAP + 3.0
     else:
         x = layout_batch(batch)
-    status = second_iterate(x)[2]
+    status = second_iterate(x)[1]
     unresolvable = [np.any(status[rows] == UNRESOLVABLE) for rows in (slice(3, None, 11),
                                                                       slice(5, None, 11))]
     assert unresolvable == [batch == "unresolvable"] * 2
