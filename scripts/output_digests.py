@@ -31,7 +31,7 @@ SRC = Path(__file__).resolve().parents[1] / "src"
 # (name, argv): each command writes into its own directory, named after it.
 # The defaults first, then the non-default paths: a horizontal line, a base
 # point off the origin, an explicit ball, a rung of long lines, a rung of many
-# lines, --quick, two coverage budgets and config keys.
+# lines, three coverage budgets and config keys.
 COMMANDS = [
     ("trace", ["trace"]),
     ("coverage", ["coverage"]),
@@ -45,7 +45,8 @@ COMMANDS = [
                       "--budget", "40000", "--rungs", "1"]),
     # the density_ladder benchmark's rung: 64 lines, the last of their groups partial
     ("density-rung", ["density", "--grid-n", "8", "--budget", "20000", "--rungs", "1"]),
-    ("coverage-quick", ["coverage", "--quick"]),
+    # the quick verify level's coverage budget, COVERAGE_BUDGET_QUICK
+    ("coverage-quick", ["coverage", "--budget", "1000000"]),
     # past three checkpoints over many walk blocks, and a budget-bound line
     ("coverage-200k", ["coverage", "--budget", "200000"]),
     ("coverage-budget-bound", ["coverage", "--u3", "0.002", "--budget", "6000"]),
@@ -66,7 +67,7 @@ COMMANDS = [
     # 256 lines in one packed group, 32 of them budget-bound: per-line truncation in a group
     ("density-group", ["density", "--grid-n", "16", "--budget", "2000", "--rungs", "1"]),
 ]
-CONFIG = "face=-x2\nu2=-0.5\nu3=0.001\nbudget=20000\nquick=true\n"
+CONFIG = "face=-x2\nu2=-0.5\nu3=0.001\nbudget=2000\n"
 
 
 def _sha256(data: bytes) -> str:

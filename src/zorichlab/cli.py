@@ -20,11 +20,6 @@ given (as a flag or a key) for an argument that another given argument
 replaces: ``direction`` replaces ``face``, ``u2`` and ``u3``; ``q`` replaces
 ``ball_n``.  So is ``ball_r`` without ``q``: it is the radius of the explicit
 ball only.
-The counts that ``--quick`` scales down (``budget``, ``grid_n`` of
-``density`` and ``distortion``, ``samples``) take integers no smaller than
-the library's minimum for them (``density.MIN_BUDGET``, ``density.MIN_GRID_N``,
-``distortion.MIN_CHART_GRID_N`` and 1), and are checked before the scaling,
-so ``--quick`` never lifts a value the library would reject.
 
 A value that starts with ``-`` must be joined to its flag with ``=``
 (``--x=-1,0,0``, ``--face=-x1``); as a separate word argparse reads it as an
@@ -60,20 +55,6 @@ def _triple(text: str) -> tuple[float, float, float]:
     if len(parts) != 3:
         raise argparse.ArgumentTypeError("expected three comma-separated numbers")
     return tuple(parts)
-
-
-def _count(name: str, least: int = 1):
-    """argparse type of a count flag that --quick scales: a positive integer,
-    at least `least`, the library's minimum for it."""
-
-    def integer(text: str) -> int:
-        if int(text) < 1:
-            raise argparse.ArgumentTypeError(f"need {name} >= 1, not {text!r}")
-        if int(text) < least:
-            raise argparse.ArgumentTypeError(f"{name} must be >= {least}, not {text!r}")
-        return int(text)
-
-    return integer
 
 
 def _pair(text: str) -> tuple[int, int]:
@@ -156,12 +137,6 @@ def _config_flags(parser, command, config: dict) -> list[str]:
     return flags
 
 
-def _scaled(args, name, divisor, floor) -> int:
-    """The count flag `name`; --quick divides it by divisor, down to floor."""
-    value = getattr(args, name)
-    return max(floor, value // divisor) if args.quick else value
-
-
 def _manifest(args, name, params, outputs, **extra):
     inputs = [args.config] if args.config else []
     write_manifest(Path(args.out) / f"{name}_manifest.json", name, params, inputs, outputs, **extra)
@@ -241,24 +216,23 @@ def cmd_cone(args) -> int:
 
 
 def _line_run(args):
-    """The start of trace and coverage: the line (its notes printed) and the
-    scaled budget."""
+    """The line of trace and coverage, its notes printed."""
     if args.direction is not None:
         line = density.LineSpec(p=args.p, d=args.direction)
     else:
         line = density.LineSpec(density.YPoint(args.face, args.u2, args.u3), args.p)
     for note in density.confinement_notes(line.d):
         print(f"note: {note}")
-    return line, _scaled(args, "budget", 10, density.MIN_BUDGET)
+    return line
 
 
 def cmd_trace(args) -> int:
-    line, budget = _line_run(args)
+    line = _line_run(args)
     h_max = density.voxel_edge(args.box_r) if args.h_max is None else args.h_max
     if not math.isfinite(h_max):  # the default step of a box near the float limit
         raise DomainError(f"trace: the default step voxel_edge({args.box_r!r}) is not a finite "
                           "float; give --h-max")
-    (walk,) = density._trace_lines([line], args.box_r, budget, h_max)
+    (walk,) = density._trace_lines([line], args.box_r, args.budget, h_max)
     blocks = iter(walk)  # the sort, before the --out directory is made
     path = _ensure_out(args) / "trace_points.txt"
     write_point_cloud(path, (points[box] for _, points, box in blocks))
@@ -273,7 +247,7 @@ def cmd_trace(args) -> int:
         {
             "line": _line_params(line),
             "box_r": args.box_r,
-            "budget": budget,
+            "budget": args.budget,
             "h_max": h_max,
             "evals": a.evals,
             "in_box_points": a.in_box_points,
@@ -293,9 +267,9 @@ def _line_params(line):
 
 
 def cmd_coverage(args) -> int:
-    line, budget = _line_run(args)
+    line = _line_run(args)
     (run,) = density.coverage_experiment(
-        [line], box_r=args.box_r, grid_n=args.grid_n, budget=budget, h_max=args.h_max
+        [line], box_r=args.box_r, grid_n=args.grid_n, budget=args.budget, h_max=args.h_max
     )
     path = _ensure_out(args) / "coverage.csv"
     write_csv(
@@ -311,7 +285,7 @@ def cmd_coverage(args) -> int:
             "line": _line_params(line),
             "box_r": args.box_r,
             "grid_n": args.grid_n,
-            "budget": budget,
+            "budget": args.budget,
             "h_max": run.h_max,
             "coverage": run.coverage,
         },
@@ -321,13 +295,14 @@ def cmd_coverage(args) -> int:
 
 
 def cmd_density(args) -> int:
-    grid_n, budget = _scaled(args, "grid_n", 2, 4), _scaled(args, "budget", 10, density.MIN_BUDGET)
     if args.q is not None:
         ball = density.BallSpec(args.q, args.ball_r)
     else:
         ball = density.base_sequence(args.ball_n)
     patch = density.PatchSpec(density.YPoint(args.face, args.u2, args.u3), args.delta)
-    ladder = density.epsilon_density(patch, ball, grid_n, budget, rungs=args.rungs, p=args.p)
+    ladder = density.epsilon_density(
+        patch, ball, args.grid_n, args.budget, rungs=args.rungs, p=args.p
+    )
     path = _ensure_out(args) / "density.csv"
     write_csv(
         path,
@@ -342,8 +317,8 @@ def cmd_density(args) -> int:
         {
             "patch": {"face": args.face, "u2": args.u2, "u3": args.u3, "delta": args.delta},
             "ball": {"center": list(ball.center), "radius": ball.radius},
-            "grid_n": grid_n,
-            "budget_per_line": budget,
+            "grid_n": args.grid_n,
+            "budget_per_line": args.budget,
             "rungs": args.rungs,
         },
         [path],
@@ -352,11 +327,10 @@ def cmd_density(args) -> int:
 
 
 def cmd_distortion(args) -> int:
-    samples = _scaled(args, "samples", 10, 50)
-    grid_n = _scaled(args, "grid_n", 2, distortion.MIN_CHART_GRID_N)
-    lam = distortion.lambda_h_estimate(grid_n)
+    lam = distortion.lambda_h_estimate(args.grid_n)
     rep = distortion.verify_slab_bound(
-        distortion.Slab(args.t1, args.t2), samples, lam=lam, radius=args.radius, n_dirs=args.dirs
+        distortion.Slab(args.t1, args.t2), args.samples, lam=lam, radius=args.radius,
+        n_dirs=args.dirs,
     )
     result = verify.at_most("slab_distortion", "slab-bound", rep.d_est, rep.bound, 0.01)
     path = _ensure_out(args) / "distortion_report.txt"
@@ -371,10 +345,10 @@ def cmd_distortion(args) -> int:
         {
             "t1": args.t1,
             "t2": args.t2,
-            "samples": samples,
+            "samples": args.samples,
             "radius": args.radius,
             "dirs": args.dirs,
-            "grid_n": grid_n,
+            "grid_n": args.grid_n,
             "lambda_hat": lam,
         },
         [path],
@@ -406,10 +380,8 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, func, out_default="out", quick=False):
+    def common(p, func, out_default="out"):
         p.add_argument("--out", default=out_default, help="output directory")
-        if quick:
-            p.add_argument("--quick", action="store_true", help="reduced sample counts")
         p.add_argument("--config", default=None, help="KEY=VALUE config file (flags win)")
         p.set_defaults(func=func, parser=p)
 
@@ -444,23 +416,23 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--direction", type=_triple, default=None, action=_Given,
                        help="raw line direction (for excluded families); replaces --face/--u2/--u3")
         p.add_argument("--box-r", dest="box_r", type=_real, default=density.COVERAGE_BOX)
-        p.add_argument("--budget", type=_count("budget", density.MIN_BUDGET), default=budget)
+        p.add_argument("--budget", type=int, default=budget)
         p.add_argument("--h-max", dest="h_max", type=_real, default=None)
 
     p = sub.add_parser("trace", help="adaptive second-iterate trace of one line")
     trace_flags(p, 100_000)
-    common(p, cmd_trace, quick=True)
+    common(p, cmd_trace)
 
     p = sub.add_parser("coverage", help="voxel coverage of one line image")
     trace_flags(p, density.COVERAGE_BUDGET)
     p.add_argument("--grid-n", dest="grid_n", type=int, default=density.COVERAGE_GRID_N)
-    common(p, cmd_coverage, quick=True)
+    common(p, cmd_coverage)
 
     p = sub.add_parser("density", help="hit-fraction ladder over a patch of lines")
     line_flags(p, 0.4, 0.35)
     p.add_argument("--delta", type=_real, default=0.08)
-    p.add_argument("--grid-n", dest="grid_n", type=_count("grid_n", density.MIN_GRID_N), default=16)
-    p.add_argument("--budget", type=_count("budget", density.MIN_BUDGET), default=20_000)
+    p.add_argument("--grid-n", dest="grid_n", type=int, default=16)
+    p.add_argument("--budget", type=int, default=20_000)
     p.add_argument("--rungs", type=int, default=4)
     p.add_argument("--ball-n", dest="ball_n", type=int, default=1, action=_Given,
                    help="index into the countable ball base")
@@ -468,17 +440,16 @@ def build_parser() -> argparse.ArgumentParser:
                    help="explicit ball center; replaces --ball-n")
     p.add_argument("--ball-r", dest="ball_r", type=_real, default=0.25, action=_Given,
                    help="radius of the --q ball; needs --q")
-    common(p, cmd_density, quick=True)
+    common(p, cmd_density)
 
     p = sub.add_parser("distortion", help="slab distortion against the product bound")
     p.add_argument("--t1", type=_real, default=0.0)
     p.add_argument("--t2", type=_real, default=1.0)
-    p.add_argument("--samples", type=_count("samples"), default=1000)
+    p.add_argument("--samples", type=int, default=1000)
     p.add_argument("--radius", type=_real, default=distortion.DEFAULT_RADIUS)
     p.add_argument("--dirs", type=int, default=distortion.DEFAULT_DIRECTIONS)
-    p.add_argument("--grid-n", dest="grid_n", type=_count("grid_n", distortion.MIN_CHART_GRID_N),
-                   default=128)
-    common(p, cmd_distortion, quick=True)
+    p.add_argument("--grid-n", dest="grid_n", type=int, default=128)
+    common(p, cmd_distortion)
 
     p = sub.add_parser("verify", help="run the aggregated verification suite")
     p.add_argument("--level", choices=("quick", "full"), default="full")

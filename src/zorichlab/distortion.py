@@ -176,7 +176,11 @@ class SlabReport:
 def verify_slab_bound(slab: Slab, n_samples: int = 1000, *, lam: float,
                       radius: float = DEFAULT_RADIUS, n_dirs: int = DEFAULT_DIRECTIONS,
                       seed: int = 2024) -> SlabReport:
-    """Check the measured slab distortion against lam^2 * exp(gap) * 1.01."""
+    """Check the measured slab distortion against lam^2 * exp(gap) * 1.01.
+
+    A slab so high that the measured distortion is not a finite float (the
+    probe differences overflow) raises DomainError.
+    """
     if slab.gap > 20.0:
         raise DomainError("verify_slab_bound: slab gap above 20 is not sane to probe")
     if n_samples < 1:
@@ -184,7 +188,11 @@ def verify_slab_bound(slab: Slab, n_samples: int = 1000, *, lam: float,
     if not (radius > 0.0 and math.isfinite(radius)):
         raise DomainError("verify_slab_bound: radius must be positive and finite")
     pts = sample_slab(slab, n_samples, seed, radius)
-    est = relative_distortion(zorich, pts, radius, directions=sphere_directions(n_dirs))
+    with np.errstate(over="ignore"):  # a high slab's probe differences overflow: NaN below
+        est = relative_distortion(zorich, pts, radius, directions=sphere_directions(n_dirs))
+    if not math.isfinite(est.ratio):
+        raise DomainError(f"verify_slab_bound: the distortion over t in [{slab.t1:g}, "
+                          f"{slab.t2:g}] is not a finite float")
     bound = lam * lam * math.exp(slab.gap) * 1.01
     return SlabReport(d_est=est.ratio, bound=bound, passed=est.ratio <= bound)
 

@@ -307,8 +307,9 @@ def zorich_inverse(y, beam):
     beam.  The sign of y3 must match the beam parity (y3 = 0 is accepted by
     both parities and resolves to the shared face).  |y| runs over the map's
     range, 0 < |y| <= exp(EXP_CAP); a row whose |y|^2 overflows or is not a
-    normal float (|y| < 2^-511) is normed after dividing it by max |y_i|.  A
-    beam past PHASE_CAP (not Beam.resolvable) raises DomainError.
+    normal float (|y| < 2^-511) is normed, and its direction taken, after
+    dividing it by max |y_i|.  A beam past PHASE_CAP (not Beam.resolvable)
+    raises DomainError.
     """
     y = np.asarray(y, dtype=float)
     beam = Beam(*beam)
@@ -316,11 +317,14 @@ def zorich_inverse(y, beam):
         raise DomainError(f"zorich_inverse: beam {tuple(beam)} is past PHASE_CAP")
     with np.errstate(over="ignore"):
         norm = _norm3(y)
+    scaled, scaled_norm = y, norm  # y and its norm at a scale whose quotient is a unit vector
     if norm.size and not 2.0**-511 <= norm.min() <= norm.max() < np.inf:
         big = np.max(np.abs(y), axis=-1)
         scale = np.where(((norm >= 2.0**-511) & (norm < np.inf)) | (big == 0.0), 1.0, big)
+        scaled = y / scale[..., None]
         with np.errstate(over="ignore"):
-            norm = scale * _norm3(y / scale[..., None])
+            scaled_norm = _norm3(scaled)
+        norm = scale * scaled_norm
         if np.any(norm == 0.0):
             raise DomainError("zorich_inverse: zero input has no preimage")
         if not math.log(norm.max()) <= EXP_CAP:
@@ -330,7 +334,7 @@ def zorich_inverse(y, beam):
         raise ParityMismatchError("zorich_inverse: y3 < 0 needs an odd-parity beam")
     if beam.parity == 1 and np.any(y3 > 0.0):
         raise ParityMismatchError("zorich_inverse: y3 > 0 needs an even-parity beam")
-    u = y / norm[..., None]
+    u = scaled / scaled_norm[..., None]
     if beam.parity == 1:
         u = u.copy()
         u[..., 2] = -u[..., 2]

@@ -1,13 +1,14 @@
 """The CLI exit-code contract: 0 success, 1 a verify check failed,
 2 validation error (a MemoryError included), 3 numeric failure."""
 
+import argparse
 import hashlib
 import json
 import tracemalloc
 
 import pytest
 
-from zorichlab import density, verify
+from zorichlab import density, distortion, verify
 from zorichlab.cli import build_parser, main
 from zorichlab.errors import DomainError
 from zorichlab.output import write_point_cloud
@@ -123,7 +124,7 @@ def test_config_key_abbreviating_a_flag_exits_2(tmp_path, capsys):
 
 @pytest.mark.parametrize(
     "command, text, flag",
-    [("trace", "quick=maybe\n", "--quick"), ("trace", "face=+x3\n", "--face"),
+    [("cone", "flip=maybe\n", "--flip"), ("trace", "face=+x3\n", "--face"),
      ("verify", "level=medium\n", "--level"), ("cone", "n_height=two\n", "--n-height")],
 )
 def test_bad_config_value_names_its_flag(tmp_path, capsys, command, text, flag):
@@ -132,12 +133,20 @@ def test_bad_config_value_names_its_flag(tmp_path, capsys, command, text, flag):
     assert f"argument {flag}" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize(
-    "argv", [["eval", "--x", "0,0,0", "--quick"], ["verify", "--quick"]]
-)
-def test_quick_only_where_it_acts(argv, capsys):
-    assert main(argv) == 2
-    assert "--quick" in capsys.readouterr().err
+(SUBCOMMANDS,) = [a.choices for a in build_parser()._actions
+                  if isinstance(a, argparse._SubParsersAction)]
+
+
+@pytest.mark.parametrize("command", list(SUBCOMMANDS))
+def test_quick_is_rejected(tmp_path, capsys, command):
+    # a count is set by its own flag only, so no command has --quick or a quick key
+    out = tmp_path / "out"
+    assert main([command, "--quick", "--out", str(out)]) == 2
+    assert "unrecognized arguments: --quick" in capsys.readouterr().err
+    cfg = _config(tmp_path, "quick=true\n")
+    assert main([command, "--config", cfg, "--out", str(out)]) == 2
+    assert f"unknown key(s) for {command}: quick" in capsys.readouterr().err
+    assert not out.exists()
 
 
 # A value starting with '-' must be joined to its flag with '='.
@@ -252,8 +261,10 @@ def test_verify_manifest_records_check_seconds(tmp_path, monkeypatch, level):
     assert (tmp_path / "again" / "verify_report.txt").read_text() == report
 
 
-# Non-finite numbers and an empty ladder are validation errors, as flags or keys.
+# Non-finite numbers, counts below their minimum and an empty ladder are
+# validation errors, as flags or keys.
 
+# counts below their minimum, and the library's message for each
 COUNT_FLAGS = [
     ("trace", "--budget", "budget", "-5"),
     ("coverage", "--budget", "budget", "0"),
@@ -263,107 +274,113 @@ COUNT_FLAGS = [
     ("distortion", "--grid-n", "grid_n", "-1"),
 ]
 FLOORED_COUNTS = [
-    ("trace", "--budget", "budget", "500", 1000),
-    ("coverage", "--budget", "budget", "999", 1000),
-    ("density", "--budget", "budget", "999", 1000),
-    ("density", "--grid-n", "grid_n", "1", 2),
-    ("distortion", "--grid-n", "grid_n", "63", 64),
+    ("trace", "--budget", "budget", "500"),
+    ("coverage", "--budget", "budget", "999"),
+    ("density", "--budget", "budget", "999"),
+    ("density", "--grid-n", "grid_n", "1"),
+    ("distortion", "--grid-n", "grid_n", "63"),
+]
+BUDGET_MESSAGE = f"adaptive_trace: budget must be >= {density.MIN_BUDGET}"
+MINIMUM_MESSAGES = {
+    ("trace", "budget"): BUDGET_MESSAGE,
+    ("coverage", "budget"): BUDGET_MESSAGE,
+    ("density", "budget"): BUDGET_MESSAGE,
+    ("density", "grid_n"): f"epsilon_density: need grid_n >= {density.MIN_GRID_N}",
+    ("distortion", "samples"): "verify_slab_bound: need samples",
+    ("distortion", "grid_n"):
+        f"lambda_h_estimate: grid_n must be >= {distortion.MIN_CHART_GRID_N}",
+}
+
+
+def _case_id(argv, config, *_):
+    """A case's name: its command line, then its config lines."""
+    return " ".join(argv + ([] if config is None else ["config:", *config.split()]))
+
+
+EXITS_2 = [
+    (["trace", "--u2", "nan", "--budget", "3000"], None, "finite"),
+    (["trace", "--p", "nan,0,0", "--budget", "3000"], None, "finite"),
+    (["trace", "--direction", "1,nan,0.001", "--budget", "3000"], None, "finite"),
+    (["coverage", "--box-r", "inf", "--budget", "3000"], None, "finite"),
+    (["density", "--rungs", "0"], None, "rungs"),
+    (["density", "--rungs", "-2"], None, "rungs"),
+    (["coverage", "--budget", "3000"], "box_r=inf\n", "finite"),
+    (["trace", "--budget", "999"], None, "budget must be >= 1000"),
+    (["trace", "--h-max", "0"], None, "h_max must be positive"),
+    (["cone", "--level", "0"], None, "level must be finite and nonzero"),
+    (["cone", "--n-height", "0"], None, "at least one cell"),
+    (["cone", "--level", "1", "--t1=-1", "--t2", "1"], None, "vertex_height < t1 < t2"),
+    (["distortion", "--t1", "1", "--t2", "0"], None, "need t1 < t2"),
+    (["distortion", "--samples", "0"], None, "need samples"),
+    (["distortion", "--t2", "25"], None, "slab gap above 20"),
+    (["density", "--delta", "0"], None, "delta must be positive"),
+    (["density", "--ball-n", "0"], None, "need n >= 1"),
+    # a count below its minimum, zero or negative or positive, as a flag and
+    # as a config key: the library checks it
+    *[
+        (argv, config, MINIMUM_MESSAGES[command, key])
+        for command, flag, key, value in COUNT_FLAGS + FLOORED_COUNTS
+        for argv, config in [
+            ([command, f"{flag}={value}"], None),
+            ([command], f"{key}={value}\n"),
+        ]
+    ],
+    # a zero direction names no line
+    *[
+        (argv, config, "nonzero d")
+        for command in ("trace", "coverage")
+        for argv, config in [
+            ([command, "--direction", "0,0,0", "--budget", "1000"], None),
+            ([command, "--budget", "1000"], "direction=0,-0.0,0\n"),
+        ]
+    ],
+    # |y| above exp(EXP_CAP) is outside the map's range; |y|^2 overflows
+    (["invert", "--y", "1e308,1e308,1e308"], None, "need 0 < |y| <= exp(700)"),
+    # a config file that cannot be read (paths from the test's directory)
+    (["trace", "--budget", "1000", "--config", "no-such.cfg"], None,
+     "config: cannot read 'no-such.cfg': No such file or directory"),
+    (["trace", "--budget", "1000", "--config", "."], None,
+     "config: cannot read '.': Is a directory"),
+    # a cone whose heights overflow a float (no RuntimeWarning escapes)
+    (["cone", "--level", "1e308"], None, "cone_height: a height is not a finite float"),
+    # a 10^15-voxel grid: numpy refuses it at once, without touching memory
+    (["coverage", "--grid-n", "100000"], None, "Unable to allocate"),
+    # a branch margin (10 * radius) past pi/sqrt(2) leaves no point to sample
+    *[
+        (["distortion", "--samples", "5", "--grid-n", "64", "--radius", radius], None,
+         f"sample_slab: radius {float(radius)!r} leaves no point outside the branch margin")
+        for radius in ("0.25", "1e300")
+    ],
+    # a ball centre or a voxel edge that overflows a float (no RuntimeWarning escapes)
+    (["density", "--q", "1e160,0,0", "--ball-r", "1", "--grid-n", "2", "--budget", "1000",
+      "--rungs", "1"], None, "BallSpec: |center|^2 must be a finite float"),
+    (["coverage", "--box-r", "1e308", "--budget", "1000", "--grid-n", "2"], None,
+     "VoxelGrid: the voxel edge must be a finite float"),
+    # the trace's default step, voxel_edge(box_r), overflows
+    (["trace", "--box-r", "1e308", "--budget", "1000"], None,
+     "trace: the default step voxel_edge(1e+308) is not a finite float"),
+    # a beam past PHASE_CAP, for the inverse branch and for a cone's placement
+    (["invert", "--y", "0.3,-0.2,1.5", "--beam", "100000000000000000000,0"], None,
+     "zorich_inverse: beam (100000000000000000000, 0) is past PHASE_CAP"),
+    (["cone", "--m", "100000000000000000000"], None,
+     "ConeSurface: beam (200000000000000000000, 0) is past PHASE_CAP"),
+    # a ladder whose deepest rung's crossings are one float, and one past 2.0**1023
+    *[
+        (["density", "--rungs", rungs, "--grid-n", "2", "--budget", "1000"], None,
+         f"epsilon_density: rung {int(rungs) - 1} repeats a crossing")
+        for rungs in ("56", "1100")
+    ],
+    # a phase past PHASE_CAP, for the map and at the end of a traced line's window
+    (["eval", "--x", "1e300,0,0"], None, "zorich: a phase max(|x1|, |x2|) is past PHASE_CAP"),
+    (["trace", "--p", "1e15,0,0", "--budget", "1000"], None,
+     "adaptive_trace: a first-stage phase over s in [-7692.31, 207692] is past PHASE_CAP"),
+    # a slab whose probe differences overflow (no RuntimeWarning escapes)
+    (["distortion", "--t1", "370", "--t2", "371"], None,
+     "verify_slab_bound: the distortion over t in [370, 371] is not a finite float"),
 ]
 
 
-@pytest.mark.parametrize(
-    "argv, config, message",
-    [
-        (["trace", "--u2", "nan", "--budget", "3000"], None, "finite"),
-        (["trace", "--p", "nan,0,0", "--budget", "3000"], None, "finite"),
-        (["trace", "--direction", "1,nan,0.001", "--budget", "3000"], None, "finite"),
-        (["coverage", "--box-r", "inf", "--budget", "3000"], None, "finite"),
-        (["density", "--rungs", "0"], None, "rungs"),
-        (["density", "--rungs", "-2"], None, "rungs"),
-        (["coverage", "--budget", "3000"], "box_r=inf\n", "finite"),
-        (["trace", "--budget", "999"], None, "budget must be >= 1000"),
-        (["trace", "--h-max", "0"], None, "h_max must be positive"),
-        (["cone", "--level", "0"], None, "level must be finite and nonzero"),
-        (["cone", "--n-height", "0"], None, "at least one cell"),
-        (["cone", "--level", "1", "--t1=-1", "--t2", "1"], None, "vertex_height < t1 < t2"),
-        (["distortion", "--t1", "1", "--t2", "0"], None, "need t1 < t2"),
-        (["distortion", "--samples", "0"], None, "need samples"),
-        (["distortion", "--t2", "25"], None, "slab gap above 20"),
-        (["density", "--delta", "0"], None, "delta must be positive"),
-        (["density", "--ball-n", "0"], None, "need n >= 1"),
-        # a count that --quick scales is checked before the scaling, with and
-        # without --quick, as a flag and as a config key
-        *[
-            (argv, config, f"need {key} >= 1")
-            for command, flag, key, value in COUNT_FLAGS
-            for quick in ([], ["--quick"])
-            for argv, config in [
-                ([command, f"{flag}={value}", *quick], None),
-                ([command, *quick], f"{key}={value}\n"),
-            ]
-        ],
-        # a positive count below the library's minimum, which --quick would
-        # otherwise lift to its floor
-        *[
-            (argv, config, f"{key} must be >= {least}, not {value!r}")
-            for command, flag, key, value, least in FLOORED_COUNTS
-            for quick in ([], ["--quick"])
-            for argv, config in [
-                ([command, f"{flag}={value}", *quick], None),
-                ([command, *quick], f"{key}={value}\n"),
-            ]
-        ],
-        # a zero direction names no line
-        *[
-            (argv, config, "nonzero d")
-            for command in ("trace", "coverage")
-            for argv, config in [
-                ([command, "--direction", "0,0,0", "--budget", "1000"], None),
-                ([command, "--budget", "1000"], "direction=0,-0.0,0\n"),
-            ]
-        ],
-        # |y| above exp(EXP_CAP) is outside the map's range; |y|^2 overflows
-        (["invert", "--y", "1e308,1e308,1e308"], None, "need 0 < |y| <= exp(700)"),
-        # a config file that cannot be read (paths from the test's directory)
-        (["trace", "--budget", "1000", "--config", "no-such.cfg"], None,
-         "config: cannot read 'no-such.cfg': No such file or directory"),
-        (["trace", "--budget", "1000", "--config", "."], None,
-         "config: cannot read '.': Is a directory"),
-        # a cone whose heights overflow a float (no RuntimeWarning escapes)
-        (["cone", "--level", "1e308"], None, "cone_height: a height is not a finite float"),
-        # a 10^15-voxel grid: numpy refuses it at once, without touching memory
-        (["coverage", "--grid-n", "100000"], None, "Unable to allocate"),
-        # a branch margin (10 * radius) past pi/sqrt(2) leaves no point to sample
-        *[
-            (["distortion", "--samples", "5", "--grid-n", "64", "--radius", radius], None,
-             f"sample_slab: radius {float(radius)!r} leaves no point outside the branch margin")
-            for radius in ("0.25", "1e300")
-        ],
-        # a ball centre or a voxel edge that overflows a float (no RuntimeWarning escapes)
-        (["density", "--q", "1e160,0,0", "--ball-r", "1", "--grid-n", "2", "--budget", "1000",
-          "--rungs", "1"], None, "BallSpec: |center|^2 must be a finite float"),
-        (["coverage", "--box-r", "1e308", "--budget", "1000", "--grid-n", "2"], None,
-         "VoxelGrid: the voxel edge must be a finite float"),
-        # the trace's default step, voxel_edge(box_r), overflows
-        (["trace", "--box-r", "1e308", "--budget", "1000"], None,
-         "trace: the default step voxel_edge(1e+308) is not a finite float"),
-        # a beam past PHASE_CAP, for the inverse branch and for a cone's placement
-        (["invert", "--y", "0.3,-0.2,1.5", "--beam", "100000000000000000000,0"], None,
-         "zorich_inverse: beam (100000000000000000000, 0) is past PHASE_CAP"),
-        (["cone", "--m", "100000000000000000000"], None,
-         "ConeSurface: beam (200000000000000000000, 0) is past PHASE_CAP"),
-        # a ladder whose deepest rung's crossings are one float, and one past 2.0**1023
-        *[
-            (["density", "--rungs", rungs, "--grid-n", "2", "--budget", "1000"], None,
-             f"epsilon_density: rung {int(rungs) - 1} repeats a crossing")
-            for rungs in ("56", "1100")
-        ],
-        # a phase past PHASE_CAP, for the map and at the end of a traced line's window
-        (["eval", "--x", "1e300,0,0"], None, "zorich: a phase max(|x1|, |x2|) is past PHASE_CAP"),
-        (["trace", "--p", "1e15,0,0", "--budget", "1000"], None,
-         "adaptive_trace: a first-stage phase over s in [-7692.31, 207692] is past PHASE_CAP"),
-    ],
-)
+@pytest.mark.parametrize("argv, config, message", EXITS_2, ids=[_case_id(*c) for c in EXITS_2])
 def test_non_finite_or_empty_exits_2(tmp_path, capsys, monkeypatch, argv, config, message):
     monkeypatch.chdir(tmp_path)
     if config is not None:

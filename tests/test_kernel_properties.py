@@ -428,16 +428,19 @@ def reduced_zorich_inverse(y, beam):
     y = np.asarray(y, dtype=float)
     with np.errstate(over="ignore"):
         norm = np.sqrt(np.sum(y * y, axis=-1))
+    scaled, scaled_norm = y, norm
     if norm.size and not 2.0**-511 <= norm.min() <= norm.max() < np.inf:
         big = np.max(np.abs(y), axis=-1)
         scale = np.where(((norm >= 2.0**-511) & (norm < np.inf)) | (big == 0.0), 1.0, big)
+        scaled = y / scale[..., None]
         with np.errstate(over="ignore"):
-            norm = scale * np.sqrt(np.sum(np.square(y / scale[..., None]), axis=-1))
+            scaled_norm = np.sqrt(np.sum(np.square(scaled), axis=-1))
+        norm = scale * scaled_norm
         if np.any(norm == 0.0):
             raise DomainError("zorich_inverse: zero input has no preimage")
         if not math.log(norm.max()) <= EXP_CAP:
             raise DomainError("zorich_inverse: outside the map's range")
-    u = y / norm[..., None]
+    u = scaled / scaled_norm[..., None]
     if (beam[0] + beam[1]) % 2 == 1:
         u = u.copy()
         u[..., 2] = -u[..., 2]

@@ -263,6 +263,12 @@ class TestZorichInverse:
         with pytest.raises(DomainError):
             zorich_inverse((0.0, 0.0, 0.0), (0, 0))
 
+    def test_deep_subnormal_image(self):
+        # 1e-320 has few significant bits: the direction is that of (1, 0, 1)
+        x = zorich_inverse((1e-320, 0.0, 1e-320), (0, 0))
+        assert list(x[:2]) == list(zorich_inverse((1.0, 0.0, 1.0), (0, 0))[:2])
+        assert x[2] == math.log(math.hypot(1e-320, 1e-320))
+
     def test_parity_mismatch(self):
         with pytest.raises(ParityMismatchError):
             zorich_inverse((0.0, 0.0, 1.0), (1, 0))
