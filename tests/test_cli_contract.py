@@ -292,29 +292,34 @@ MINIMUM_MESSAGES = {
 }
 
 
-def _case_id(argv, config, *_):
-    """A case's name: its command line, then its config lines."""
+def _case_id(argv, config, message, number=None):
+    """A case's name. A row that was in the table when its cases were named by
+    position keeps that name, argv<number>-<config>-<message>; any other row is
+    named by its command line, then its config lines. No name depends on where
+    its row stands, so adding or removing a row renames no other case."""
+    if number is not None:
+        return f"argv{number}-{config}-{message}"
     return " ".join(argv + ([] if config is None else ["config:", *config.split()]))
 
 
 EXITS_2 = [
-    (["trace", "--u2", "nan", "--budget", "3000"], None, "finite"),
-    (["trace", "--p", "nan,0,0", "--budget", "3000"], None, "finite"),
-    (["trace", "--direction", "1,nan,0.001", "--budget", "3000"], None, "finite"),
-    (["coverage", "--box-r", "inf", "--budget", "3000"], None, "finite"),
-    (["density", "--rungs", "0"], None, "rungs"),
-    (["density", "--rungs", "-2"], None, "rungs"),
-    (["coverage", "--budget", "3000"], "box_r=inf\n", "finite"),
-    (["trace", "--budget", "999"], None, "budget must be >= 1000"),
-    (["trace", "--h-max", "0"], None, "h_max must be positive"),
-    (["cone", "--level", "0"], None, "level must be finite and nonzero"),
-    (["cone", "--n-height", "0"], None, "at least one cell"),
-    (["cone", "--level", "1", "--t1=-1", "--t2", "1"], None, "vertex_height < t1 < t2"),
-    (["distortion", "--t1", "1", "--t2", "0"], None, "need t1 < t2"),
-    (["distortion", "--samples", "0"], None, "need samples"),
-    (["distortion", "--t2", "25"], None, "slab gap above 20"),
-    (["density", "--delta", "0"], None, "delta must be positive"),
-    (["density", "--ball-n", "0"], None, "need n >= 1"),
+    (["trace", "--u2", "nan", "--budget", "3000"], None, "finite", 0),
+    (["trace", "--p", "nan,0,0", "--budget", "3000"], None, "finite", 1),
+    (["trace", "--direction", "1,nan,0.001", "--budget", "3000"], None, "finite", 2),
+    (["coverage", "--box-r", "inf", "--budget", "3000"], None, "finite", 3),
+    (["density", "--rungs", "0"], None, "rungs", 4),
+    (["density", "--rungs", "-2"], None, "rungs", 5),
+    (["coverage", "--budget", "3000"], "box_r=inf\n", "finite", 6),
+    (["trace", "--budget", "999"], None, "budget must be >= 1000", 7),
+    (["trace", "--h-max", "0"], None, "h_max must be positive", 8),
+    (["cone", "--level", "0"], None, "level must be finite and nonzero", 9),
+    (["cone", "--n-height", "0"], None, "at least one cell", 10),
+    (["cone", "--level", "1", "--t1=-1", "--t2", "1"], None, "vertex_height < t1 < t2", 11),
+    (["distortion", "--t1", "1", "--t2", "0"], None, "need t1 < t2", 12),
+    (["distortion", "--samples", "0"], None, "need samples", 13),
+    (["distortion", "--t2", "25"], None, "slab gap above 20", 14),
+    (["density", "--delta", "0"], None, "delta must be positive", 15),
+    (["density", "--ball-n", "0"], None, "need n >= 1", 16),
     # a count below its minimum, zero or negative or positive, as a flag and
     # as a config key: the library checks it
     *[
@@ -326,61 +331,61 @@ EXITS_2 = [
         ]
     ],
     # a zero direction names no line
-    *[
-        (argv, config, "nonzero d")
-        for command in ("trace", "coverage")
-        for argv, config in [
-            ([command, "--direction", "0,0,0", "--budget", "1000"], None),
-            ([command, "--budget", "1000"], "direction=0,-0.0,0\n"),
-        ]
-    ],
+    (["trace", "--direction", "0,0,0", "--budget", "1000"], None, "nonzero d", 61),
+    (["trace", "--budget", "1000"], "direction=0,-0.0,0\n", "nonzero d", 62),
+    (["coverage", "--direction", "0,0,0", "--budget", "1000"], None, "nonzero d", 63),
+    (["coverage", "--budget", "1000"], "direction=0,-0.0,0\n", "nonzero d", 64),
     # |y| above exp(EXP_CAP) is outside the map's range; |y|^2 overflows
-    (["invert", "--y", "1e308,1e308,1e308"], None, "need 0 < |y| <= exp(700)"),
+    (["invert", "--y", "1e308,1e308,1e308"], None, "need 0 < |y| <= exp(700)", 65),
     # a config file that cannot be read (paths from the test's directory)
     (["trace", "--budget", "1000", "--config", "no-such.cfg"], None,
-     "config: cannot read 'no-such.cfg': No such file or directory"),
+     "config: cannot read 'no-such.cfg': No such file or directory", 66),
     (["trace", "--budget", "1000", "--config", "."], None,
-     "config: cannot read '.': Is a directory"),
+     "config: cannot read '.': Is a directory", 67),
     # a cone whose heights overflow a float (no RuntimeWarning escapes)
-    (["cone", "--level", "1e308"], None, "cone_height: a height is not a finite float"),
+    (["cone", "--level", "1e308"], None, "cone_height: a height is not a finite float", 68),
     # a 10^15-voxel grid: numpy refuses it at once, without touching memory
-    (["coverage", "--grid-n", "100000"], None, "Unable to allocate"),
+    (["coverage", "--grid-n", "100000"], None, "Unable to allocate", 69),
     # a branch margin (10 * radius) past pi/sqrt(2) leaves no point to sample
     *[
         (["distortion", "--samples", "5", "--grid-n", "64", "--radius", radius], None,
-         f"sample_slab: radius {float(radius)!r} leaves no point outside the branch margin")
-        for radius in ("0.25", "1e300")
+         f"sample_slab: radius {float(radius)!r} leaves no point outside the branch margin",
+         number)
+        for radius, number in (("0.25", 70), ("1e300", 71))
     ],
     # a ball centre or a voxel edge that overflows a float (no RuntimeWarning escapes)
     (["density", "--q", "1e160,0,0", "--ball-r", "1", "--grid-n", "2", "--budget", "1000",
-      "--rungs", "1"], None, "BallSpec: |center|^2 must be a finite float"),
+      "--rungs", "1"], None, "BallSpec: |center|^2 must be a finite float", 72),
     (["coverage", "--box-r", "1e308", "--budget", "1000", "--grid-n", "2"], None,
-     "VoxelGrid: the voxel edge must be a finite float"),
+     "VoxelGrid: the voxel edge must be a finite float", 73),
     # the trace's default step, voxel_edge(box_r), overflows
     (["trace", "--box-r", "1e308", "--budget", "1000"], None,
-     "trace: the default step voxel_edge(1e+308) is not a finite float"),
+     "trace: the default step voxel_edge(1e+308) is not a finite float", 74),
     # a beam past PHASE_CAP, for the inverse branch and for a cone's placement
     (["invert", "--y", "0.3,-0.2,1.5", "--beam", "100000000000000000000,0"], None,
-     "zorich_inverse: beam (100000000000000000000, 0) is past PHASE_CAP"),
+     "zorich_inverse: beam (100000000000000000000, 0) is past PHASE_CAP", 75),
     (["cone", "--m", "100000000000000000000"], None,
-     "ConeSurface: beam (200000000000000000000, 0) is past PHASE_CAP"),
+     "ConeSurface: beam (200000000000000000000, 0) is past PHASE_CAP", 76),
     # a ladder whose deepest rung's crossings are one float, and one past 2.0**1023
     *[
         (["density", "--rungs", rungs, "--grid-n", "2", "--budget", "1000"], None,
-         f"epsilon_density: rung {int(rungs) - 1} repeats a crossing")
-        for rungs in ("56", "1100")
+         f"epsilon_density: rung {int(rungs) - 1} repeats a crossing", number)
+        for rungs, number in (("56", 77), ("1100", 78))
     ],
     # a phase past PHASE_CAP, for the map and at the end of a traced line's window
-    (["eval", "--x", "1e300,0,0"], None, "zorich: a phase max(|x1|, |x2|) is past PHASE_CAP"),
+    (["eval", "--x", "1e300,0,0"], None,
+     "zorich: a phase max(|x1|, |x2|) is past PHASE_CAP", 79),
     (["trace", "--p", "1e15,0,0", "--budget", "1000"], None,
-     "adaptive_trace: a first-stage phase over s in [-7692.31, 207692] is past PHASE_CAP"),
+     "adaptive_trace: a first-stage phase over s in [-7692.31, 207692] is past PHASE_CAP", 80),
     # a slab whose probe differences overflow (no RuntimeWarning escapes)
     (["distortion", "--t1", "370", "--t2", "371"], None,
      "verify_slab_bound: the distortion over t in [370, 371] is not a finite float"),
 ]
 
 
-@pytest.mark.parametrize("argv, config, message", EXITS_2, ids=[_case_id(*c) for c in EXITS_2])
+@pytest.mark.parametrize(
+    "argv, config, message", [pytest.param(*case[:3], id=_case_id(*case)) for case in EXITS_2]
+)
 def test_non_finite_or_empty_exits_2(tmp_path, capsys, monkeypatch, argv, config, message):
     monkeypatch.chdir(tmp_path)
     if config is not None:
